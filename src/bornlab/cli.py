@@ -5,6 +5,7 @@
     bornlab sample   <config> [--out PATH] [--threads K] [--seed S]
     bornlab qrf      <config> [--out PATH]
 
+``--threads`` is accepted for compatibility and has no effect.
 Exit codes: 0 success (verdicts live in the report), 2 config error,
 3 dimension/cap error, 4 surrogate-field refusal, 5 I/O error.
 """
@@ -53,7 +54,7 @@ def _sf_gate(cfg: ScenarioConfig, grid):
     return report.record("SF"), gate_grid
 
 
-def cmd_analyze(cfg: ScenarioConfig, out_path, threads=1):
+def cmd_analyze(cfg: ScenarioConfig, out_path):
     source = _analysis_source(cfg)
     analyses = []
     for name, grid in cfg.grids.items():
@@ -96,7 +97,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path, threads=1):
     return 0
 
 
-def cmd_simulate(cfg: ScenarioConfig, out_path, threads=1, seed=None, force=False):
+def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     if cfg.kind != "joint":
         raise ConfigError("simulate requires kind: joint", "kind")
     if cfg.sampling is None:
@@ -125,7 +126,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, threads=1, seed=None, force=Fals
             file=sys.stderr,
         )
 
-    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, use_seed, workers=threads)
+    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, use_seed)
     comparisons = []
     for t in probe_times:
         exact = observer.exact_reduced_state(js, t)
@@ -159,19 +160,16 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, threads=1, seed=None, force=Fals
     return 0
 
 
-def cmd_sample(cfg: ScenarioConfig, out_path, threads=1, seed=None):
+def cmd_sample(cfg: ScenarioConfig, out_path, seed=None):
     if cfg.sampling is None:
         raise ConfigError("sample requires a sampling section", "sampling")
     source = _analysis_source(cfg)
     grid = cfg.grid(cfg.sampling.grid)
     use_seed = cfg.sampling.seed if seed is None else int(seed)
     _warn_if_inconsistent(cfg, source, grid)
-    ens = sampler.sample_ensemble(source, grid, cfg.sampling.size, use_seed, workers=threads)
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            sampler.export_csv(ens, fh)
-    except OSError:
-        raise
+    ens = sampler.sample_ensemble(source, grid, cfg.sampling.size, use_seed)
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        sampler.export_csv(ens, fh)
     print(
         f"[sample] {ens.size} trajectories on grid {cfg.sampling.grid} "
         f"(seed {use_seed}) written to {out_path}"
@@ -288,9 +286,9 @@ def build_parser():
         p.add_argument("--out", help="output path (default: <config stem>.<command>)")
         if name in ("simulate", "sample"):
             p.add_argument("--seed", type=int, help="override the config seed")
-            p.add_argument("--threads", type=int, default=1, help="worker cap")
-        if name == "analyze":
-            p.add_argument("--threads", type=int, default=1, help="worker cap")
+        if name != "qrf":
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
         if name == "simulate":
             p.add_argument("--force", action="store_true",
                            help="simulate despite an SF violation")
@@ -303,12 +301,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.command == "analyze":
-            return cmd_analyze(cfg, out, threads=args.threads)
+            return cmd_analyze(cfg, out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, threads=args.threads,
-                                seed=args.seed, force=args.force)
+            return cmd_simulate(cfg, out, seed=args.seed, force=args.force)
         if args.command == "sample":
-            return cmd_sample(cfg, out, threads=args.threads, seed=args.seed)
+            return cmd_sample(cfg, out, seed=args.seed)
         return cmd_qrf(cfg, out)
     except ConfigError as exc:
         print(f"bornlab: config error: {exc}", file=sys.stderr)

@@ -173,23 +173,6 @@ class Superoperator:
             return Superoperator(self.dim, self.matrix @ other.matrix)
         return NotImplemented
 
-    def __add__(self, other):
-        if isinstance(other, Superoperator):
-            if other.dim != self.dim:
-                raise DimensionMismatch("adding superoperators of different dims")
-            return Superoperator(self.dim, self.matrix + other.matrix)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Superoperator):
-            if other.dim != self.dim:
-                raise DimensionMismatch("subtracting superoperators of different dims")
-            return Superoperator(self.dim, self.matrix - other.matrix)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        return Superoperator(self.dim, complex(scalar) * self.matrix)
-
 
 def sandwich_superop(L, R):
     """Superoperator X ↦ L X R, i.e. kron(R.T, L) in column-stacking."""

@@ -14,6 +14,11 @@ where P(f,t) = U†(t) P(f) U(t). Tables are stored as dense ndarrays over
 outcome-index tuples ordered chronologically: axis k of a Born table is the
 outcome at t_{k+1}; a bi-probability table interleaves left/right axes as
 (f_1, f_-1, f_2, f_-2, ...).
+
+Every source (a :class:`QuantumSystem` here, a semigroup model in
+:mod:`bornlab.qrf`) is reduced by :func:`dynamics` to its initial state,
+observable and a Schrödinger-picture step; one kernel builds both table
+kinds from those, and the sampling chain reuses the same step.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import string
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +173,6 @@ class BiProbTable:
             yield tup[0::2], tup[1::2], complex(self.dist[tup])
 
 
-def _heisenberg_family(sys, grid):
-    return [heisenberg_projectors(sys.F, sys.H, t) for t in grid.times]
-
-
 def _check_cap(entries, cap, what):
     if entries > cap:
         raise TableTooLarge(
@@ -178,52 +180,95 @@ def _check_cap(entries, cap, what):
         )
 
 
-@functools.singledispatch
-def born_table(source, grid, cap=DEFAULT_TABLE_CAP):
-    """Joint measurement distribution for any supported table source."""
-    raise TypeError(f"no Born-table builder registered for {type(source).__name__}")
+@dataclass(frozen=True)
+class Dynamics:
+    """What the table kernel and the sampling chain need of a source.
+
+    ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
+    the Schrödinger picture, caching its map per gap.
+    """
+
+    rho: np.ndarray
+    F: SpectralDecomposition
+    step: Callable
 
 
 @functools.singledispatch
-def biprob_table(source, grid, cap=DEFAULT_TABLE_CAP):
-    """Bi-probability table for any supported table source."""
-    raise TypeError(f"no bi-probability builder registered for {type(source).__name__}")
+def dynamics(source):
+    """The one dispatch point from a table source to its :class:`Dynamics`."""
+    raise TypeError(f"no dynamics registered for {type(source).__name__}")
+
+
+@dynamics.register
+def _(sys: QuantumSystem):
+    props = {}
+
+    def step(X, gap):
+        U = props.get(gap)
+        if U is None:
+            U = props[gap] = propagator(sys.H, gap)
+        return U @ X @ U.conj().T
+
+    return Dynamics(sys.rho0, sys.F, step)
+
+
+def readout(F: SpectralDecomposition):
+    """(m, d²) rows with readout[a] @ X.ravel() = tr(P(a) X)."""
+    P = F.projectors
+    return P.transpose(0, 2, 1).reshape(len(P), -1)
+
+
+def _table(source, grid: TimeGrid, cap, diagonal):
+    """Born (``diagonal``) or bi-probability table of any source.
+
+    Alternates the source's step with the projector sandwich
+    X ↦ P(a) X P(b) (b = a for Born) over a batch of operators, so the batch
+    holds one operator per outcome prefix. The last layer is contracted
+    straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X).
+    """
+    dyn = dynamics(source)
+    P, m, n = dyn.F.projectors, dyn.F.n_outcomes, grid.n
+    what = "Born table" if diagonal else "bi-probability table"
+    _check_cap(m ** (n if diagonal else 2 * n), cap, what)
+    X, prev = dyn.rho[None], 0.0
+    for t in grid.times[:-1]:
+        left = P @ dyn.step(X, t - prev)[:, None]  # (N, m, d, d): P(a) X
+        X = (left @ P if diagonal else left[:, :, None] @ P).reshape(-1, *P.shape[1:])
+        prev = t
+    X = dyn.step(X, grid.times[-1] - prev)
+    traces = X.reshape(len(X), -1) @ readout(dyn.F).T  # (N, m)
+    if diagonal:
+        dist = traces.real.reshape((m,) * n)
+    else:
+        dist = np.zeros((len(X), m, m), dtype=complex)
+        dist[:, range(m), range(m)] = traces
+        dist = dist.reshape((m, m) * n)
+    total = dist.sum()
+    if not np.isfinite(total) or abs(total - 1.0) > 1e-10:
+        raise NumericalInvariantViolation(
+            f"{what} total {total} differs from 1 beyond 1e-10"
+        )
+    return (BornTable if diagonal else BiProbTable)(grid, dyn.F.eigenvalues.copy(), dist)
+
+
+def born_table(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
+    """Joint measurement distribution P_n for any table source."""
+    return _table(source, grid, cap, diagonal=True)
+
+
+def biprob_table(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
+    """Bi-probability table Q_n for any table source."""
+    return _table(source, grid, cap, diagonal=False)
 
 
 def born_distribution(sys: QuantumSystem, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Exact joint distribution of n sequential projective measurements."""
-    m, d, n = sys.F.n_outcomes, sys.dim, grid.n
-    _check_cap(m**n, cap, "Born table")
-    T = sys.rho0[None]
-    for P in _heisenberg_family(sys, grid):
-        T = np.einsum("aij,njk,akl->nail", P, T, P).reshape(-1, d, d)
-    probs = np.einsum("nii->n", T).real.reshape((m,) * n)
-    total = probs.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantViolation(
-            f"Born table total {total} differs from 1 beyond 1e-10"
-        )
-    return BornTable(grid, sys.F.eigenvalues.copy(), probs)
+    return born_table(sys, grid, cap)
 
 
 def bi_probability(sys: QuantumSystem, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Exact bi-probability table with independent left/right sequences."""
-    m, d, n = sys.F.n_outcomes, sys.dim, grid.n
-    _check_cap(m ** (2 * n), cap, "bi-probability table")
-    T = sys.rho0[None]
-    for P in _heisenberg_family(sys, grid):
-        T = np.einsum("aij,njk,bkl->nabil", P, T, P).reshape(-1, d, d)
-    q = np.einsum("nii->n", T).reshape((m, m) * n)
-    total = q.sum()
-    if not np.isfinite(total.real) or abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantViolation(
-            f"bi-probability total {total} differs from 1 beyond 1e-10"
-        )
-    return BiProbTable(grid, sys.F.eigenvalues.copy(), q)
-
-
-born_table.register(QuantumSystem, born_distribution)
-biprob_table.register(QuantumSystem, bi_probability)
+    return biprob_table(sys, grid, cap)
 
 
 def conditional_state(
@@ -250,8 +295,8 @@ def conditional_state(
         if t_next <= grid.times[-1]:
             raise ValueError(f"t_next {t_next} must exceed the last history time")
         M = sys.rho0
-        for k, P in enumerate(_heisenberg_family(sys, grid)):
-            Pk = P[outcomes[k]]
+        for t, f in zip(grid.times, outcomes):
+            Pk = heisenberg_projectors(sys.F, sys.H, t)[f]
             M = Pk @ M @ Pk
         p = np.trace(M).real
         if p <= prob_floor:

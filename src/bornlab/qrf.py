@@ -7,8 +7,9 @@ projector-sandwich superoperators and semigroup maps,
     Q_n(f, f_-) = tr[ ∏_{i=n..1} 𝒫(f_i, f_-i) Λ(t_i − t_{i-1}) ρ_a ],
 
 with 𝒫(f_+, f_-) : X ↦ P(f_+) X P(f_-), Λ(τ) = exp(τ ℒ_total), t_0 = 0.
-This module builds GKLS generators from rate tables, evaluates the tables,
-and classifies generators (block-triangular structure, NCGD) against the
+This module builds GKLS generators from rate tables, supplies Λ(τ) as the
+step of the shared table kernel and sampling chain (``dynamics``), and
+classifies generators (block-triangular structure, NCGD) against the
 consistency conditions.
 """
 
@@ -36,16 +37,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .process import (
-    DEFAULT_TABLE_CAP,
-    BiProbTable,
-    BornTable,
-    TimeGrid,
-    _check_cap,
-    biprob_table,
-    born_table,
-)
-from .sampler import measurement_chain
+from .process import DEFAULT_TABLE_CAP, Dynamics, TimeGrid, biprob_table, born_table, dynamics
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
 from .consistency import check_cm, check_sf, ConditionRecord, _record
 
@@ -205,88 +197,29 @@ def dephasing_projector(F_a: SpectralDecomposition):
     return sum(np.kron(P.T, P) for P in F_a.projectors)
 
 
+@dynamics.register
+def _(model: QRFModel):
+    d = model.dim
+    perm = np.arange(d * d).reshape(d, d).T.ravel()  # row-major ↔ column-stacking
+    maps = {}
+
+    def step(X, gap):
+        L = maps.get(gap)
+        if L is None:
+            L = maps[gap] = semigroup(model, gap)[np.ix_(perm, perm)].T
+        return (X.reshape(-1, d * d) @ L).reshape(X.shape)
+
+    return Dynamics(model.rho_a, model.F_a, step)
+
+
 def qrf_bi_probability(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Bi-probability table of a semigroup model on a grid."""
-    m, d, n = model.F_a.n_outcomes, model.dim, grid.n
-    _check_cap(m ** (2 * n), cap, "bi-probability table")
-    K = pair_superops(model.F_a)
-    cache = {}
-    V = vec(model.rho_a)[None]
-    prev = 0.0
-    for t in grid.times:
-        L = semigroup(model, t - prev, cache)
-        V = np.einsum("kij,nj->nki", K, V @ L.T).reshape(-1, d * d)
-        prev = t
-    tr_vec = vec(np.eye(d))
-    q = (V @ tr_vec).reshape((m, m) * n)
-    total = q.sum()
-    if not np.isfinite(total.real) or abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantViolation(
-            f"bi-probability total {total} differs from 1 beyond 1e-10"
-        )
-    return BiProbTable(grid, model.F_a.eigenvalues.copy(), q)
+    return biprob_table(model, grid, cap)
 
 
 def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Diagonal (Born) table of a semigroup model, built directly."""
-    m, d, n = model.F_a.n_outcomes, model.dim, grid.n
-    _check_cap(m**n, cap, "Born table")
-    P = model.F_a.projectors
-    K = np.array([np.kron(P[a].T, P[a]) for a in range(m)])
-    cache = {}
-    V = vec(model.rho_a)[None]
-    prev = 0.0
-    for t in grid.times:
-        L = semigroup(model, t - prev, cache)
-        V = np.einsum("kij,nj->nki", K, V @ L.T).reshape(-1, d * d)
-        prev = t
-    tr_vec = vec(np.eye(d))
-    probs = ((V @ tr_vec).real).reshape((m,) * n)
-    total = probs.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-10:
-        raise NumericalInvariantViolation(
-            f"Born table total {total} differs from 1 beyond 1e-10"
-        )
-    return BornTable(grid, model.F_a.eigenvalues.copy(), probs)
-
-
-born_table.register(QRFModel, qrf_born)
-biprob_table.register(QRFModel, qrf_bi_probability)
-
-
-class QRFChain:
-    """Conditional-collapse chain driven by the semigroup map."""
-
-    def __init__(self, model: QRFModel):
-        self.model = model
-        self.eigenvalues = model.F_a.eigenvalues
-        P = model.F_a.projectors
-        m = model.F_a.n_outcomes
-        self._collapse = np.array([np.kron(P[a].T, P[a]) for a in range(m)])
-        tr_vec = vec(np.eye(model.dim))
-        self._readout = (self._collapse @ tr_vec)  # (m, d²): p_f = readout[f]·v
-        self._props = {}
-
-    def prepare(self, grid: TimeGrid):
-        prev = 0.0
-        for t in grid.times:
-            semigroup(self.model, t - prev, self._props)
-            prev = t
-
-    def initial(self):
-        return vec(self.model.rho_a)
-
-    def step(self, state, gap):
-        return semigroup(self.model, gap, self._props) @ state
-
-    def probabilities(self, state):
-        return (self._readout @ state).real
-
-    def collapse(self, state, outcome, prob):
-        return (self._collapse[outcome] @ state) / prob
-
-
-measurement_chain.register(QRFModel, QRFChain)
+    """Born table of a semigroup model on a grid."""
+    return born_table(model, grid, cap)
 
 
 def rtn_model(gamma, rho_a):

@@ -17,16 +17,14 @@ which is deterministic for a fixed N.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TimeOutOfRange
-from .linalg import propagator
-from .process import BornTable, QuantumSystem, TimeGrid
+from .linalg import propagator  # noqa: F401  (perfbench/tracing.py wraps sampler.propagator)
+from .process import BornTable, TimeGrid, dynamics, readout
 
 RNG_ALGORITHM = (
     "numpy.random.Philox (philox4x64-10), "
@@ -92,47 +90,34 @@ def trajectory_rng(seed, index=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-class UnitaryChain:
-    """Conditional-collapse chain of a closed system under projective readout."""
+class MeasurementChain:
+    """Conditional-collapse chain of any table source.
 
-    def __init__(self, sys: QuantumSystem):
-        self.sys = sys
-        self.eigenvalues = sys.F.eigenvalues
-        self._props = {}
+    Steps the state with the source's ``step`` and reads and collapses it as
+    a flat vector: p = readout @ x and x ↦ collapse[k] @ x / p[k], with
+    collapse[k] = kron(P(k), P(k)ᵀ) the row-major form of X ↦ P(k) X P(k).
+    """
 
-    def prepare(self, grid: TimeGrid):
+    def __init__(self, source):
+        dyn = dynamics(source)
+        self.eigenvalues = dyn.F.eigenvalues
+        self._rho, self._step = dyn.rho, dyn.step
+        self._readout = readout(dyn.F)
+        self._collapse = np.array([np.kron(P, P.T) for P in dyn.F.projectors])
+
+    def sample(self, grid: TimeGrid, rng):
+        X, d = self._rho, self._rho.shape[0]
         prev = 0.0
+        idx = []
         for t in grid.times:
-            gap = t - prev
-            if gap not in self._props:
-                self._props[gap] = propagator(self.sys.H, gap)
+            x = self._step(X, t - prev).reshape(-1)
+            p = (self._readout @ x).real
+            k = _draw(rng, p)  # only outcomes with positive probability are drawable
+            X = (self._collapse[k] @ x / p[k]).reshape(d, d)
+            idx.append(k)
             prev = t
-
-    def initial(self):
-        return self.sys.rho0
-
-    def step(self, state, gap):
-        U = self._props.get(gap)
-        if U is None:
-            U = propagator(self.sys.H, gap)
-            self._props[gap] = U
-        return U @ state @ U.conj().T
-
-    def probabilities(self, state):
-        return np.einsum("aij,ji->a", self.sys.F.projectors, state).real
-
-    def collapse(self, state, outcome, prob):
-        P = self.sys.F.projectors[outcome]
-        return (P @ state @ P) / prob
-
-
-@functools.singledispatch
-def measurement_chain(source):
-    """Chain-sampling adapter for a table source (system or semigroup model)."""
-    raise TypeError(f"no measurement chain registered for {type(source).__name__}")
-
-
-measurement_chain.register(QuantumSystem, UnitaryChain)
+        values = tuple(float(self.eigenvalues[k]) for k in idx)
+        return Trajectory(grid=grid, indices=tuple(idx), values=values)
 
 
 def _draw(rng, probs):
@@ -143,46 +128,19 @@ def _draw(rng, probs):
     return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, len(p) - 1))
 
 
-def _sample_with(chain, grid, rng):
-    state = chain.initial()
-    prev = 0.0
-    idx = []
-    for t in grid.times:
-        state = chain.step(state, t - prev)
-        p = chain.probabilities(state)
-        k = _draw(rng, p)  # only outcomes with positive probability are drawable
-        state = chain.collapse(state, k, p[k])
-        idx.append(k)
-        prev = t
-    values = tuple(float(chain.eigenvalues[k]) for k in idx)
-    return Trajectory(grid=grid, indices=tuple(idx), values=values)
-
-
 def sample_trajectory(source, grid: TimeGrid, seed, index=0):
     """Draw one trajectory; deterministic in (source, grid, seed, index)."""
-    chain = measurement_chain(source)
-    chain.prepare(grid)
-    return _sample_with(chain, grid, trajectory_rng(seed, index))
+    return MeasurementChain(source).sample(grid, trajectory_rng(seed, index))
 
 
-def sample_ensemble(source, grid: TimeGrid, size, seed, workers=1):
+def sample_ensemble(source, grid: TimeGrid, size, seed):
     """Draw ``size`` independent trajectories with derived per-index seeds."""
     if size < 1:
         raise ValueError("ensemble size must be ≥ 1")
-    chain = measurement_chain(source)
-    chain.prepare(grid)  # propagator cache is read-only afterwards
-
-    def one(j):
-        return _sample_with(chain, grid, trajectory_rng(seed, j))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajs = tuple(pool.map(one, range(size)))
-    else:
-        trajs = tuple(one(j) for j in range(size))
+    chain = MeasurementChain(source)
     return Ensemble(
         grid=grid,
-        trajectories=trajs,
+        trajectories=tuple(chain.sample(grid, trajectory_rng(seed, j)) for j in range(size)),
         seed=int(seed),
         eigenvalues=np.array(chain.eigenvalues, dtype=float),
     )

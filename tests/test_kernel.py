@@ -1,0 +1,143 @@
+"""The shared table kernel against the independent per-source oracles."""
+
+import numpy as np
+import pytest
+
+from bornlab import (
+    QRFModel,
+    QuantumSystem,
+    TimeGrid,
+    bi_probability,
+    biprob_table,
+    born_distribution,
+    born_table,
+    build_gkls,
+    qrf_bi_probability,
+    rtn_model,
+    spectral_decompose,
+)
+from bornlab.errors import TableTooLarge
+from bornlab.qrf import generator_from_matrix, qrf_born
+from conftest import rabi_system, random_density, random_hermitian, random_unitary
+import oracles
+
+GRID3 = TimeGrid((0.3, 0.8, 1.7))
+
+
+def _degenerate_F(rng, values):
+    """Hermitian F with the given (repeated) eigenvalues in a random basis."""
+    V = random_unitary(rng, len(values))
+    return (V * np.asarray(values, dtype=float)) @ V.conj().T
+
+
+def _unitary(rng, F, grid):
+    d = F.shape[0]
+    sys = QuantumSystem.from_operators(random_hermitian(rng, d), F, random_density(rng, d))
+    return sys, grid
+
+
+def one_level(rng):
+    return QuantumSystem.from_operators([[0.7]], [[2.0]], [[1.0]]), GRID3
+
+
+def one_level_semigroup(rng):
+    model = QRFModel(
+        generator=generator_from_matrix(np.zeros((1, 1))),
+        F_a=spectral_decompose([[2.0]]),
+        rho_a=np.eye(1),
+    )
+    return model, GRID3
+
+
+def clustered_d4_m2(rng):
+    return _unitary(rng, _degenerate_F(rng, [-1.0, -1.0 + 1e-13, 1.0, 1.0 + 1e-13]), GRID3)
+
+
+def random_d6_m6(rng):
+    return _unitary(rng, random_hermitian(rng, 6), GRID3)
+
+
+def random_d8_m4(rng):
+    return _unitary(rng, _degenerate_F(rng, [-1.5, -1.5, -0.2, -0.2, 0.4, 0.4, 2.0, 2.0]), GRID3)
+
+
+def rtn(rng):
+    return rtn_model(0.7, random_density(rng, 2)), TimeGrid((0.4, 1.1, 1.9))
+
+
+def gkls_3level(rng):
+    gen = build_gkls(
+        np.diag([0.0, 1.0, 2.5]),
+        random_hermitian(rng, 3),
+        {0.0: 0.3, 1.0: 0.5 + 0.1j, -1.0: 0.2, 1.5: 0.4, 2.5: 0.1},
+    )
+    model = QRFModel(
+        generator=gen,
+        F_a=spectral_decompose(random_hermitian(rng, 3)),
+        rho_a=random_density(rng, 3),
+    )
+    return model, GRID3
+
+
+def single_time(rng):
+    return _unitary(rng, random_hermitian(rng, 3), TimeGrid((0.7,)))
+
+
+CASES = {  # name: (factory, number of outcomes)
+    "d1-m1": (one_level, 1),
+    "d1-m1-semigroup": (one_level_semigroup, 1),
+    "clustered-d4-m2": (clustered_d4_m2, 2),
+    "unitary-d6-m6-n3": (random_d6_m6, 6),
+    "unitary-d8-m4-n3": (random_d8_m4, 4),
+    "rtn": (rtn, 2),
+    "gkls-d3": (gkls_3level, 3),
+    "n1": (single_time, 3),
+}
+
+
+def builders(source, kind):
+    """(kernel entry, oracle) pair for this source and table kind."""
+    if isinstance(source, QRFModel):
+        pairs = {"born": (qrf_born, oracles.qrf_born),
+                 "biprob": (qrf_bi_probability, oracles.qrf_bi_probability)}
+    else:
+        pairs = {"born": (born_distribution, oracles.born_distribution),
+                 "biprob": (bi_probability, oracles.bi_probability)}
+    return pairs[kind]
+
+
+@pytest.mark.parametrize("kind", ["born", "biprob"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_kernel_matches_oracle(case, kind, rng):
+    factory, m = CASES[case]
+    source, grid = factory(rng)
+    sd = source.F_a if isinstance(source, QRFModel) else source.F
+    assert sd.n_outcomes == m
+    if case == "clustered-d4-m2":
+        assert sd.clustered
+    kernel, oracle = builders(source, kind)
+    table, expected = kernel(source, grid), oracle(source, grid)
+    assert table.dist.shape == expected.dist.shape
+    assert np.max(np.abs(table.dist - expected.dist)) <= 1e-12
+    np.testing.assert_array_equal(table.eigenvalues, expected.eigenvalues)
+    dispatch = born_table if kind == "born" else biprob_table
+    np.testing.assert_array_equal(dispatch(source, grid).dist, table.dist)
+    if kind == "biprob":
+        last_pair = table.dist.reshape(-1, m, m)
+        assert np.all(last_pair[:, ~np.eye(m, dtype=bool)] == 0)
+
+
+@pytest.mark.parametrize("kind,entries", [("born", 8), ("biprob", 64)])
+@pytest.mark.parametrize("source", [rabi_system(), rtn_model(0.7, np.eye(2) / 2)],
+                         ids=["unitary", "semigroup"])
+def test_cap_raises_at_the_same_entry_counts(source, kind, entries):
+    grid = TimeGrid((1.0, 2.0, 3.0))  # m = 2, n = 3
+    for build in builders(source, kind):
+        with pytest.raises(TableTooLarge):
+            build(source, grid, cap=entries - 1)
+        assert build(source, grid, cap=entries).dist.size == entries
+
+
+def test_unknown_source_is_a_type_error():
+    with pytest.raises(TypeError):
+        born_table(object(), GRID3)

@@ -49,13 +49,6 @@ class TestSampleTrajectory:
         for j in (0, 17, 49):
             assert ens.trajectories[j] == sample_trajectory(sys, grid, 31, index=j)
 
-    def test_parallel_generation_is_deterministic(self):
-        sys = rabi_system()
-        grid = TimeGrid((0.5, 1.0))
-        serial = sample_ensemble(sys, grid, 200, seed=5, workers=1)
-        parallel = sample_ensemble(sys, grid, 200, seed=5, workers=4)
-        assert serial.trajectories == parallel.trajectories
-
 
 class TestEmpiricalStatistics:
     N = 20000
