@@ -4,7 +4,7 @@ Computes exact multi-time measurement statistics (Born distributions and
 their two-sided complex extension) for finite-dimensional quantum systems,
 tests the consistency conditions that decide whether the measured observable
 behaves as a classical stochastic process, samples surrogate trajectories by
-the conditional-collapse chain, and verifies by Monte Carlo that — when the
+conditional collapse, and verifies by Monte Carlo that — when the
 surrogate-field condition holds — averaging over sampled trajectories
 reproduces the exact reduced dynamics of a coupled system.
 """

@@ -11,7 +11,7 @@ each piecewise-constant segment contributes one exact matrix exponential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,25 +106,19 @@ def exact_reduced_state(js: JointScenario, t):
     return U_o.conj().T @ reduced @ U_o
 
 
-def _segment_propagator(obs: ObserverSystem, value, duration, cache=None):
-    key = (value, duration)
-    if cache is not None and key in cache:
-        return cache[key]
-    W = propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
-    if cache is not None:
-        cache[key] = W
-    return W
-
-
 def stochastic_propagator(obs: ObserverSystem, traj: Trajectory, t, cache=None):
     """Schrödinger propagator from 0 to t under H_o + λ f(τ) G_o.
 
     The trajectory's piecewise-constant segments each contribute one exact
-    matrix exponential; no sub-segment error.
+    matrix exponential; no sub-segment error. ``cache`` maps a segment's
+    (value, duration) to its propagator and may be shared across calls.
     """
+    cache = {} if cache is None else cache
     W = np.eye(obs.dim, dtype=complex)
     for value, duration in traj.segments(t):
-        W = _segment_propagator(obs, value, duration, cache) @ W
+        if (value, duration) not in cache:
+            cache[value, duration] = propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
+        W = cache[value, duration] @ W
     return W
 
 
@@ -148,14 +142,19 @@ class SurrogateAverage:
 def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     """(1/N) Σ_j surrogate_propagate(obs, f_j, t) with standard errors.
 
-    The mean and the complex per-entry sample variance are reduced with
-    numpy pairwise summation over the trajectory index order (deterministic
-    for fixed N).
+    A trajectory's state is fixed by its history, so each distinct history
+    is propagated once and its state gathered back to every trajectory that
+    shares it. The mean and the complex per-entry sample variance are reduced
+    with numpy pairwise summation over the trajectory index order
+    (deterministic for fixed N).
     """
+    histories, inverse = np.unique(ens.indices, axis=0, return_inverse=True)
     cache = {}
-    states = np.array(
-        [surrogate_propagate(obs, traj, t, cache) for traj in ens.trajectories]
+    distinct = np.array(
+        [surrogate_propagate(obs, traj, t, cache)
+         for traj in replace(ens, indices=histories).trajectories]
     )
+    states = distinct[inverse.reshape(-1)]
     mean = states.mean(axis=0)
     if ens.size > 1:
         var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)

@@ -18,7 +18,7 @@ outcome at t_{k+1}; a bi-probability table interleaves left/right axes as
 Every source (a :class:`QuantumSystem` here, a semigroup model in
 :mod:`bornlab.qrf`) is reduced by :func:`dynamics` to its initial state,
 observable and a Schrödinger-picture step; one kernel builds both table
-kinds from those, and the sampling chain reuses the same step.
+kinds from those, and the sampler's descent reuses the same step.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _check_cap(entries, cap, what):
 
 @dataclass(frozen=True)
 class Dynamics:
-    """What the table kernel and the sampling chain need of a source.
+    """What the table kernel and the sampler need of a source.
 
     ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
     the Schrödinger picture, caching its map per gap.

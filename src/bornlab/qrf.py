@@ -8,7 +8,7 @@ projector-sandwich superoperators and semigroup maps,
 
 with 𝒫(f_+, f_-) : X ↦ P(f_+) X P(f_-), Λ(τ) = exp(τ ℒ_total), t_0 = 0.
 This module builds GKLS generators from rate tables, supplies Λ(τ) as the
-step of the shared table kernel and sampling chain (``dynamics``), and
+step of the shared table kernel and the sampler (``dynamics``), and
 classifies generators (block-triangular structure, NCGD) against the
 consistency conditions.
 """

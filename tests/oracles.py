@@ -1,17 +1,24 @@
-"""Independent table builders kept as oracles for the shared table kernel.
+"""Independent table builders and samplers kept as oracles for the library.
 
-These are the four per-source recursions the library used before
-``bornlab.process._table`` replaced them, kept verbatim: the unitary ones
-sandwich Heisenberg-picture projectors P(f, t) = U†(t) P(f) U(t) around a
-state held at t = 0, and the semigroup ones act with d²×d² superoperators on
-column-stacked vectors. Neither path shares a step with the kernel, so an
+The four table builders are the per-source recursions the library used
+before ``bornlab.process._table`` replaced them, kept verbatim: the unitary
+ones sandwich Heisenberg-picture projectors P(f, t) = U†(t) P(f) U(t) around
+a state held at t = 0, and the semigroup ones act with d²×d² superoperators
+on column-stacked vectors. Neither path shares a step with the kernel, so an
 agreement to roundoff checks both.
+
+``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
+sampler used before its batched descent over outcome histories, kept
+verbatim: it reads out and collapses one flat row-major state per
+trajectory. ``surrogate_average`` is the per-trajectory loop the observer
+used before it propagated each distinct history once.
 """
 
 import numpy as np
 
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.linalg import vec
+from bornlab.observer import ObserverSystem, SurrogateAverage, surrogate_propagate
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
@@ -19,8 +26,11 @@ from bornlab.process import (
     QuantumSystem,
     TimeGrid,
     _check_cap,
+    dynamics,
+    readout,
 )
 from bornlab.qrf import QRFModel, pair_superops, semigroup
+from bornlab.sampler import Ensemble, Trajectory
 from bornlab.spectral import heisenberg_projectors
 
 
@@ -103,3 +113,61 @@ def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
             f"Born table total {total} differs from 1 beyond 1e-10"
         )
     return BornTable(grid, model.F_a.eigenvalues.copy(), probs)
+
+
+class MeasurementChain:
+    """Conditional-collapse chain of any table source.
+
+    Steps the state with the source's ``step`` and reads and collapses it as
+    a flat vector: p = readout @ x and x ↦ collapse[k] @ x / p[k], with
+    collapse[k] = kron(P(k), P(k)ᵀ) the row-major form of X ↦ P(k) X P(k).
+    """
+
+    def __init__(self, source):
+        dyn = dynamics(source)
+        self.eigenvalues = dyn.F.eigenvalues
+        self._rho, self._step = dyn.rho, dyn.step
+        self._readout = readout(dyn.F)
+        self._collapse = np.array([np.kron(P, P.T) for P in dyn.F.projectors])
+
+    def sample(self, grid: TimeGrid, rng):
+        X, d = self._rho, self._rho.shape[0]
+        prev = 0.0
+        idx = []
+        for t in grid.times:
+            x = self._step(X, t - prev).reshape(-1)
+            p = (self._readout @ x).real
+            k = _draw(rng, p)  # only outcomes with positive probability are drawable
+            X = (self._collapse[k] @ x / p[k]).reshape(d, d)
+            idx.append(k)
+            prev = t
+        values = tuple(float(self.eigenvalues[k]) for k in idx)
+        return Trajectory(grid=grid, indices=tuple(idx), values=values)
+
+
+def _draw(rng, probs):
+    """Inverse-CDF draw; roundoff negatives clamped at this boundary."""
+    p = np.maximum(probs, 0.0)
+    total = p.sum()
+    cdf = np.cumsum(p / total)
+    return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, len(p) - 1))
+
+
+def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
+    """(1/N) Σ_j surrogate_propagate(obs, f_j, t) with standard errors.
+
+    The mean and the complex per-entry sample variance are reduced with
+    numpy pairwise summation over the trajectory index order (deterministic
+    for fixed N).
+    """
+    cache = {}
+    states = np.array(
+        [surrogate_propagate(obs, traj, t, cache) for traj in ens.trajectories]
+    )
+    mean = states.mean(axis=0)
+    if ens.size > 1:
+        var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)
+        stderr = np.sqrt(var / ens.size)
+    else:
+        stderr = np.zeros_like(mean, dtype=float)
+    return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)

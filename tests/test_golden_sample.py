@@ -1,8 +1,10 @@
 """``bornlab sample`` on the shipped configs writes pinned CSV bytes.
 
 The digests pin the trajectory stream contract end to end: the per-index
-Philox streams, the collapse chain of each source kind and the CSV format.
-A change to any of them that moves a single draw changes a digest.
+Philox streams, the sampler's descent over outcome prefixes (one collapsed
+operator per visited prefix, drawn from with each trajectory's uniforms) for
+each source kind, and the CSV format. A change to any of them that moves a
+single draw changes a digest.
 """
 
 import hashlib
