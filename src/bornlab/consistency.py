@@ -107,41 +107,59 @@ def _diag_context_sums(table: BiProbTable, position):
     return sums, real_form
 
 
+def _coverage(grid: TimeGrid, indices=None):
+    return {"n": grid.n, "times": list(grid.times),
+            "indices": list(range(1, grid.n + 1)) if indices is None else indices}
+
+
+def _deletions(table, source, grid: TimeGrid, cap):
+    """The full ``table`` on ``grid`` and a generator of its deletion defects.
+
+    The generator yields ``(i, marginal_i(full) − reduced_i)`` for 1-based i,
+    building reduced_i, the table on ``grid.without(i)``, as it goes.
+    """
+    if grid.n < 2:
+        raise ValueError("consistency checks need a grid of n ≥ 2 times")
+    full = table(source, grid, cap)
+    k = full.dist.ndim // grid.n  # axes per time: 1 for Born, 2 for bi-probability
+    return full, ((i, full.dist.sum(axis=tuple(range(k * (i - 1), k * i)))
+                   - table(source, grid.without(i), cap).dist)
+                  for i in range(1, grid.n + 1))
+
+
+def _worst(defects, witness):
+    """The first largest |entry| of the defects, and ``witness(i, outcomes)`` there."""
+    worst, where = 0.0, None
+    for i, defect in defects:
+        idx, mag = _argmax_abs(defect)
+        if mag > worst:
+            worst, where = mag, witness(i, [int(v) for v in idx])
+    return worst, where
+
+
+def _kc_records(grid: TimeGrid, born_defects, epsilon):
+    def witness(i, idx):
+        return {"index": i, "outcomes": idx}
+    return (_record("KC", *_worst(born_defects, witness), epsilon, _coverage(grid)),
+            _record("causality", *_worst(born_defects[-1:], witness), IDENTITY_TOL,
+                    _coverage(grid, [grid.n])))
+
+
+def _bi_consistency_record(grid: TimeGrid, biprob_defects):
+    # each defect is reduced to its peak as it is formed; none is held
+    worst, witness = _worst(biprob_defects, lambda i, idx: {
+        "index": i, "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})
+    return _record("bi-consistency", worst, witness, IDENTITY_TOL, _coverage(grid))
+
+
 def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
     """Kolmogorov consistency over every single-deletion of the given grid.
 
     Also reports the causality record (deletion of the last index), which is
     an identity for Born families.
     """
-    if grid.n < 2:
-        raise ValueError("KC check needs a grid of n ≥ 2 times")
-    full = born_table(source, grid, cap)
-    worst, witness = 0.0, None
-    causality_worst, causality_witness = 0.0, None
-    for i in range(1, grid.n + 1):
-        reduced = born_table(source, grid.without(i), cap)
-        diff = full.dist.sum(axis=i - 1) - reduced.dist
-        idx, mag = _argmax_abs(diff)
-        if mag > worst:
-            worst, witness = mag, {"index": i, "outcomes": [int(v) for v in idx]}
-        if i == grid.n and mag > causality_worst:
-            causality_worst = mag
-            causality_witness = {"index": i, "outcomes": [int(v) for v in idx]}
-    coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
-    return ConsistencyReport(
-        grid=grid,
-        n=grid.n,
-        records=(
-            _record("KC", worst, witness, epsilon, coverage),
-            _record(
-                "causality",
-                causality_worst,
-                causality_witness,
-                IDENTITY_TOL,
-                {"n": grid.n, "times": list(grid.times), "indices": [grid.n]},
-            ),
-        ),
-    )
+    _, defects = _deletions(born_table, source, grid, cap)
+    return ConsistencyReport(grid, grid.n, _kc_records(grid, list(defects), epsilon))
 
 
 def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
@@ -151,16 +169,12 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     recomputed independently and their agreement is reported as a separate
     identity record ("CM-real-form").
     """
-    worst, witness = 0.0, None
-    agreement = 0.0
-    for i in range(1, table.n + 1):
-        sums, real_form = _diag_context_sums(table, i)
-        idx, mag = _argmax_abs(sums)
-        if mag > worst:
-            worst, witness = mag, {"index": i, "context": [int(v) for v in idx]}
-        agreement = max(agreement, float(np.max(np.abs(sums.real - real_form))))
-        agreement = max(agreement, float(np.max(np.abs(sums.imag))))
-    coverage = {"n": table.n, "times": list(table.grid.times), "indices": list(range(1, table.n + 1))}
+    sums = [_diag_context_sums(table, i) for i in range(1, table.n + 1)]
+    worst, witness = _worst(((i, s) for i, (s, _) in enumerate(sums, 1)),
+                            lambda i, idx: {"index": i, "context": idx})
+    agreement = max(max(float(np.max(np.abs(s.real - real_form))), float(np.max(np.abs(s.imag))))
+                    for s, real_form in sums)
+    coverage = _coverage(table.grid)
     return ConsistencyReport(
         grid=table.grid,
         n=table.n,
@@ -186,12 +200,8 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     mask = _off_diagonal_mask(table.n, table.n_outcomes)
     off = np.where(mask, table.dist, 0.0)
     idx, mag = _argmax_abs(off)
-    witness = None
-    if mag > 0:
-        witness = {
-            "outcomes": [int(v) for v in idx[0::2]],
-            "outcomes_minus": [int(v) for v in idx[1::2]],
-        }
+    witness = {"outcomes": [int(v) for v in idx[0::2]],
+               "outcomes_minus": [int(v) for v in idx[1::2]]}
     coverage = {"n": table.n, "times": list(table.grid.times)}
     return ConsistencyReport(
         grid=table.grid,
@@ -200,30 +210,19 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     )
 
 
-def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEFAULT_TABLE_CAP):
+def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Pair-marginalization identity of bi-probabilities (always holds)."""
-    if grid.n < 2:
-        raise ValueError("bi-consistency check needs a grid of n ≥ 2 times")
-    full = biprob_table(source, grid, cap)
-    worst, witness = 0.0, None
-    for i in range(1, grid.n + 1):
-        reduced = biprob_table(source, grid.without(i), cap)
-        ax = 2 * (i - 1)
-        diff = full.dist.sum(axis=(ax, ax + 1)) - reduced.dist
-        idx, mag = _argmax_abs(diff)
-        if mag > worst:
-            worst = mag
-            witness = {
-                "index": i,
-                "outcomes": [int(v) for v in idx[0::2]],
-                "outcomes_minus": [int(v) for v in idx[1::2]],
-            }
-    coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
-    return ConsistencyReport(
-        grid=grid,
-        n=grid.n,
-        records=(_record("bi-consistency", worst, witness, threshold, coverage),),
-    )
+    _, defects = _deletions(biprob_table, source, grid, cap)
+    return ConsistencyReport(grid, grid.n, (_bi_consistency_record(grid, defects),))
+
+
+def _relation_residual(born_defects, bip: BiProbTable):
+    # the left side P_{n-1} − Σ_{f_i} P_n is −defect, exactly
+    residual = 0.0
+    for i, defect in born_defects:
+        rhs, _ = _diag_context_sums(bip, i)
+        residual = max(residual, float(np.max(np.abs(-defect - rhs))))
+    return residual
 
 
 def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
@@ -234,33 +233,30 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     through independent code paths (Born recursion vs bi-probability
     recursion); returns the maximal absolute residual.
     """
-    if grid.n < 2:
-        raise ValueError("generalized-relation check needs a grid of n ≥ 2 times")
-    full = born_table(source, grid, cap)
-    bip = biprob_table(source, grid, cap)
-    residual = 0.0
-    for i in range(1, grid.n + 1):
-        reduced = born_table(source, grid.without(i), cap)
-        lhs = reduced.dist - full.dist.sum(axis=i - 1)
-        rhs, _ = _diag_context_sums(bip, i)
-        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
-    return residual
+    _, defects = _deletions(born_table, source, grid, cap)
+    return _relation_residual(defects, biprob_table(source, grid, cap))
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
-    """Full per-grid report: causality, KC, CM, SF, bi-consistency, identity."""
-    kc = check_kc(source, grid, epsilon, cap)
-    bip = biprob_table(source, grid, cap)
-    cm = check_cm(bip, epsilon)
-    sf = check_sf(bip, epsilon)
-    bic = check_bi_consistency(source, grid, IDENTITY_TOL, cap)
-    residual = verify_generalized_relation(source, grid, cap)
-    gen = _record(
-        "generalized-relation",
-        residual,
-        None,
-        IDENTITY_TOL,
-        {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))},
+    """Full per-grid report and the two full tables it was read from.
+
+    Returns ``(report, born, bi_probability)``. The report holds causality,
+    KC, CM, SF, bi-consistency and the generalized relation; each of the
+    2 + 2n tables (full and reduced, per kind) is built once. A one-time grid
+    has no deletions, so its report is the SF record alone.
+    """
+    if grid.n == 1:
+        born, bip = born_table(source, grid, cap), biprob_table(source, grid, cap)
+        return check_sf(bip, epsilon), born, bip
+    born, born_defects = _deletions(born_table, source, grid, cap)
+    born_defects = list(born_defects)
+    bip, bip_defects = _deletions(biprob_table, source, grid, cap)
+    records = (
+        _kc_records(grid, born_defects, epsilon)
+        + check_cm(bip, epsilon).records
+        + check_sf(bip, epsilon).records
+        + (_bi_consistency_record(grid, bip_defects),
+           _record("generalized-relation", _relation_residual(born_defects, bip), None,
+                   IDENTITY_TOL, _coverage(grid)))
     )
-    records = kc.records + cm.records + sf.records + bic.records + (gen,)
-    return ConsistencyReport(grid=grid, n=grid.n, records=records)
+    return ConsistencyReport(grid, grid.n, records), born, bip

@@ -39,7 +39,8 @@ from .linalg import (
 )
 from .process import DEFAULT_TABLE_CAP, Dynamics, TimeGrid, biprob_table, born_table, dynamics
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
-from .consistency import check_cm, check_sf, ConditionRecord, _record
+from .consistency import check_cm, ConditionRecord, _record
+from .consistency import check_sf  # noqa: F401  (perfbench/tracing.py wraps qrf.check_sf)
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -369,12 +370,6 @@ def verify_ncgd_cm_equivalence(model: QRFModel, grid: TimeGrid,
         cm=cm.record("CM"),
         agree=ncgd.record.passed == cm.record("CM").passed,
     )
-
-
-def qrf_sf_report(model: QRFModel, grid: TimeGrid,
-                  epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
-    """SF condition on the model's bi-probability over the grid."""
-    return check_sf(qrf_bi_probability(model, grid, cap), epsilon)
 
 
 def choi_matrix(superop_matrix, dim):

@@ -12,12 +12,26 @@ sampler used before its batched descent over outcome histories, kept
 verbatim: it reads out and collapses one flat row-major state per
 trajectory. ``surrogate_average`` is the per-trajectory loop the observer
 used before it propagated each distinct history once.
+
+``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
+``analyze`` are the consistency checks as they were before they shared one
+set of tables per grid, kept verbatim: each check builds its own full and
+reduced tables.
 """
 
 import numpy as np
 
+from bornlab.consistency import (
+    IDENTITY_TOL,
+    ConsistencyReport,
+    _argmax_abs,
+    _diag_context_sums,
+    _record,
+    check_cm,
+    check_sf,
+)
 from bornlab.errors import NumericalInvariantViolation
-from bornlab.linalg import vec
+from bornlab.linalg import DEFAULT_TOLERANCES, vec
 from bornlab.observer import ObserverSystem, SurrogateAverage, surrogate_propagate
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
@@ -26,6 +40,8 @@ from bornlab.process import (
     QuantumSystem,
     TimeGrid,
     _check_cap,
+    biprob_table,
+    born_table,
     dynamics,
     readout,
 )
@@ -171,3 +187,106 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     else:
         stderr = np.zeros_like(mean, dtype=float)
     return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
+
+
+def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
+    """Kolmogorov consistency over every single-deletion of the given grid.
+
+    Also reports the causality record (deletion of the last index), which is
+    an identity for Born families.
+    """
+    if grid.n < 2:
+        raise ValueError("KC check needs a grid of n ≥ 2 times")
+    full = born_table(source, grid, cap)
+    worst, witness = 0.0, None
+    causality_worst, causality_witness = 0.0, None
+    for i in range(1, grid.n + 1):
+        reduced = born_table(source, grid.without(i), cap)
+        diff = full.dist.sum(axis=i - 1) - reduced.dist
+        idx, mag = _argmax_abs(diff)
+        if mag > worst:
+            worst, witness = mag, {"index": i, "outcomes": [int(v) for v in idx]}
+        if i == grid.n and mag > causality_worst:
+            causality_worst = mag
+            causality_witness = {"index": i, "outcomes": [int(v) for v in idx]}
+    coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
+    return ConsistencyReport(
+        grid=grid,
+        n=grid.n,
+        records=(
+            _record("KC", worst, witness, epsilon, coverage),
+            _record(
+                "causality",
+                causality_worst,
+                causality_witness,
+                IDENTITY_TOL,
+                {"n": grid.n, "times": list(grid.times), "indices": [grid.n]},
+            ),
+        ),
+    )
+
+
+def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEFAULT_TABLE_CAP):
+    """Pair-marginalization identity of bi-probabilities (always holds)."""
+    if grid.n < 2:
+        raise ValueError("bi-consistency check needs a grid of n ≥ 2 times")
+    full = biprob_table(source, grid, cap)
+    worst, witness = 0.0, None
+    for i in range(1, grid.n + 1):
+        reduced = biprob_table(source, grid.without(i), cap)
+        ax = 2 * (i - 1)
+        diff = full.dist.sum(axis=(ax, ax + 1)) - reduced.dist
+        idx, mag = _argmax_abs(diff)
+        if mag > worst:
+            worst = mag
+            witness = {
+                "index": i,
+                "outcomes": [int(v) for v in idx[0::2]],
+                "outcomes_minus": [int(v) for v in idx[1::2]],
+            }
+    coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
+    return ConsistencyReport(
+        grid=grid,
+        n=grid.n,
+        records=(_record("bi-consistency", worst, witness, threshold, coverage),),
+    )
+
+
+def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
+    """Residual of the identity linking the KC defect of P_n to Q_n sums.
+
+    For every index i and context: P_{n-1} − Σ_{f_i} P_n must equal the
+    diagonal-context off-diagonal sum of Q_n. The two sides are computed
+    through independent code paths (Born recursion vs bi-probability
+    recursion); returns the maximal absolute residual.
+    """
+    if grid.n < 2:
+        raise ValueError("generalized-relation check needs a grid of n ≥ 2 times")
+    full = born_table(source, grid, cap)
+    bip = biprob_table(source, grid, cap)
+    residual = 0.0
+    for i in range(1, grid.n + 1):
+        reduced = born_table(source, grid.without(i), cap)
+        lhs = reduced.dist - full.dist.sum(axis=i - 1)
+        rhs, _ = _diag_context_sums(bip, i)
+        residual = max(residual, float(np.max(np.abs(lhs - rhs))))
+    return residual
+
+
+def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
+    """Full per-grid report: causality, KC, CM, SF, bi-consistency, identity."""
+    kc = check_kc(source, grid, epsilon, cap)
+    bip = biprob_table(source, grid, cap)
+    cm = check_cm(bip, epsilon)
+    sf = check_sf(bip, epsilon)
+    bic = check_bi_consistency(source, grid, IDENTITY_TOL, cap)
+    residual = verify_generalized_relation(source, grid, cap)
+    gen = _record(
+        "generalized-relation",
+        residual,
+        None,
+        IDENTITY_TOL,
+        {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))},
+    )
+    records = kc.records + cm.records + sf.records + bic.records + (gen,)
+    return ConsistencyReport(grid=grid, n=grid.n, records=records)

@@ -202,6 +202,14 @@ class TestSampleCommand:
         main(["sample", str(CONFIGS / "quasistatic.yaml"), "--out", out, "--seed", "3"])
         assert "measurement-contextual" not in capsys.readouterr().err
 
+    def test_kc_skipped_at_the_cap_is_noted(self, tmp_path, capsys):
+        path = write(tmp_path, RABI_YAML + "caps: {table_entries: 2}\n")
+        assert main(["sample", path, "--out", str(tmp_path / "t.csv")]) == 0
+        err = capsys.readouterr().err
+        assert "KC not checked at n=2" in err
+        assert "exceeding the cap of 2" in err
+        assert "violate Kolmogorov consistency" not in err
+
     def test_threads_do_not_change_output(self, tmp_path):
         path = write(tmp_path, RABI_YAML)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -143,7 +143,7 @@ class TestImplicationChain:
         scenarios += [random_system(rng, 3) for _ in range(4)]
         grid = TimeGrid((0.4, 1.1))
         for sys in scenarios:
-            report = analyze(sys, grid)
+            report, _, _ = analyze(sys, grid)
             sf, cm, kc = (report.passed(c) for c in ("SF", "CM", "KC"))
             if sf:
                 assert cm
@@ -151,7 +151,7 @@ class TestImplicationChain:
                 assert kc
 
     def test_full_report_contains_all_conditions(self, rng):
-        report = analyze(random_system(rng, 2), TimeGrid((0.5, 1.0)))
+        report, _, _ = analyze(random_system(rng, 2), TimeGrid((0.5, 1.0)))
         names = {r.condition for r in report.records}
         assert {"KC", "causality", "CM", "CM-real-form", "SF",
                 "bi-consistency", "generalized-relation"} <= names
