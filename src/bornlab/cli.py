@@ -219,9 +219,7 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
             entry["ncgd"] = reporting.record_json(qrf.check_ncgd(
                 model, pairs, cfg.tolerances.consistency).record)
             try:
-                equiv = qrf.verify_ncgd_cm_equivalence(
-                    model, sub, cfg.tolerances.consistency, cfg.table_cap
-                )
+                equiv = qrf.verify_ncgd_cm_equivalence(model, cm, cfg.tolerances.consistency)
                 entry["ncgd_cm_equivalence"] = {
                     "ncgd": reporting.record_json(equiv.ncgd),
                     "cm": reporting.record_json(equiv.cm),

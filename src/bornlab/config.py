@@ -286,7 +286,10 @@ def load_config(path) -> ScenarioConfig:
     report_sec = data.get("report") or {}
     if not isinstance(report_sec, dict):
         raise ConfigError("report must be a mapping", "report")
-    report_max = int(report_sec.get("max_table_entries", 4096))
+    report_max = report_sec.get("max_table_entries", 4096)
+    if isinstance(report_max, bool) or not isinstance(report_max, int) or report_max < 1:
+        raise ConfigError(f"expected a positive integer, got {report_max!r}",
+                          "report.max_table_entries")
 
     cfg = ScenarioConfig(
         path=str(path),

@@ -162,6 +162,21 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     return ConsistencyReport(grid, grid.n, _kc_records(grid, list(defects), epsilon))
 
 
+def _context_sums(table: BiProbTable):
+    """``_diag_context_sums`` of every index 1..n, in order."""
+    return [_diag_context_sums(table, i) for i in range(1, table.n + 1)]
+
+
+def _cm_records(grid: TimeGrid, sums, epsilon):
+    worst, witness = _worst(((i, s) for i, (s, _) in enumerate(sums, 1)),
+                            lambda i, idx: {"index": i, "context": idx})
+    agreement = max(max(float(np.max(np.abs(s.real - real_form))), float(np.max(np.abs(s.imag))))
+                    for s, real_form in sums)
+    coverage = _coverage(grid)
+    return (_record("CM", worst, witness, epsilon, coverage),
+            _record("CM-real-form", agreement, None, 1e-12, coverage))
+
+
 def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     """Consistent-measurements condition on a bi-probability table.
 
@@ -169,20 +184,8 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     recomputed independently and their agreement is reported as a separate
     identity record ("CM-real-form").
     """
-    sums = [_diag_context_sums(table, i) for i in range(1, table.n + 1)]
-    worst, witness = _worst(((i, s) for i, (s, _) in enumerate(sums, 1)),
-                            lambda i, idx: {"index": i, "context": idx})
-    agreement = max(max(float(np.max(np.abs(s.real - real_form))), float(np.max(np.abs(s.imag))))
-                    for s, real_form in sums)
-    coverage = _coverage(table.grid)
-    return ConsistencyReport(
-        grid=table.grid,
-        n=table.n,
-        records=(
-            _record("CM", worst, witness, epsilon, coverage),
-            _record("CM-real-form", agreement, None, 1e-12, coverage),
-        ),
-    )
+    return ConsistencyReport(table.grid, table.n,
+                             _cm_records(table.grid, _context_sums(table), epsilon))
 
 
 def _off_diagonal_mask(n, m):
@@ -216,11 +219,10 @@ def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     return ConsistencyReport(grid, grid.n, (_bi_consistency_record(grid, defects),))
 
 
-def _relation_residual(born_defects, bip: BiProbTable):
-    # the left side P_{n-1} − Σ_{f_i} P_n is −defect, exactly
+def _relation_residual(born_defects, sums):
+    # the left side P_{n-1} − Σ_{f_i} P_n is −defect, exactly; sums are by index
     residual = 0.0
-    for i, defect in born_defects:
-        rhs, _ = _diag_context_sums(bip, i)
+    for (_, defect), (rhs, _) in zip(born_defects, sums):
         residual = max(residual, float(np.max(np.abs(-defect - rhs))))
     return residual
 
@@ -234,7 +236,7 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     recursion); returns the maximal absolute residual.
     """
     _, defects = _deletions(born_table, source, grid, cap)
-    return _relation_residual(defects, biprob_table(source, grid, cap))
+    return _relation_residual(defects, _context_sums(biprob_table(source, grid, cap)))
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
@@ -243,7 +245,8 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
     Returns ``(report, born, bi_probability)``. The report holds causality,
     KC, CM, SF, bi-consistency and the generalized relation; each of the
     2 + 2n tables (full and reduced, per kind) is built once. A one-time grid
-    has no deletions, so its report is the SF record alone.
+    has no deletions, so its report is the SF record alone. CM and the
+    generalized relation read the same diagonal-context sums of Q_n.
     """
     if grid.n == 1:
         born, bip = born_table(source, grid, cap), biprob_table(source, grid, cap)
@@ -251,12 +254,13 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
     born, born_defects = _deletions(born_table, source, grid, cap)
     born_defects = list(born_defects)
     bip, bip_defects = _deletions(biprob_table, source, grid, cap)
+    sums = _context_sums(bip)
     records = (
         _kc_records(grid, born_defects, epsilon)
-        + check_cm(bip, epsilon).records
+        + _cm_records(grid, sums, epsilon)
         + check_sf(bip, epsilon).records
         + (_bi_consistency_record(grid, bip_defects),
-           _record("generalized-relation", _relation_residual(born_defects, bip), None,
+           _record("generalized-relation", _relation_residual(born_defects, sums), None,
                    IDENTITY_TOL, _coverage(grid)))
     )
     return ConsistencyReport(grid, grid.n, records), born, bip

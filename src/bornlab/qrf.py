@@ -39,8 +39,9 @@ from .linalg import (
 )
 from .process import DEFAULT_TABLE_CAP, Dynamics, TimeGrid, biprob_table, born_table, dynamics
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
-from .consistency import check_cm, ConditionRecord, _record
-from .consistency import check_sf  # noqa: F401  (perfbench/tracing.py wraps qrf.check_sf)
+from .consistency import ConditionRecord, ConsistencyReport, _record
+# perfbench/tracing.py wraps qrf.check_cm and qrf.check_sf
+from .consistency import check_cm, check_sf  # noqa: F401
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -346,10 +347,9 @@ class EquivalenceReport:
     agree: bool
 
 
-def verify_ncgd_cm_equivalence(model: QRFModel, grid: TimeGrid,
-                               epsilon=DEFAULT_TOLERANCES.consistency,
-                               cap=DEFAULT_TABLE_CAP):
-    """NCGD on the grid's time pairs vs CM on the grid's bi-probabilities.
+def verify_ncgd_cm_equivalence(model: QRFModel, cm: ConsistencyReport,
+                               epsilon=DEFAULT_TOLERANCES.consistency):
+    """NCGD on the grid's time pairs vs ``cm``, the CM check of the grid's bi-probabilities.
 
     Requires a block-diagonal initial state (the equivalence hypothesis);
     verdicts of the two checks must agree there.
@@ -361,10 +361,9 @@ def verify_ncgd_cm_equivalence(model: QRFModel, grid: TimeGrid,
         raise NonBlockDiagonalState(
             f"rho_a deviates from block-diagonal by {defect:.3e} > {epsilon:.1e}"
         )
-    ts = grid.times
+    ts = cm.grid.times
     pairs = [(ts[j], ts[i]) for j in range(len(ts)) for i in range(j)]
     ncgd = check_ncgd(model, pairs, epsilon)
-    cm = check_cm(qrf_bi_probability(model, grid, cap), epsilon)
     return EquivalenceReport(
         ncgd=ncgd.record,
         cm=cm.record("CM"),

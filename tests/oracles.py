@@ -17,7 +17,15 @@ used before it propagated each distinct history once.
 ``analyze`` are the consistency checks as they were before they shared one
 set of tables per grid, kept verbatim: each check builds its own full and
 reduced tables.
+
+``born_table_json``, ``biprob_table_json`` and ``dump`` are the report
+serializer as it was before table entries were rendered from their arrays,
+kept verbatim: one dict per entry over ``itertools.product``, a Python sort
+when truncating, and ``json.dumps(indent=2)``.
 """
+
+import itertools
+import json
 
 import numpy as np
 
@@ -46,6 +54,7 @@ from bornlab.process import (
     readout,
 )
 from bornlab.qrf import QRFModel, pair_superops, semigroup
+from bornlab.reporting import complex_json
 from bornlab.sampler import Ensemble, Trajectory
 from bornlab.spectral import heisenberg_projectors
 
@@ -290,3 +299,45 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
     )
     records = kc.records + cm.records + sf.records + bic.records + (gen,)
     return ConsistencyReport(grid=grid, n=grid.n, records=records)
+
+
+def born_table_json(table: BornTable, max_entries=4096):
+    clamped = table.clamped()
+    m, n = table.n_outcomes, table.n
+    keys = list(itertools.product(range(m), repeat=n))
+    truncated = len(keys) > max_entries
+    if truncated:
+        keys = sorted(keys, key=lambda k: (-clamped[k], k))[:max_entries]
+    return {
+        "times": [float(t) for t in table.grid.times],
+        "eigenvalues": [float(v) for v in table.eigenvalues],
+        "entries": [
+            {"outcomes": list(map(int, k)), "p": float(clamped[k])} for k in keys
+        ],
+        "truncated": truncated,
+    }
+
+
+def biprob_table_json(table: BiProbTable, max_entries=4096):
+    m, n = table.n_outcomes, table.n
+    keys = list(itertools.product(range(m), repeat=2 * n))
+    truncated = len(keys) > max_entries
+    if truncated:
+        keys = sorted(keys, key=lambda k: (-abs(table.dist[k]), k))[:max_entries]
+    return {
+        "times": [float(t) for t in table.grid.times],
+        "eigenvalues": [float(v) for v in table.eigenvalues],
+        "entries": [
+            {
+                "outcomes": list(map(int, k[0::2])),
+                "outcomes_minus": list(map(int, k[1::2])),
+                "value": complex_json(table.dist[k]),
+            }
+            for k in keys
+        ],
+        "truncated": truncated,
+    }
+
+
+def dump(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

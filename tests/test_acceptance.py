@@ -210,9 +210,10 @@ def test_criterion_4_rtn_suite():
         }
         assert check_ncgd(model, [(t2, t1)]).passed
         table = qrf_bi_probability(model, grid)
-        assert check_cm(table).record("CM").passed
+        cm = check_cm(table)
+        assert cm.record("CM").passed
         assert check_sf(table).record("SF").passed
-        equiv = verify_ncgd_cm_equivalence(model, grid)
+        equiv = verify_ncgd_cm_equivalence(model, cm)
         assert equiv.agree and equiv.ncgd.passed and equiv.cm.passed
 
         # sigma_x-rotation counter-model fails NCGD and CM concordantly
@@ -223,7 +224,7 @@ def test_criterion_4_rtn_suite():
             F_a=spectral_decompose(0.5 * SZ),
             rho_a=np.diag([1.0, 0.0]).astype(complex),
         )
-        counter = verify_ncgd_cm_equivalence(rotation, grid)
+        counter = verify_ncgd_cm_equivalence(rotation, check_cm(qrf_bi_probability(rotation, grid)))
         assert counter.agree
         assert not counter.ncgd.passed and not counter.cm.passed
 

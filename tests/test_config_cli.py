@@ -141,6 +141,16 @@ class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.yaml")]) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.7", "true", "null", "[4]"])
+    def test_max_table_entries_must_be_a_positive_integer(self, value, tmp_path, capsys):
+        path = write(tmp_path, RABI_YAML + f"report: {{max_table_entries: {value}}}\n")
+        with pytest.raises(ConfigError, match="report.max_table_entries"):
+            load_config(path)
+        out = tmp_path / "r.json"
+        assert main(["analyze", path, "--out", str(out)]) == 2
+        assert "report.max_table_entries" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_rabi_report_contents(self, tmp_path):

@@ -6,6 +6,11 @@ the command line). Both are replaced by fixed values before hashing. The rest
 of the file is hashed as written: the test first checks that re-serializing
 the parsed report gives back its exact bytes, so the canonical text differs
 from the written one only in those two fields.
+
+The shipped configs never truncate a table, so two of them are also run
+with ``report: {max_table_entries: 7}`` appended: their Born tables
+truncate at n = 3 and their bi-probability tables at n = 2 and 3, which
+pins the order of the kept entries, ties included.
 """
 
 import hashlib
@@ -30,6 +35,11 @@ DIGESTS = {
     ("qrf", "rotation"): "3a3bdd89afd2b4c962e6be8f18cfd4431f9cb51762f3fbbc0059f60db81efb54",
 }
 
+TRUNCATED_DIGESTS = {
+    "quasistatic": "5d08abc79dbed0c8ea4f120c38f01cd4a420441678b0b95e444bfaf79bd25bb6",
+    "rtn": "66f9e7f52ba513dfaf32af240b1a94c76ce7a0d42acef318f4d85e8ff4b97e0e",
+}
+
 
 def canonical_report(text, name):
     payload = json.loads(text)
@@ -45,3 +55,14 @@ def test_report_bytes_are_pinned(command, name, tmp_path):
     assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     text = canonical_report(out.read_text(encoding="utf-8"), name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("name", list(TRUNCATED_DIGESTS))
+def test_truncated_report_bytes_are_pinned(name, tmp_path):
+    config = tmp_path / f"{name}.yaml"
+    config.write_text((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8")
+                      + "report:\n  max_table_entries: 7\n", encoding="utf-8")
+    out = tmp_path / f"{name}.analyze.json"
+    assert main(["analyze", str(config), "--out", str(out)]) == 0
+    text = canonical_report(out.read_text(encoding="utf-8"), name)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUNCATED_DIGESTS[name]

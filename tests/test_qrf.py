@@ -303,24 +303,28 @@ class TestBlockStructure:
             assert check_sf(table).record("SF").max_abs_violation <= 1e-12
 
 
+def equivalence(model, grid):
+    return verify_ncgd_cm_equivalence(model, check_cm(qrf_bi_probability(model, grid)))
+
+
 class TestNcgdCmEquivalence:
     def test_rtn_agrees_pass(self):
-        out = verify_ncgd_cm_equivalence(rtn_model(0.7, I2 / 2), TimeGrid((0.4, 1.1)))
+        out = equivalence(rtn_model(0.7, I2 / 2), TimeGrid((0.4, 1.1)))
         assert out.agree and out.ncgd.passed and out.cm.passed
 
     def test_rotation_agrees_fail(self):
-        out = verify_ncgd_cm_equivalence(rotation_model(), TimeGrid((0.4, 1.1)))
+        out = equivalence(rotation_model(), TimeGrid((0.4, 1.1)))
         assert out.agree
         assert not out.ncgd.passed and not out.cm.passed
 
     def test_frozen_agrees_pass(self):
-        out = verify_ncgd_cm_equivalence(frozen_model(), TimeGrid((0.4, 1.1)))
+        out = equivalence(frozen_model(), TimeGrid((0.4, 1.1)))
         assert out.agree and out.ncgd.passed and out.cm.passed
 
     def test_rejects_non_block_diagonal_state(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
         with pytest.raises(NonBlockDiagonalState):
-            verify_ncgd_cm_equivalence(rotation_model(plus), TimeGrid((0.4, 1.1)))
+            equivalence(rotation_model(plus), TimeGrid((0.4, 1.1)))
 
 
 def test_generator_from_matrix_roundtrip():

@@ -5,7 +5,9 @@ The records of ``check_kc``, ``check_bi_consistency``,
 (``ConditionRecord ==``) with the per-check versions kept in
 ``tests/oracles.py``, which build their own tables. The build counts pin what
 the sharing saves: ``analyze`` on an n-time grid builds each of its 2 + 2n
-distinct tables once.
+distinct tables once and forms the diagonal-context sums of each index once,
+and ``bornlab qrf`` builds each grid's bi-probability table and runs CM on it
+once.
 """
 
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import QuantumSystem, TimeGrid, cli, consistency, rtn_model
+from bornlab import QuantumSystem, TimeGrid, cli, consistency, qrf, rtn_model
 from bornlab.cli import main
 from bornlab.process import biprob_table, born_table
 from conftest import (
@@ -116,3 +118,32 @@ def test_analyze_command_builds_eight_tables_for_rabi(builds, tmp_path, capsys):
     assert main(["analyze", str(CONFIGS / "rabi.yaml"), "--out", str(tmp_path / "r.json")]) == 0
     assert len(builds) == 8
     assert len(set(builds)) == 6
+
+
+def test_analyze_forms_the_context_sums_of_each_index_once(monkeypatch):
+    calls, sums = [], consistency._diag_context_sums
+
+    def counted(table, position):
+        calls.append(position)
+        return sums(table, position)
+    monkeypatch.setattr(consistency, "_diag_context_sums", counted)
+    consistency.analyze(rabi_system(), TimeGrid((0.3, 0.8, 1.7)))
+    assert calls == [1, 2, 3]
+
+
+def test_qrf_command_builds_the_table_and_runs_cm_once(monkeypatch, tmp_path, capsys):
+    log, build, cm = [], qrf.qrf_bi_probability, consistency.check_cm
+
+    def counted_build(model, grid, cap):
+        log.append(("table", grid.times))
+        return build(model, grid, cap)
+
+    def counted_cm(table, epsilon):
+        log.append(("CM", table.grid.times))
+        return cm(table, epsilon)
+    monkeypatch.setattr(qrf, "qrf_bi_probability", counted_build)
+    for module in (consistency, qrf):
+        monkeypatch.setattr(module, "check_cm", counted_cm)
+    assert main(["qrf", str(CONFIGS / "rtn.yaml"), "--out", str(tmp_path / "q.json")]) == 0
+    times = (0.4, 1.1, 1.9)
+    assert log == [("table", times), ("CM", times)]
