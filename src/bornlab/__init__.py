@@ -43,7 +43,6 @@ from .observer import (
     joint_propagate,
     observer_observable_biprob,
     surrogate_average,
-    surrogate_propagate,
 )
 from .process import (
     BiProbTable,
@@ -132,7 +131,6 @@ __all__ = [
     "sandwich_superop",
     "spectral_decompose",
     "surrogate_average",
-    "surrogate_propagate",
     "trace_distance",
     "unvec",
     "vec",

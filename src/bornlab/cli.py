@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import consistency, observer, qrf, reporting, sampler
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, require_integer
 from .errors import (
     BornlabError,
     ConfigError,
@@ -39,17 +39,15 @@ def _analysis_source(cfg: ScenarioConfig):
     return cfg.build_system()
 
 
-def _clustering_active(cfg: ScenarioConfig):
-    source = _analysis_source(cfg)
+def _clustering_active(cfg: ScenarioConfig, source):
     sd = source.F_a if cfg.kind == "qrf" else source.F
     return bool(sd.clustered)
 
 
-def _sf_gate(cfg: ScenarioConfig, grid):
+def _sf_gate(cfg: ScenarioConfig, source, grid):
     """SF check of the measured observable at the config-capped order."""
     n_gate = min(cfg.n_max, grid.n)
     gate_grid = grid.prefix(n_gate)
-    source = _analysis_source(cfg)
     table = biprob_table(source, gate_grid, cfg.table_cap)
     report = consistency.check_sf(table, cfg.tolerances.consistency)
     return report.record("SF"), gate_grid
@@ -75,7 +73,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
 
     payload = reporting.envelope("analyze", cfg)
     payload["analyses"] = analyses
-    payload["clustering_active"] = _clustering_active(cfg)
+    payload["clustering_active"] = _clustering_active(cfg, source)
     _write_text(out_path, reporting.dump(payload))
     for entry in analyses:
         for rec in entry["consistency"]:
@@ -98,9 +96,9 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     grid_name = sim.grid if sim else cfg.sampling.grid
     grid = cfg.grid(grid_name)
     probe_times = sim.probe_times if sim else grid.times
-    use_seed = cfg.sampling.seed if seed is None else int(seed)
+    use_seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
 
-    sf_record, gate_grid = _sf_gate(cfg, grid)
+    sf_record, gate_grid = _sf_gate(cfg, js.sys, grid)
     forced = False
     if not sf_record.passed:
         if not force:
@@ -141,7 +139,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     payload["sf_gate"]["gated_times"] = [float(t) for t in gate_grid.times]
     payload["forced"] = forced
     payload["comparisons"] = comparisons
-    payload["clustering_active"] = _clustering_active(cfg)
+    payload["clustering_active"] = _clustering_active(cfg, js.sys)
     _write_text(out_path, reporting.dump(payload))
     for c in comparisons:
         print(
@@ -156,7 +154,7 @@ def cmd_sample(cfg: ScenarioConfig, out_path, seed=None):
         raise ConfigError("sample requires a sampling section", "sampling")
     source = _analysis_source(cfg)
     grid = cfg.grid(cfg.sampling.grid)
-    use_seed = cfg.sampling.seed if seed is None else int(seed)
+    use_seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
     _warn_if_inconsistent(cfg, source, grid)
     ens = sampler.sample_ensemble(source, grid, cfg.sampling.size, use_seed)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -239,7 +237,7 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
         "label_residuals": structure.label_residuals,
     }
     payload["grids"] = grids_out
-    payload["clustering_active"] = _clustering_active(cfg)
+    payload["clustering_active"] = _clustering_active(cfg, model)
     _write_text(out_path, reporting.dump(payload))
     print(
         f"[qrf] lower={structure.lower} upper={structure.upper} "

@@ -68,6 +68,14 @@ def _section(data, name, where=None):
     return sec
 
 
+def require_integer(value, where, minimum=1):
+    """``value`` if it is an int ≥ ``minimum`` (a YAML boolean is not), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        sign = "positive" if minimum == 1 else "non-negative"
+        raise ConfigError(f"expected a {sign} integer, got {value!r}", where)
+    return value
+
+
 def _get(sec, key, where, required=True, default=None):
     if key not in sec:
         if required:
@@ -127,6 +135,7 @@ class ScenarioConfig:
             raise ConfigError(str(exc), "system") from exc
 
     def build_joint(self) -> JointScenario:
+        sys = self.build_system()
         sec = _section(self.raw, "observer")
         try:
             obs = ObserverSystem.from_operators(
@@ -140,7 +149,7 @@ class ScenarioConfig:
             raise
         except BornlabError as exc:
             raise ConfigError(str(exc), "observer") from exc
-        return JointScenario(obs=obs, sys=self.build_system(), dim_cap=self.joint_dim_cap)
+        return JointScenario(obs=obs, sys=sys, dim_cap=self.joint_dim_cap)
 
     def build_qrf(self) -> QRFModel:
         sec = _section(self.raw, "qrf")
@@ -239,12 +248,10 @@ def load_config(path) -> ScenarioConfig:
     caps = data.get("caps") or {}
     if not isinstance(caps, dict):
         raise ConfigError("caps must be a mapping", "caps")
-    table_cap = int(caps.get("table_entries", DEFAULT_TABLE_CAP))
-    joint_cap = int(caps.get("joint_dim", DEFAULT_JOINT_DIM_CAP))
-
-    n_max = int(data.get("n_max", 3))
-    if n_max < 1:
-        raise ConfigError("n_max must be ≥ 1", "n_max")
+    table_cap = require_integer(caps.get("table_entries", DEFAULT_TABLE_CAP),
+                                "caps.table_entries")
+    joint_cap = require_integer(caps.get("joint_dim", DEFAULT_JOINT_DIM_CAP), "caps.joint_dim")
+    n_max = require_integer(data.get("n_max", 3), "n_max")
 
     sampling = None
     if "sampling" in data:
@@ -254,12 +261,8 @@ def load_config(path) -> ScenarioConfig:
         grid_name = str(sec.get("grid", next(iter(grids))))
         if grid_name not in grids:
             raise ConfigError(f"unknown grid {grid_name!r}", "sampling.grid")
-        size = int(_get(sec, "N", "sampling"))
-        seed = int(_get(sec, "seed", "sampling"))
-        if size < 1:
-            raise ConfigError("N must be ≥ 1", "sampling.N")
-        if seed < 0:
-            raise ConfigError("seed must be a non-negative integer", "sampling.seed")
+        size = require_integer(_get(sec, "N", "sampling"), "sampling.N")
+        seed = require_integer(_get(sec, "seed", "sampling"), "sampling.seed", minimum=0)
         sampling = SamplingConfig(size=size, seed=seed, grid=grid_name)
 
     simulate = None
@@ -286,10 +289,8 @@ def load_config(path) -> ScenarioConfig:
     report_sec = data.get("report") or {}
     if not isinstance(report_sec, dict):
         raise ConfigError("report must be a mapping", "report")
-    report_max = report_sec.get("max_table_entries", 4096)
-    if isinstance(report_max, bool) or not isinstance(report_max, int) or report_max < 1:
-        raise ConfigError(f"expected a positive integer, got {report_max!r}",
-                          "report.max_table_entries")
+    report_max = require_integer(report_sec.get("max_table_entries", 4096),
+                                 "report.max_table_entries")
 
     cfg = ScenarioConfig(
         path=str(path),
@@ -306,10 +307,5 @@ def load_config(path) -> ScenarioConfig:
         raw=data,
     )
     # build eagerly so malformed matrices fail at load time with field names
-    if kind in ("unitary", "joint"):
-        cfg.build_system()
-    if kind == "joint":
-        cfg.build_joint()
-    if kind == "qrf":
-        cfg.build_qrf()
+    {"unitary": cfg.build_system, "joint": cfg.build_joint, "qrf": cfg.build_qrf}[kind]()
     return cfg

@@ -7,11 +7,13 @@ never by a perturbative series. When the observable admits a surrogate
 field, the same reduced state is reproduced by averaging the propagation
 under the stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
 each piecewise-constant segment contributes one exact matrix exponential.
+The average propagates each distinct outcome prefix on [0, t] once, for
+every trajectory that shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .process import (
     TimeGrid,
     bi_probability,
 )
-from .sampler import Ensemble, Trajectory
+from .sampler import Ensemble, _slot
 from .spectral import SpectralDecomposition
 
 DEFAULT_JOINT_DIM_CAP = 32
@@ -106,30 +108,6 @@ def exact_reduced_state(js: JointScenario, t):
     return U_o.conj().T @ reduced @ U_o
 
 
-def stochastic_propagator(obs: ObserverSystem, traj: Trajectory, t, cache=None):
-    """Schrödinger propagator from 0 to t under H_o + λ f(τ) G_o.
-
-    The trajectory's piecewise-constant segments each contribute one exact
-    matrix exponential; no sub-segment error. ``cache`` maps a segment's
-    (value, duration) to its propagator and may be shared across calls.
-    """
-    cache = {} if cache is None else cache
-    W = np.eye(obs.dim, dtype=complex)
-    for value, duration in traj.segments(t):
-        if (value, duration) not in cache:
-            cache[value, duration] = propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
-        W = cache[value, duration] @ W
-    return W
-
-
-def surrogate_propagate(obs: ObserverSystem, traj: Trajectory, t, cache=None):
-    """Interaction-picture state driven by one trajectory."""
-    W = stochastic_propagator(obs, traj, t, cache)
-    U_o = propagator(obs.H_o, t)
-    V = U_o.conj().T @ W
-    return V @ obs.rho_o @ V.conj().T
-
-
 @dataclass(frozen=True)
 class SurrogateAverage:
     """Monte-Carlo mean state with per-entry standard errors."""
@@ -140,20 +118,29 @@ class SurrogateAverage:
 
 
 def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
-    """(1/N) Σ_j surrogate_propagate(obs, f_j, t) with standard errors.
+    """(1/N) Σ_j V_j ρ_o V_j† with standard errors, V_j = U_o(t)† W_j(t).
 
-    A trajectory's state is fixed by its history, so each distinct history
-    is propagated once and its state gathered back to every trajectory that
-    shares it. The mean and the complex per-entry sample variance are reduced
-    with numpy pairwise summation over the trajectory index order
-    (deterministic for fixed N).
+    W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
+    each piecewise-constant segment of trajectory j on [0, t] contributes one
+    exact matrix exponential, left-multiplied in time order. It depends only
+    on the outcomes up to the grid slot in force at t, so each distinct prefix
+    is propagated once, each segment's exponentials are formed once per
+    outcome value, and U_o(t) once. The states are gathered back to trajectory
+    order; the mean and the complex per-entry sample variance are reduced
+    with numpy pairwise summation over it (deterministic for fixed N).
     """
-    histories, inverse = np.unique(ens.indices, axis=0, return_inverse=True)
-    cache = {}
-    distinct = np.array(
-        [surrogate_propagate(obs, traj, t, cache)
-         for traj in replace(ens, indices=histories).trajectories]
-    )
+    k = _slot(ens.grid, t)
+    prefixes, inverse = np.unique(ens.indices[:, :k + 1], axis=0, return_inverse=True)
+    bounds = [0.0, *ens.grid.times[1:k + 1], t]
+    W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (len(prefixes), obs.dim, obs.dim))
+    for col in range(k + 1):
+        duration = bounds[col + 1] - bounds[col]
+        if duration > 0:
+            steps = np.array([propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
+                              for value in ens.eigenvalues.tolist()])
+            W = steps[prefixes[:, col]] @ W
+    V = propagator(obs.H_o, t).conj().T @ W
+    distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
     states = distinct[inverse.reshape(-1)]
     mean = states.mean(axis=0)
     if ens.size > 1:

@@ -63,16 +63,6 @@ class Trajectory:
     def value_at(self, t):
         return self.values[_slot(self.grid, t)]
 
-    def segments(self, t):
-        """(value, duration) pieces covering [0, t], t ≤ t_n."""
-        bounds = [0.0, *self.grid.times[1:_slot(self.grid, t) + 1], t]
-        out = []
-        for k in range(len(bounds) - 1):
-            dur = bounds[k + 1] - bounds[k]
-            if dur > 0:
-                out.append((self.values[k], dur))
-        return out
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -92,7 +82,8 @@ class Ensemble:
 
     @property
     def trajectories(self):
-        # built on demand for tests, perfbench/tracing.py, sample_trajectory, surrogate_average
+        # built on demand for tests, perfbench/tracing.py and sample_trajectory;
+        # surrogate_average walks ``indices`` directly
         values = self.eigenvalues.tolist()
         return tuple(Trajectory(self.grid, tuple(row), tuple(values[k] for k in row))
                      for row in self.indices.tolist())

@@ -11,7 +11,10 @@ agreement to roundoff checks both.
 sampler used before its batched descent over outcome histories, kept
 verbatim: it reads out and collapses one flat row-major state per
 trajectory. ``surrogate_average`` is the per-trajectory loop the observer
-used before it propagated each distinct history once.
+used before it propagated each distinct history once, and ``segments``,
+``stochastic_propagator`` and ``surrogate_propagate`` are the per-trajectory
+propagation it calls, kept verbatim (``segments`` was a ``Trajectory``
+method) from before the observer walked each distinct outcome prefix once.
 
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
@@ -39,8 +42,8 @@ from bornlab.consistency import (
     check_sf,
 )
 from bornlab.errors import NumericalInvariantViolation
-from bornlab.linalg import DEFAULT_TOLERANCES, vec
-from bornlab.observer import ObserverSystem, SurrogateAverage, surrogate_propagate
+from bornlab.linalg import DEFAULT_TOLERANCES, propagator, vec
+from bornlab.observer import ObserverSystem, SurrogateAverage
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
@@ -55,7 +58,7 @@ from bornlab.process import (
 )
 from bornlab.qrf import QRFModel, pair_superops, semigroup
 from bornlab.reporting import complex_json
-from bornlab.sampler import Ensemble, Trajectory
+from bornlab.sampler import Ensemble, Trajectory, _slot
 from bornlab.spectral import heisenberg_projectors
 
 
@@ -176,6 +179,41 @@ def _draw(rng, probs):
     total = p.sum()
     cdf = np.cumsum(p / total)
     return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, len(p) - 1))
+
+
+def segments(traj: Trajectory, t):
+    """(value, duration) pieces covering [0, t], t ≤ t_n."""
+    bounds = [0.0, *traj.grid.times[1:_slot(traj.grid, t) + 1], t]
+    out = []
+    for k in range(len(bounds) - 1):
+        dur = bounds[k + 1] - bounds[k]
+        if dur > 0:
+            out.append((traj.values[k], dur))
+    return out
+
+
+def stochastic_propagator(obs: ObserverSystem, traj: Trajectory, t, cache=None):
+    """Schrödinger propagator from 0 to t under H_o + λ f(τ) G_o.
+
+    The trajectory's piecewise-constant segments each contribute one exact
+    matrix exponential; no sub-segment error. ``cache`` maps a segment's
+    (value, duration) to its propagator and may be shared across calls.
+    """
+    cache = {} if cache is None else cache
+    W = np.eye(obs.dim, dtype=complex)
+    for value, duration in segments(traj, t):
+        if (value, duration) not in cache:
+            cache[value, duration] = propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
+        W = cache[value, duration] @ W
+    return W
+
+
+def surrogate_propagate(obs: ObserverSystem, traj: Trajectory, t, cache=None):
+    """Interaction-picture state driven by one trajectory."""
+    W = stochastic_propagator(obs, traj, t, cache)
+    U_o = propagator(obs.H_o, t)
+    V = U_o.conj().T @ W
+    return V @ obs.rho_o @ V.conj().T
 
 
 def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bornlab import config, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
+from bornlab.process import QuantumSystem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,6 +49,19 @@ grids:
 n_max: 2
 sampling: {N: 400, seed: 11}
 """
+
+# each integer field of RABI_YAML, set to a given YAML scalar
+INTEGER_FIELDS = {
+    "n_max": lambda v: RABI_YAML.replace("n_max: 2", f"n_max: {v}"),
+    "caps.table_entries": lambda v: RABI_YAML + f"caps: {{table_entries: {v}}}\n",
+    "caps.joint_dim": lambda v: RABI_YAML + f"caps: {{joint_dim: {v}}}\n",
+    "sampling.N": lambda v: RABI_YAML.replace("N: 200", f"N: {v}"),
+    "sampling.seed": lambda v: RABI_YAML.replace("seed: 7", f"seed: {v}"),
+}
+# a seed need only be non-negative
+BAD_INTEGERS = [(field, value) for field in INTEGER_FIELDS
+                for value in ("abc", "2.7", "true", "null", "-3", "0")
+                if (field, value) != ("sampling.seed", "0")]
 
 
 class TestConfigParsing:
@@ -150,6 +165,30 @@ class TestExitCodes:
         assert main(["analyze", path, "--out", str(out)]) == 2
         assert "report.max_table_entries" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", BAD_INTEGERS)
+    def test_integer_fields_are_strict(self, field, value, tmp_path, capsys):
+        path = write(tmp_path, INTEGER_FIELDS[field](value))
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+        out = tmp_path / "r.json"
+        assert main(["analyze", path, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_zero_is_accepted(self, tmp_path):
+        assert load_config(write(tmp_path, INTEGER_FIELDS["sampling.seed"](0))).sampling.seed == 0
+
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    def test_seed_override_must_be_a_non_negative_integer(self, command, tmp_path, capsys):
+        path = write(tmp_path, DEPHASING_YAML)
+        out = tmp_path / "out"
+        assert main([command, path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:  # argparse refuses a non-integer
+            main([command, path, "--out", str(out), "--seed", "2.7"])
+        assert exc.value.code == 2
 
 
 class TestAnalyzeCommand:
@@ -339,3 +378,29 @@ def test_shipped_configs_load():
     for name in ("quasistatic", "rabi", "dephasing", "rabi_joint", "rtn", "rotation"):
         cfg = load_config(str(CONFIGS / f"{name}.yaml"))
         assert cfg.kind in ("unitary", "joint", "qrf")
+
+
+@pytest.mark.parametrize("command,name,systems,generators", [
+    ("simulate", "dephasing", 2, 0),
+    ("analyze", "rabi", 2, 0),
+    ("qrf", "rtn", 0, 2),
+])
+def test_a_command_builds_its_source_once_after_loading(command, name, systems, generators,
+                                                       monkeypatch, tmp_path, capsys):
+    # load_config builds the source once to validate it, the command once to run it
+    calls = {"systems": 0, "generators": 0}
+    from_operators, build_gkls = QuantumSystem.from_operators.__func__, qrf.build_gkls
+
+    def counted_system(cls, *args, **kwargs):
+        calls["systems"] += 1
+        return from_operators(cls, *args, **kwargs)
+
+    def counted_gkls(*args, **kwargs):
+        calls["generators"] += 1
+        return build_gkls(*args, **kwargs)
+
+    monkeypatch.setattr(QuantumSystem, "from_operators", classmethod(counted_system))
+    monkeypatch.setattr(config, "build_gkls", counted_gkls)
+    out = tmp_path / f"{name}.{command}.json"
+    assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    assert calls == {"systems": systems, "generators": generators}

@@ -2,15 +2,19 @@
 
 ``sample_ensemble`` must draw, trajectory by trajectory, the outcomes of the
 old collapse chain fed with the same Philox stream, and ``surrogate_average``
-must reduce to exactly the arrays of the old per-trajectory loop.
+must reduce to exactly the arrays of the old per-trajectory loop, on the
+shipped joint configs and on drawn scenarios, zero signs included.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import (
+    ObserverSystem,
     QuantumSystem,
     TimeGrid,
     rtn_model,
@@ -23,7 +27,8 @@ from bornlab.config import load_config
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.sampler import trajectory_rng
-from conftest import I2, SZ, rabi_system
+from conftest import (I2, SZ, rabi_system, random_density, random_grid, random_hermitian,
+                      random_system)
 from test_kernel import GRID3, clustered_d4_m2, gkls_3level, random_d6_m6, rtn, single_time
 import oracles
 
@@ -82,6 +87,12 @@ def test_zero_total_probability_is_rejected():
         sample_trajectory(sys, grid, 1)
 
 
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
 @pytest.mark.parametrize("name", ["dephasing", "rabi_joint"])
 def test_surrogate_average_equals_the_per_trajectory_loop(name):
     cfg = load_config(CONFIGS / f"{name}.yaml")
@@ -91,5 +102,23 @@ def test_surrogate_average_equals_the_per_trajectory_loop(name):
     for t in cfg.simulate.probe_times:
         avg, expected = surrogate_average(js.obs, ens, t), oracles.surrogate_average(js.obs, ens, t)
         assert avg.size == expected.size
-        assert np.array_equal(avg.mean, expected.mean)
-        assert np.array_equal(avg.stderr, expected.stderr)
+        assert_same_bits(avg.mean, expected.mean)
+        assert_same_bits(avg.stderr, expected.stderr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_o=st.integers(2, 4), d_s=st.integers(2, 4),
+       n=st.integers(1, 5), size=st.integers(1, 400))
+def test_surrogate_average_equals_the_loop_bit_for_bit(seed, d_o, d_s, n, size):
+    rng = np.random.default_rng(seed)
+    obs = ObserverSystem.from_operators(random_hermitian(rng, d_o), random_hermitian(rng, d_o),
+                                        random_density(rng, d_o), rng.uniform(0.1, 1.0))
+    grid = random_grid(rng, n)
+    ens = sample_ensemble(random_system(rng, d_s), grid, size, seed)
+    times = grid.times
+    probes = [0.0, *times, *(0.5 * (np.r_[0.0, times[:-1]] + times))]
+    for t in probes:
+        avg, expected = surrogate_average(obs, ens, t), oracles.surrogate_average(obs, ens, t)
+        assert avg.size == expected.size
+        assert_same_bits(avg.mean, expected.mean)
+        assert_same_bits(avg.stderr, expected.stderr)

@@ -1,4 +1,4 @@
-"""``bornlab analyze``/``qrf`` on the shipped configs write pinned report bytes.
+"""``bornlab analyze``/``qrf``/``simulate`` on the shipped configs write pinned report bytes.
 
 Two parts of a report depend on where it was made, not on the config: the
 ``tool`` block (library versions) and ``config.path`` (the path as given on
@@ -6,6 +6,10 @@ the command line). Both are replaced by fixed values before hashing. The rest
 of the file is hashed as written: the test first checks that re-serializing
 the parsed report gives back its exact bytes, so the canonical text differs
 from the written one only in those two fields.
+
+``simulate`` is pinned on the two joint configs, with ``--force`` where the
+surrogate-field condition fails (rabi_joint), so the hash covers every bit of
+the sampled mean and its standard errors, the sign of each zero included.
 
 The shipped configs never truncate a table, so two of them are also run
 with ``report: {max_table_entries: 7}`` appended: their Born tables
@@ -33,7 +37,12 @@ DIGESTS = {
     ("analyze", "rabi_joint"): "2d05888aafe8a4244b6377edd16d88b270dd6c8b3b1f330f44e1b14333fe8c7c",
     ("qrf", "rtn"): "80a7773a2b7f1b4af5862df7ea33d45bb77ed7bbfc80067aeca411144b8abc79",
     ("qrf", "rotation"): "3a3bdd89afd2b4c962e6be8f18cfd4431f9cb51762f3fbbc0059f60db81efb54",
+    ("simulate", "dephasing"): "bf918200e7965f47f05ff79cb8b3b83eafed8c30550cca470d46f5a9c2440857",
+    ("simulate", "rabi_joint"): "0e698a02f3c2c62be365eb438281c098712462f309f0ea112468eadaeea55c2f",
 }
+
+# simulate refuses a config whose observable fails the SF condition unless forced
+FLAGS = {("simulate", "rabi_joint"): ["--force"]}
 
 TRUNCATED_DIGESTS = {
     "quasistatic": "5d08abc79dbed0c8ea4f120c38f01cd4a420441678b0b95e444bfaf79bd25bb6",
@@ -52,7 +61,8 @@ def canonical_report(text, name):
 @pytest.mark.parametrize("command,name", list(DIGESTS))
 def test_report_bytes_are_pinned(command, name, tmp_path):
     out = tmp_path / f"{name}.{command}.json"
-    assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    argv = [command, str(CONFIGS / f"{name}.yaml"), "--out", str(out), *FLAGS.get((command, name), [])]
+    assert main(argv) == 0
     text = canonical_report(out.read_text(encoding="utf-8"), name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[command, name]
 

