@@ -32,11 +32,7 @@ from .process import biprob_table, born_table  # noqa: F401
 
 
 def _analysis_source(cfg: ScenarioConfig):
-    if cfg.kind == "qrf":
-        return cfg.build_qrf()
-    if cfg.kind == "joint":
-        return cfg.build_joint().sys
-    return cfg.build_system()
+    return cfg.source.sys if cfg.kind == "joint" else cfg.source
 
 
 def _clustering_active(cfg: ScenarioConfig, source):
@@ -91,7 +87,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
         raise ConfigError("simulate requires kind: joint", "kind")
     if cfg.sampling is None:
         raise ConfigError("simulate requires a sampling section", "sampling")
-    js = cfg.build_joint()
+    js = cfg.source
     sim = cfg.simulate
     grid_name = sim.grid if sim else cfg.sampling.grid
     grid = cfg.grid(grid_name)
@@ -194,8 +190,8 @@ def _warn_if_inconsistent(cfg, source, grid):
 def cmd_qrf(cfg: ScenarioConfig, out_path):
     if cfg.kind != "qrf":
         raise ConfigError("qrf command requires kind: qrf", "kind")
-    model = cfg.build_qrf()
-    first_grid = cfg.grids[cfg.default_grid_name()]
+    model = cfg.source
+    first_grid = next(iter(cfg.grids.values()))
     structure = qrf.classify_block_structure(
         model, cfg.tolerances.consistency, sample_times=first_grid.times
     )

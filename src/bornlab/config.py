@@ -8,19 +8,17 @@ times. The schema is documented in the README.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .errors import (
-    BornlabError,
-    ConfigError,
-    DimensionCap,
-    TableTooLarge,
-)
-from .linalg import Tolerances
+from .errors import BornlabError, ConfigError, DimensionCap, TableTooLarge
+from .linalg import Tolerances, require_density
 from .observer import JointScenario, ObserverSystem, DEFAULT_JOINT_DIM_CAP
 from .process import DEFAULT_TABLE_CAP, QuantumSystem, TimeGrid
 from .qrf import QRFModel, build_gkls, generator_from_matrix
@@ -76,6 +74,26 @@ def require_integer(value, where, minimum=1):
     return value
 
 
+def require_number(value, where, minimum=-np.inf, exclusive=False):
+    """``value`` as a float if a finite real, not a bool, ≥ ``minimum`` (> if ``exclusive``)."""
+    x = float(value) if type(value) in (int, float) and abs(value) <= sys.float_info.max else np.nan
+    if not np.isfinite(x) or x < minimum or exclusive and x == minimum:
+        bound = "" if minimum == -np.inf else f" {'>' if exclusive else '≥'} {minimum:g}"
+        raise ConfigError(f"expected a finite number{bound}, got {value!r}", where)
+    return x
+
+
+@contextlib.contextmanager
+def _as_config_error(where):
+    """Report a library error raised while building ``where`` as a ConfigError there."""
+    try:
+        yield
+    except (ConfigError, DimensionCap, TableTooLarge):
+        raise
+    except BornlabError as exc:
+        raise ConfigError(str(exc), where) from exc
+
+
 def _get(sec, key, where, required=True, default=None):
     if key not in sec:
         if required:
@@ -112,48 +130,43 @@ class ScenarioConfig:
     report_max_entries: int
     raw: dict = field(repr=False, default_factory=dict)
 
-    def default_grid_name(self):
-        return next(iter(self.grids))
-
     def grid(self, name):
         if name not in self.grids:
             raise ConfigError(f"unknown grid {name!r}", "grids")
         return self.grids[name]
 
+    @functools.cached_property
+    def source(self):
+        """The kind's top object, built once: a QuantumSystem, JointScenario or QRFModel."""
+        return {"unitary": self.build_system, "joint": self.build_joint,
+                "qrf": self.build_qrf}[self.kind]()
+
     def build_system(self) -> QuantumSystem:
         sec = _section(self.raw, "system")
-        try:
+        with _as_config_error("system"):
             return QuantumSystem.from_operators(
                 parse_matrix(_get(sec, "H", "system"), "system.H"),
                 parse_matrix(_get(sec, "F", "system"), "system.F"),
                 parse_matrix(_get(sec, "rho", "system"), "system.rho"),
                 self.tolerances,
             )
-        except (ConfigError, DimensionCap, TableTooLarge):
-            raise
-        except BornlabError as exc:
-            raise ConfigError(str(exc), "system") from exc
 
     def build_joint(self) -> JointScenario:
         sys = self.build_system()
         sec = _section(self.raw, "observer")
-        try:
+        with _as_config_error("observer"):
             obs = ObserverSystem.from_operators(
                 parse_matrix(_get(sec, "H_o", "observer"), "observer.H_o"),
                 parse_matrix(_get(sec, "G_o", "observer"), "observer.G_o"),
                 parse_matrix(_get(sec, "rho_o", "observer"), "observer.rho_o"),
-                float(_get(sec, "coupling", "observer")),
+                require_number(_get(sec, "coupling", "observer"), "observer.coupling"),
                 self.tolerances,
             )
-        except (ConfigError, DimensionCap, TableTooLarge):
-            raise
-        except BornlabError as exc:
-            raise ConfigError(str(exc), "observer") from exc
         return JointScenario(obs=obs, sys=sys, dim_cap=self.joint_dim_cap)
 
     def build_qrf(self) -> QRFModel:
         sec = _section(self.raw, "qrf")
-        try:
+        with _as_config_error("qrf"):
             F_a = spectral_decompose(
                 parse_matrix(_get(sec, "F_a", "qrf"), "qrf.F_a"),
                 self.tolerances.cluster,
@@ -175,35 +188,29 @@ class ScenarioConfig:
                     if not isinstance(entry, dict) or "omega" not in entry or "gamma" not in entry:
                         raise ConfigError("each rate needs omega and gamma", f"qrf.rates[{k}]")
                     rates.append((
-                        float(entry["omega"]),
+                        require_number(entry["omega"], f"qrf.rates[{k}].omega"),
                         parse_complex(entry["gamma"], f"qrf.rates[{k}].gamma"),
                     ))
                 gen = build_gkls(
                     parse_matrix(_get(sec, "H_a", "qrf"), "qrf.H_a"),
                     parse_matrix(_get(sec, "G_a", "qrf"), "qrf.G_a"),
                     rates,
-                    float(sec.get("mu", 1.0)),
+                    require_number(sec.get("mu", 1.0), "qrf.mu"),
                     self.tolerances.cluster,
                     self.tolerances.hermiticity,
                 )
-            from .linalg import require_density
-
             return QRFModel(generator=gen, F_a=F_a, rho_a=require_density(rho_a, name="qrf.rho_a"))
-        except (ConfigError, DimensionCap, TableTooLarge):
-            raise
-        except BornlabError as exc:
-            raise ConfigError(str(exc), "qrf") from exc
 
 
 def _parse_tolerances(sec):
-    if sec is None:
-        return Tolerances()
-    known = {"hermiticity", "unitarity", "density", "cluster", "consistency", "prob_floor"}
-    unknown = set(sec) - known
+    if not isinstance(sec, dict):
+        raise ConfigError("tolerances must be a mapping", "tolerances")
+    unknown = set(sec) - {f.name for f in fields(Tolerances)}
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)}", "tolerances")
-    kwargs = {k: (None if v is None else float(v)) for k, v in sec.items()}
-    return Tolerances(**kwargs)
+    return Tolerances(**{k: None if k == "cluster" and v is None else
+                         require_number(v, f"tolerances.{k}", 0.0, exclusive=k == "cluster")
+                         for k, v in sec.items()})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -241,8 +248,8 @@ def load_config(path) -> ScenarioConfig:
         if not isinstance(times, list) or not times:
             raise ConfigError("grid must be a non-empty list of times", f"grids.{name}")
         try:
-            grids[str(name)] = TimeGrid(tuple(float(t) for t in times))
-        except (TypeError, ValueError) as exc:
+            grids[str(name)] = TimeGrid(tuple(require_number(t, f"grids.{name}") for t in times))
+        except ValueError as exc:
             raise ConfigError(str(exc), f"grids.{name}") from exc
 
     caps = data.get("caps") or {}
@@ -277,7 +284,7 @@ def load_config(path) -> ScenarioConfig:
         probes = sec.get("probe_times", list(grid.times))
         if not isinstance(probes, list) or not probes:
             raise ConfigError("probe_times must be a non-empty list", "simulate.probe_times")
-        probe_times = tuple(float(t) for t in probes)
+        probe_times = tuple(require_number(t, "simulate.probe_times") for t in probes)
         for t in probe_times:
             if t < 0 or t > grid.times[-1]:
                 raise ConfigError(
@@ -296,7 +303,7 @@ def load_config(path) -> ScenarioConfig:
         path=str(path),
         sha256=hashlib.sha256(blob).hexdigest(),
         kind=kind,
-        tolerances=_parse_tolerances(data.get("tolerances")),
+        tolerances=_parse_tolerances(data.get("tolerances") or {}),
         table_cap=table_cap,
         joint_dim_cap=joint_cap,
         grids=grids,
@@ -306,6 +313,5 @@ def load_config(path) -> ScenarioConfig:
         report_max_entries=report_max,
         raw=data,
     )
-    # build eagerly so malformed matrices fail at load time with field names
-    {"unitary": cfg.build_system, "joint": cfg.build_joint, "qrf": cfg.build_qrf}[kind]()
+    cfg.source  # built at load time, so malformed matrices fail here with field names
     return cfg

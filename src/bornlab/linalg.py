@@ -12,6 +12,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,21 @@ def propagator(H, t, tol=DEFAULT_TOLERANCES.hermiticity):
     """Unitary exp(-i t H) for Hermitian H (hbar = 1)."""
     w, V = hermitian_eig(H, tol, "Hamiltonian")
     return (V * np.exp(-1j * t * w)) @ V.conj().T
+
+
+MAP_CACHE_SIZE = 256  # maps a source keeps, so a sweep over many times stays bounded
+
+
+def map_cache(form):
+    """``form(t)`` kept for the most recent MAP_CACHE_SIZE t, read-only since callers share it."""
+
+    @functools.lru_cache(maxsize=MAP_CACHE_SIZE)
+    def cached(t):
+        out = form(t)
+        out.flags.writeable = False
+        return out
+
+    return cached
 
 
 def kron(A, B):

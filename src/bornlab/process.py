@@ -18,7 +18,8 @@ outcome at t_{k+1}; a bi-probability table interleaves left/right axes as
 Every source (a :class:`QuantumSystem` here, a semigroup model in
 :mod:`bornlab.qrf`) is reduced by :func:`dynamics` to its initial state,
 observable and a Schrödinger-picture step; one kernel builds both table
-kinds from those, and the sampler's descent reuses the same step.
+kinds from those, and the sampler's descent reuses the same step. A source
+caches its maps (U here, Λ in :mod:`bornlab.qrf`), so a command forms each once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import (
     TableTooLarge,
     ZeroProbabilityHistory,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances, propagator, require_density, require_hermitian
+from .linalg import (DEFAULT_TOLERANCES, Tolerances, map_cache, propagator, require_density,
+                     require_hermitian)
 from .spectral import SpectralDecomposition, heisenberg_projectors, spectral_decompose
 
 DEFAULT_TABLE_CAP = 1_000_000
@@ -90,6 +92,10 @@ class QuantumSystem:
     H: np.ndarray
     F: SpectralDecomposition
     rho0: np.ndarray
+
+    def __post_init__(self):
+        # U(gap) = exp(−i gap H), formed once per gap for every table and descent
+        object.__setattr__(self, "propagator", map_cache(lambda gap: propagator(self.H, gap)))
 
     @classmethod
     def from_operators(cls, H, F, rho0, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -185,7 +191,7 @@ class Dynamics:
     """What the table kernel and the sampler need of a source.
 
     ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
-    the Schrödinger picture, caching its map per gap.
+    the Schrödinger picture, reading the map from the source's cache.
     """
 
     rho: np.ndarray
@@ -201,12 +207,8 @@ def dynamics(source):
 
 @dynamics.register
 def _(sys: QuantumSystem):
-    props = {}
-
     def step(X, gap):
-        U = props.get(gap)
-        if U is None:
-            U = props[gap] = propagator(sys.H, gap)
+        U = sys.propagator(gap)
         return U @ X @ U.conj().T
 
     return Dynamics(sys.rho0, sys.F, step)

@@ -10,7 +10,7 @@ with 𝒫(f_+, f_-) : X ↦ P(f_+) X P(f_-), Λ(τ) = exp(τ ℒ_total), t_0 = 0
 This module builds GKLS generators from rate tables, supplies Λ(τ) as the
 step of the shared table kernel and the sampler (``dynamics``), and
 classifies generators (block-triangular structure, NCGD) against the
-consistency conditions.
+consistency conditions. All of these read Λ(τ) from the generator's one cache.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Superoperator,
     commutator_superop,
+    map_cache,
     require_density,
     require_hermitian,
     unvec,
@@ -63,6 +64,10 @@ class GKLSGenerator:
     terms: tuple[GKLSTerm, ...]
     mu: float
     total: Superoperator
+
+    def __post_init__(self):
+        # Λ(τ) = exp(τ ℒ_total), formed once per τ for every table, descent and check
+        object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(tau * self.total.matrix)))
 
 
 def _validate_generator(matrix, dim, tol=1e-12):
@@ -174,17 +179,9 @@ class QRFModel:
         return self.generator.dim
 
 
-def semigroup(model_or_generator, tau, cache=None):
-    """Λ(τ) = exp(τ ℒ_total) as a d²×d² matrix."""
-    gen = model_or_generator.generator if isinstance(model_or_generator, QRFModel) \
-        else model_or_generator
-    key = float(tau)
-    if cache is not None and key in cache:
-        return cache[key]
-    L = expm(key * gen.total.matrix)
-    if cache is not None:
-        cache[key] = L
-    return L
+def semigroup(model_or_generator, tau):
+    """Λ(τ) = exp(τ ℒ_total) as a d²×d² matrix, read-only: the generator's cache shares it."""
+    return getattr(model_or_generator, "generator", model_or_generator).semigroup(float(tau))
 
 
 def pair_superops(F_a: SpectralDecomposition):
@@ -203,12 +200,9 @@ def dephasing_projector(F_a: SpectralDecomposition):
 def _(model: QRFModel):
     d = model.dim
     perm = np.arange(d * d).reshape(d, d).T.ravel()  # row-major ↔ column-stacking
-    maps = {}
 
     def step(X, gap):
-        L = maps.get(gap)
-        if L is None:
-            L = maps[gap] = semigroup(model, gap)[np.ix_(perm, perm)].T
+        L = semigroup(model, gap)[np.ix_(perm, perm)].T
         return (X.reshape(-1, d * d) @ L).reshape(X.shape)
 
     return Dynamics(model.rho_a, model.F_a, step)
@@ -256,14 +250,13 @@ class NCGDReport:
 def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consistency):
     """ΔΛ(t)Δ = ΔΛ(t−t′)ΔΛ(t′)Δ over the supplied (t, t′) pairs."""
     D = dephasing_projector(model.F_a)
-    cache = {}
     worst, witness = 0.0, None
     checked = []
     for t, tp in time_pairs:
         if not t > tp > 0:
             raise ValueError(f"NCGD needs t > t' > 0, got ({t}, {tp})")
-        lhs = D @ semigroup(model, t, cache) @ D
-        rhs = D @ semigroup(model, t - tp, cache) @ D @ semigroup(model, tp, cache) @ D
+        lhs = D @ semigroup(model, t) @ D
+        rhs = D @ semigroup(model, t - tp) @ D @ semigroup(model, tp) @ D
         mag = float(np.max(np.abs(lhs - rhs)))
         if mag > worst:
             worst, witness = mag, {"t": float(t), "t_prime": float(tp)}
@@ -309,13 +302,11 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
     lower = lower_v <= epsilon
     upper = upper_v <= epsilon
 
-    cache = {}
     residuals = {}
     labels = []
     if lower:
         r = max(
-            float(np.max(np.abs(D @ semigroup(model, t, cache) @ D
-                                - D @ semigroup(model, t, cache))))
+            float(np.max(np.abs(D @ semigroup(model, t) @ D - D @ semigroup(model, t))))
             for t in sample_times
         )
         residuals["coherence non-activating"] = r
@@ -323,8 +314,7 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
             labels.append("coherence non-activating")
     if upper:
         r = max(
-            float(np.max(np.abs(D @ semigroup(model, t, cache) @ D
-                                - semigroup(model, t, cache) @ D)))
+            float(np.max(np.abs(D @ semigroup(model, t) @ D - semigroup(model, t) @ D)))
             for t in sample_times
         )
         residuals["coherence non-generating"] = r

@@ -10,6 +10,7 @@ template per table, in the bytes ``json.dumps`` would give.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -120,17 +121,6 @@ def consistency_json(report: ConsistencyReport):
     return [record_json(r) for r in report.records]
 
 
-def tolerances_json(tol):
-    return {
-        "hermiticity": tol.hermiticity,
-        "unitarity": tol.unitarity,
-        "density": tol.density,
-        "cluster": tol.cluster,
-        "consistency": tol.consistency,
-        "prob_floor": tol.prob_floor,
-    }
-
-
 def envelope(command, cfg, seed=None):
     """Common report header: tool identity, config hash, RNG, tolerances."""
     body = {
@@ -144,7 +134,7 @@ def envelope(command, cfg, seed=None):
             "rng": RNG_ALGORITHM,
         },
         "config": {"path": cfg.path, "sha256": cfg.sha256, "kind": cfg.kind},
-        "tolerances": tolerances_json(cfg.tolerances),
+        "tolerances": dataclasses.asdict(cfg.tolerances),
         "caps": {"table_entries": cfg.table_cap, "joint_dim": cfg.joint_dim_cap},
     }
     if seed is not None:

@@ -103,11 +103,10 @@ def qrf_bi_probability(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     m, d, n = model.F_a.n_outcomes, model.dim, grid.n
     _check_cap(m ** (2 * n), cap, "bi-probability table")
     K = pair_superops(model.F_a)
-    cache = {}
     V = vec(model.rho_a)[None]
     prev = 0.0
     for t in grid.times:
-        L = semigroup(model, t - prev, cache)
+        L = semigroup(model, t - prev)
         V = np.einsum("kij,nj->nki", K, V @ L.T).reshape(-1, d * d)
         prev = t
     tr_vec = vec(np.eye(d))
@@ -126,11 +125,10 @@ def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     _check_cap(m**n, cap, "Born table")
     P = model.F_a.projectors
     K = np.array([np.kron(P[a].T, P[a]) for a in range(m)])
-    cache = {}
     V = vec(model.rho_a)[None]
     prev = 0.0
     for t in grid.times:
-        L = semigroup(model, t - prev, cache)
+        L = semigroup(model, t - prev)
         V = np.einsum("kij,nj->nki", K, V @ L.T).reshape(-1, d * d)
         prev = t
     tr_vec = vec(np.eye(d))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import config, qrf
+from bornlab import config, process, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
@@ -62,6 +62,23 @@ INTEGER_FIELDS = {
 BAD_INTEGERS = [(field, value) for field in INTEGER_FIELDS
                 for value in ("abc", "2.7", "true", "null", "-3", "0")
                 if (field, value) != ("sampling.seed", "0")]
+
+RTN_YAML = (CONFIGS / "rtn.yaml").read_text(encoding="utf-8")
+# each float field, set to a given YAML scalar, in a config of a kind that reads it
+NUMBER_FIELDS = {
+    "grids.main": lambda v: RABI_YAML.replace("1.5707963267948966]", f"{v}]"),
+    "tolerances.consistency": lambda v: RABI_YAML + f"tolerances: {{consistency: {v}}}\n",
+    "tolerances.cluster": lambda v: RABI_YAML + f"tolerances: {{cluster: {v}}}\n",
+    "observer.coupling": lambda v: DEPHASING_YAML.replace("coupling: 0.25", f"coupling: {v}"),
+    "simulate.probe_times": lambda v: DEPHASING_YAML + f"simulate: {{probe_times: [0.5, {v}]}}\n",
+    "qrf.mu": lambda v: RTN_YAML.replace("mu: 1.0", f"mu: {v}"),
+    "qrf.rates[0].omega": lambda v: RTN_YAML.replace("omega: 0.0", f"omega: {v}"),
+}
+# a number must be finite and not a boolean; a tolerance ≥ 0, the cluster width > 0
+BAD_NUMBERS = [(field, value) for field in NUMBER_FIELDS for value in ("abc", ".nan", "true")] + [
+    ("tolerances.consistency", "-1.0"), ("tolerances.consistency", "null"),
+    ("tolerances.cluster", "0.0"), ("qrf.mu", ".inf"),
+    pytest.param("qrf.mu", "9" * 400, id="qrf.mu-beyond-float-range")]
 
 
 class TestConfigParsing:
@@ -175,6 +192,26 @@ class TestExitCodes:
         assert main(["analyze", path, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", BAD_NUMBERS)
+    def test_number_fields_are_strict(self, field, value, tmp_path, capsys):
+        path = write(tmp_path, NUMBER_FIELDS[field](value))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(field + ":")
+        out = tmp_path / "r.json"
+        assert main(["analyze", path, "--out", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tolerances_must_be_a_mapping(self, tmp_path):
+        with pytest.raises(ConfigError, match="tolerances must be a mapping"):
+            load_config(write(tmp_path, RABI_YAML + "tolerances: [1.0e-8]\n"))
+
+    def test_zero_tolerance_and_null_cluster_are_accepted(self, tmp_path):
+        text = RABI_YAML + "tolerances: {consistency: 0, cluster: null}\n"
+        tol = load_config(write(tmp_path, text)).tolerances
+        assert tol.consistency == 0.0 and tol.cluster is None
 
     def test_seed_zero_is_accepted(self, tmp_path):
         assert load_config(write(tmp_path, INTEGER_FIELDS["sampling.seed"](0))).sampling.seed == 0
@@ -373,6 +410,22 @@ n_max: 2
         report = json.loads(Path(out).read_text())
         assert report["grids"][0]["sf"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("row,col,entry,broken", [(0, 0, "-1", "trace"),
+                                                      (1, 1, "[0, 1]", "Hermiticity")])
+    def test_raw_generator_must_preserve_trace_and_hermiticity(self, row, col, entry, broken,
+                                                               tmp_path, capsys):
+        rows = [["0"] * 4 for _ in range(4)]
+        rows[row][col] = entry
+        generator = "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]"
+        text = (f"schema: 1\nkind: qrf\nqrf:\n  generator: {generator}\n"
+                "  F_a: [[0.5, 0], [0, -0.5]]\n  rho_a: [[0.5, 0], [0, 0.5]]\n"
+                "grids:\n  main: [0.4, 1.1]\n")
+        out = tmp_path / "raw.json"
+        assert main(["qrf", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: qrf: generator does not preserve " + broken in err
+        assert not out.exists()
+
 
 def test_shipped_configs_load():
     for name in ("quasistatic", "rabi", "dephasing", "rabi_joint", "rtn", "rotation"):
@@ -381,13 +434,13 @@ def test_shipped_configs_load():
 
 
 @pytest.mark.parametrize("command,name,systems,generators", [
-    ("simulate", "dephasing", 2, 0),
-    ("analyze", "rabi", 2, 0),
-    ("qrf", "rtn", 0, 2),
+    ("simulate", "dephasing", 1, 0),
+    ("analyze", "rabi", 1, 0),
+    ("qrf", "rtn", 0, 1),
 ])
 def test_a_command_builds_its_source_once_after_loading(command, name, systems, generators,
                                                        monkeypatch, tmp_path, capsys):
-    # load_config builds the source once to validate it, the command once to run it
+    # load_config builds the source to validate it and keeps it for the command
     calls = {"systems": 0, "generators": 0}
     from_operators, build_gkls = QuantumSystem.from_operators.__func__, qrf.build_gkls
 
@@ -404,3 +457,22 @@ def test_a_command_builds_its_source_once_after_loading(command, name, systems, 
     out = tmp_path / f"{name}.{command}.json"
     assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert calls == {"systems": systems, "generators": generators}
+
+
+@pytest.mark.parametrize("command,name,module,attr", [
+    ("qrf", "rtn", qrf, "expm"),
+    ("analyze", "rabi", process, "propagator"),
+], ids=["qrf-rtn-expm", "analyze-rabi-propagator"])
+def test_a_command_forms_each_map_once(command, name, module, attr, monkeypatch, tmp_path,
+                                       capsys):
+    # every table, check and classification of a command reads its source's one map cache
+    formed, form = [], getattr(module, attr)
+
+    def counted(*args):
+        formed.append(tuple(np.asarray(a).tobytes() for a in args))
+        return form(*args)
+
+    monkeypatch.setattr(module, attr, counted)
+    out = tmp_path / f"{name}.{command}.json"
+    assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    assert formed and len(formed) == len(set(formed))

@@ -17,7 +17,9 @@ from bornlab import (
     spectral_decompose,
 )
 from bornlab.errors import TableTooLarge
-from bornlab.qrf import generator_from_matrix, qrf_born
+from bornlab.linalg import MAP_CACHE_SIZE, propagator
+from bornlab.process import dynamics
+from bornlab.qrf import generator_from_matrix, qrf_born, semigroup
 from conftest import rabi_system, random_density, random_hermitian, random_unitary
 import oracles
 
@@ -141,3 +143,30 @@ def test_cap_raises_at_the_same_entry_counts(source, kind, entries):
 def test_unknown_source_is_a_type_error():
     with pytest.raises(TypeError):
         born_table(object(), GRID3)
+
+
+@pytest.mark.parametrize("source", [rabi_system(), rtn_model(0.7, np.eye(2) / 2)],
+                         ids=["unitary", "semigroup"])
+def test_a_sources_map_cache_is_bounded_and_read_only(source):
+    cache = source.generator.semigroup if isinstance(source, QRFModel) else source.propagator
+    step = dynamics(source).step
+    X = np.eye(2, dtype=complex)[None] / 2
+    gaps = [0.01 * (k + 1) for k in range(MAP_CACHE_SIZE + 10)]
+    first = step(X, gaps[0])
+    for gap in gaps:
+        step(X, gap)
+    info = cache.cache_info()
+    assert info.currsize == MAP_CACHE_SIZE and info.misses == len(gaps)
+    np.testing.assert_array_equal(step(X, gaps[0]), first)  # evicted, formed again
+    with pytest.raises(ValueError):
+        cache(gaps[-1])[0, 0] = 1.0
+
+
+def test_semigroup_returns_the_generators_shared_read_only_map():
+    model = rtn_model(0.7, np.eye(2) / 2)
+    L = semigroup(model, 0.3)
+    assert semigroup(model.generator, 0.3) is L
+    with pytest.raises(ValueError):
+        L[0, 0] = 1.0
+    sys = rabi_system()
+    np.testing.assert_array_equal(sys.propagator(0.3), propagator(sys.H, 0.3))
