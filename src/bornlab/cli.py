@@ -201,8 +201,7 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
         table = qrf.qrf_bi_probability(model, sub, cfg.table_cap)
         cm = consistency.check_cm(table, cfg.tolerances.consistency)
         sf = consistency.check_sf(table, cfg.tolerances.consistency)
-        ts = grid.times
-        pairs = [(ts[j], ts[i]) for j in range(len(ts)) for i in range(j)]
+        pairs = qrf.grid_pairs(sub)
         entry = {
             "grid": name,
             "times": [float(t) for t in sub.times],
@@ -210,10 +209,11 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
             "sf": reporting.record_json(sf.record("SF")),
         }
         if pairs:
-            entry["ncgd"] = reporting.record_json(qrf.check_ncgd(
-                model, pairs, cfg.tolerances.consistency).record)
+            ncgd = qrf.check_ncgd(model, pairs, cfg.tolerances.consistency)
+            entry["ncgd"] = reporting.record_json(ncgd)
             try:
-                equiv = qrf.verify_ncgd_cm_equivalence(model, cm, cfg.tolerances.consistency)
+                equiv = qrf.verify_ncgd_cm_equivalence(model, ncgd, cm,
+                                                       cfg.tolerances.consistency)
                 entry["ncgd_cm_equivalence"] = {
                     "ncgd": reporting.record_json(equiv.ncgd),
                     "cm": reporting.record_json(equiv.cm),

@@ -178,6 +178,7 @@ class ScenarioConfig:
                 gen = generator_from_matrix(
                     parse_matrix(sec["generator"], "qrf.generator"),
                     None if H_a is None else parse_matrix(H_a, "qrf.H_a"),
+                    self.tolerances.hermiticity,
                 )
             else:
                 rates_raw = _get(sec, "rates", "qrf")
@@ -199,7 +200,8 @@ class ScenarioConfig:
                     self.tolerances.cluster,
                     self.tolerances.hermiticity,
                 )
-            return QRFModel(generator=gen, F_a=F_a, rho_a=require_density(rho_a, name="qrf.rho_a"))
+            rho_a = require_density(rho_a, self.tolerances.density, "qrf.rho_a")
+            return QRFModel(generator=gen, F_a=F_a, rho_a=rho_a)
 
 
 def _parse_tolerances(sec):

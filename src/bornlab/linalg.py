@@ -6,8 +6,11 @@ Conventions fixed here and relied on everywhere else:
   ``vec(L @ X @ R) = kron(R.T, L) @ vec(X)``.
 * Unitary propagators of Hermitian generators are built from the
   eigendecomposition, exact to roundoff: ``U(t) = V exp(-i t diag(w)) V†``.
-* Default tolerances: hermiticity 1e-12, unitarity 1e-10, density-matrix
-  trace/positivity slack 1e-10. All overridable through :class:`Tolerances`.
+* A matrix accepted as Hermitian is kept as its Hermitian part ½(M + M†),
+  so every later eigensolve and propagator sees an exactly Hermitian input.
+* Default tolerances: hermiticity 1e-12, density-matrix trace/positivity
+  slack 1e-10. A config overrides them through :class:`Tolerances` where its
+  inputs enter; nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -27,18 +30,20 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances shared across the library.
+    """The tolerances a run applies, each to the inputs or verdicts named here.
 
-    ``cluster=None`` selects the spectral default
-    ``1e-9 * max(1, spectral range)`` per decomposition.
+    ``hermiticity`` bounds max |M − M†| of H, F and the observer and QRF
+    operators; ``density`` is the Hermiticity, trace and positivity slack of
+    the initial states; ``cluster`` merges eigenvalues of F and matches rate
+    frequencies to Bohr frequencies (``None`` selects the spectral default
+    ``1e-9 * max(1, spectral range)`` per decomposition); ``consistency`` is
+    the verdict threshold ε.
     """
 
     hermiticity: float = 1e-12
-    unitarity: float = 1e-10
     density: float = 1e-10
     cluster: float | None = None
     consistency: float = 1e-8
-    prob_floor: float = 1e-14
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -66,22 +71,23 @@ def hermiticity_defect(A):
 
 
 def require_hermitian(A, tol=DEFAULT_TOLERANCES.hermiticity, name="matrix"):
+    """The Hermitian part ½(M + M†) of a matrix whose hermiticity defect is at most ``tol``."""
     M = require_square(as_complex_matrix(A, name), name)
     defect = hermiticity_defect(M)
     if defect > tol:
         raise NonHermitianInput(
             f"{name}: hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
         )
-    return M
+    return 0.5 * (M + M.conj().T)
 
 
 def require_density(rho, tol=DEFAULT_TOLERANCES.density, name="density matrix"):
-    """Validate Hermiticity, unit trace, and positivity (within slack)."""
+    """The Hermitian part of a state with unit trace and no negative eigenvalue (within slack)."""
     M = require_hermitian(rho, max(tol, DEFAULT_TOLERANCES.hermiticity), name)
     tr = np.trace(M)
     if abs(tr - 1.0) > tol:
         raise InvalidDensityMatrix(f"{name}: trace {tr} differs from 1 beyond {tol:.1e}")
-    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    w = np.linalg.eigvalsh(M)
     if w[0] < -tol:
         raise InvalidDensityMatrix(
             f"{name}: minimum eigenvalue {w[0]:.3e} below positivity slack -{tol:.1e}"
@@ -92,18 +98,16 @@ def require_density(rho, tol=DEFAULT_TOLERANCES.density, name="density matrix"):
 def hermitian_eig(A, tol=DEFAULT_TOLERANCES.hermiticity, name="matrix"):
     """Eigendecomposition A = V diag(w) V† of a Hermitian matrix.
 
-    Returns ``(w, V)`` with ``w`` ascending and ``V`` unitary. The matrix is
-    symmetrized before the solve so that inputs Hermitian only within ``tol``
+    Returns ``(w, V)`` with ``w`` ascending and ``V`` unitary. The solve
+    uses the Hermitian part of ``A``, so inputs Hermitian only within ``tol``
     are treated evenhandedly.
     """
-    M = require_hermitian(A, tol, name)
-    w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
-    return w, V
+    return np.linalg.eigh(require_hermitian(A, tol, name))
 
 
-def propagator(H, t, tol=DEFAULT_TOLERANCES.hermiticity):
+def propagator(H, t):
     """Unitary exp(-i t H) for Hermitian H (hbar = 1)."""
-    w, V = hermitian_eig(H, tol, "Hamiltonian")
+    w, V = hermitian_eig(H, name="Hamiltonian")
     return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 

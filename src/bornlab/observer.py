@@ -161,14 +161,14 @@ class StateComparison:
         return float(np.max(self.z_scores))
 
 
-def compare(exact, mc, atol=1e-12):
+def compare(exact, mc):
     """Trace distance and entrywise deviation over standard error.
 
     ``mc`` may be a :class:`SurrogateAverage` (z-scores use its standard
-    errors) or a bare matrix. Entries whose deviation is below ``atol`` get
+    errors) or a bare matrix. Entries whose deviation is at most 1e-12 get
     z = 0 (deterministic entries have vanishing standard error and would
-    otherwise divide roundoff by roundoff); a deviation above ``atol`` with
-    zero standard error gives z = inf.
+    otherwise divide roundoff by roundoff); a larger deviation with zero
+    standard error gives z = inf.
     """
     if isinstance(mc, SurrogateAverage):
         mean, stderr = mc.mean, mc.stderr
@@ -180,7 +180,7 @@ def compare(exact, mc, atol=1e-12):
         raise DimensionMismatch(f"compare: shapes {exact.shape} vs {mean.shape}")
     dev = np.abs(exact - mean)
     z = np.zeros(dev.shape, dtype=float)
-    significant = dev > atol
+    significant = dev > 1e-12
     with np.errstate(divide="ignore"):
         z[significant] = dev[significant] / stderr[significant]
     return StateComparison(trace_distance=trace_distance(exact, mean), z_scores=z)

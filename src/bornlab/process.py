@@ -44,6 +44,7 @@ from .linalg import (DEFAULT_TOLERANCES, Tolerances, map_cache, propagator, requ
 from .spectral import SpectralDecomposition, heisenberg_projectors, spectral_decompose
 
 DEFAULT_TABLE_CAP = 1_000_000
+PROB_FLOOR = 1e-14  # conditional_state refuses a history at or below this probability
 
 _LETTERS = string.ascii_letters
 
@@ -245,10 +246,10 @@ def _table(source, grid: TimeGrid, cap, diagonal):
         dist = np.zeros((len(X), m, m), dtype=complex)
         dist[:, range(m), range(m)] = traces
         dist = dist.reshape((m, m) * n)
-    total = dist.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-10:
+    total, trace = dist.sum(), np.trace(dyn.rho).real
+    if not np.isfinite(total) or abs(total - trace) > 1e-10:
         raise NumericalInvariantViolation(
-            f"{what} total {total} differs from 1 beyond 1e-10"
+            f"{what} total {total} differs from tr ρ = {trace} beyond 1e-10"
         )
     return (BornTable if diagonal else BiProbTable)(grid, dyn.F.eigenvalues.copy(), dist)
 
@@ -273,13 +274,7 @@ def bi_probability(sys: QuantumSystem, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     return biprob_table(sys, grid, cap)
 
 
-def conditional_state(
-    sys: QuantumSystem,
-    outcomes,
-    grid: TimeGrid | None,
-    t_next,
-    prob_floor=DEFAULT_TOLERANCES.prob_floor,
-):
+def conditional_state(sys: QuantumSystem, outcomes, grid: TimeGrid | None, t_next):
     """State at ``t_next`` conditioned on a measurement history.
 
     ``outcomes``/``grid`` give the history (may be empty: pass ``()`` and
@@ -301,9 +296,9 @@ def conditional_state(
             Pk = heisenberg_projectors(sys.F, sys.H, t)[f]
             M = Pk @ M @ Pk
         p = np.trace(M).real
-        if p <= prob_floor:
+        if p <= PROB_FLOOR:
             raise ZeroProbabilityHistory(
-                f"history probability {p:.3e} at or below floor {prob_floor:.1e}"
+                f"history probability {p:.3e} at or below floor {PROB_FLOOR:.1e}"
             )
         M = M / p
     else:

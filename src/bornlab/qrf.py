@@ -70,21 +70,21 @@ class GKLSGenerator:
         object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(tau * self.total.matrix)))
 
 
-def _validate_generator(matrix, dim, tol=1e-12):
-    """Trace and Hermiticity preservation on the matrix-unit basis."""
-    scale = max(1.0, float(np.max(np.abs(matrix))))
+def _validate_generator(matrix, dim):
+    """Trace and Hermiticity preservation on the matrix-unit basis, to 1e-12 relative."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(matrix))))
     for k in range(dim):
         for l in range(dim):
             E = np.zeros((dim, dim), dtype=complex)
             E[k, l] = 1.0
             out = unvec(matrix @ vec(E), dim)
             out_dag = unvec(matrix @ vec(E.conj().T), dim)
-            if abs(np.trace(out)) > tol * scale:
+            if abs(np.trace(out)) > tol:
                 raise NumericalInvariantViolation(
                     f"generator does not preserve trace: |tr ℒE_{k}{l}| = "
                     f"{abs(np.trace(out)):.3e}"
                 )
-            if np.max(np.abs(out_dag - out.conj().T)) > tol * scale:
+            if np.max(np.abs(out_dag - out.conj().T)) > tol:
                 raise NumericalInvariantViolation(
                     "generator does not preserve Hermiticity on the basis"
                 )
@@ -107,7 +107,7 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
     if Hm.shape != Gm.shape:
         raise DimensionMismatch("H_a and G_a must share a dimension")
     d = Hm.shape[0]
-    w, V = np.linalg.eigh(0.5 * (Hm + Hm.conj().T))
+    w, V = np.linalg.eigh(Hm)
     tol = default_cluster_tol(w) if cluster_tol is None else float(cluster_tol)
     bohr = w[:, None] - w[None, :]
     G_tilde = V.conj().T @ Gm @ V
@@ -148,7 +148,7 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
     )
 
 
-def generator_from_matrix(matrix, H_a=None):
+def generator_from_matrix(matrix, H_a=None, hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
     """Wrap a raw d²×d² generator matrix; validates preservation invariants."""
     M = np.asarray(matrix, dtype=complex)
     d2 = M.shape[0]
@@ -156,7 +156,8 @@ def generator_from_matrix(matrix, H_a=None):
     if M.shape != (d2, d2) or d * d != d2:
         raise DimensionMismatch(f"generator matrix must be d²×d², got {M.shape}")
     _validate_generator(M, d)
-    Hm = np.zeros((d, d), dtype=complex) if H_a is None else require_hermitian(H_a)
+    Hm = (np.zeros((d, d), dtype=complex) if H_a is None
+          else require_hermitian(H_a, hermiticity_tol, "H_a"))
     return GKLSGenerator(dim=d, H_a=Hm, terms=(), mu=1.0, total=Superoperator(d, M))
 
 
@@ -238,17 +239,14 @@ def rtn_model(gamma, rho_a):
     return QRFModel(generator=gen, F_a=spectral_decompose(0.5 * _SIGMA_Z), rho_a=rho)
 
 
-@dataclass(frozen=True)
-class NCGDReport:
-    record: ConditionRecord
-
-    @property
-    def passed(self):
-        return self.record.passed
+def grid_pairs(grid: TimeGrid):
+    """Every (t_j, t_i) with i < j of the grid: the pairs NCGD is checked on for it."""
+    ts = grid.times
+    return [(ts[j], ts[i]) for j in range(len(ts)) for i in range(j)]
 
 
 def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consistency):
-    """ΔΛ(t)Δ = ΔΛ(t−t′)ΔΛ(t′)Δ over the supplied (t, t′) pairs."""
+    """The "NCGD" record of ΔΛ(t)Δ = ΔΛ(t−t′)ΔΛ(t′)Δ over the supplied (t, t′) pairs."""
     D = dephasing_projector(model.F_a)
     worst, witness = 0.0, None
     checked = []
@@ -261,9 +259,7 @@ def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consisten
         if mag > worst:
             worst, witness = mag, {"t": float(t), "t_prime": float(tp)}
         checked.append([float(t), float(tp)])
-    return NCGDReport(
-        _record("NCGD", worst, witness, epsilon, {"time_pairs": checked})
-    )
+    return _record("NCGD", worst, witness, epsilon, {"time_pairs": checked})
 
 
 @dataclass(frozen=True)
@@ -337,9 +333,9 @@ class EquivalenceReport:
     agree: bool
 
 
-def verify_ncgd_cm_equivalence(model: QRFModel, cm: ConsistencyReport,
+def verify_ncgd_cm_equivalence(model: QRFModel, ncgd: ConditionRecord, cm: ConsistencyReport,
                                epsilon=DEFAULT_TOLERANCES.consistency):
-    """NCGD on the grid's time pairs vs ``cm``, the CM check of the grid's bi-probabilities.
+    """``ncgd``, NCGD on a grid's ``grid_pairs``, vs ``cm``, CM on its bi-probabilities.
 
     Requires a block-diagonal initial state (the equivalence hypothesis);
     verdicts of the two checks must agree there.
@@ -351,14 +347,8 @@ def verify_ncgd_cm_equivalence(model: QRFModel, cm: ConsistencyReport,
         raise NonBlockDiagonalState(
             f"rho_a deviates from block-diagonal by {defect:.3e} > {epsilon:.1e}"
         )
-    ts = cm.grid.times
-    pairs = [(ts[j], ts[i]) for j in range(len(ts)) for i in range(j)]
-    ncgd = check_ncgd(model, pairs, epsilon)
-    return EquivalenceReport(
-        ncgd=ncgd.record,
-        cm=cm.record("CM"),
-        agree=ncgd.record.passed == cm.record("CM").passed,
-    )
+    return EquivalenceReport(ncgd=ncgd, cm=cm.record("CM"),
+                             agree=ncgd.passed == cm.record("CM").passed)
 
 
 def choi_matrix(superop_matrix, dim):

@@ -92,11 +92,11 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
     )
 
 
-def heisenberg_projectors(sd, H, t, hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
+def heisenberg_projectors(sd, H, t):
     """P(f, t) = U†(t) P(f) U(t) for every outcome, stacked as (m, d, d)."""
     if H.shape[0] != sd.dim:
         raise DimensionMismatch(
             f"Hamiltonian dim {H.shape[0]} does not match observable dim {sd.dim}"
         )
-    U = propagator(H, t, hermiticity_tol)
+    U = propagator(H, t)
     return np.einsum("ji,ajk,kl->ail", U.conj(), sd.projectors, U)

@@ -208,12 +208,13 @@ def test_criterion_4_rtn_suite():
             "coherence non-activating",
             "coherence non-generating",
         }
-        assert check_ncgd(model, [(t2, t1)]).passed
+        ncgd = check_ncgd(model, [(t2, t1)])
+        assert ncgd.passed
         table = qrf_bi_probability(model, grid)
         cm = check_cm(table)
         assert cm.record("CM").passed
         assert check_sf(table).record("SF").passed
-        equiv = verify_ncgd_cm_equivalence(model, cm)
+        equiv = verify_ncgd_cm_equivalence(model, ncgd, cm)
         assert equiv.agree and equiv.ncgd.passed and equiv.cm.passed
 
         # sigma_x-rotation counter-model fails NCGD and CM concordantly
@@ -224,7 +225,8 @@ def test_criterion_4_rtn_suite():
             F_a=spectral_decompose(0.5 * SZ),
             rho_a=np.diag([1.0, 0.0]).astype(complex),
         )
-        counter = verify_ncgd_cm_equivalence(rotation, check_cm(qrf_bi_probability(rotation, grid)))
+        counter = verify_ncgd_cm_equivalence(rotation, check_ncgd(rotation, [(t2, t1)]),
+                                             check_cm(qrf_bi_probability(rotation, grid)))
         assert counter.agree
         assert not counter.ncgd.passed and not counter.cm.passed
 

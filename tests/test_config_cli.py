@@ -74,6 +74,28 @@ NUMBER_FIELDS = {
     "qrf.mu": lambda v: RTN_YAML.replace("mu: 1.0", f"mu: {v}"),
     "qrf.rates[0].omega": lambda v: RTN_YAML.replace("omega: 0.0", f"omega: {v}"),
 }
+RAW_GENERATOR_YAML = """
+schema: 1
+kind: qrf
+qrf:
+  generator: [[0, 0, 0, 0], [0, -1.4, 1.4, 0], [0, 1.4, -1.4, 0], [0, 0, 0, 0]]
+  H_a: [[0, 0.5], [0.500000001, 0]]
+  F_a: [[0.5, 0], [0, -0.5]]
+  rho_a: [[0.5, 0], [0, 0.5]]
+grids:
+  main: [0.4, 1.1]
+"""
+# inputs within the config's tolerances that a later check refused against another number
+WITHIN_TOLERANCE = {
+    "unitary-H-hermiticity": RABI_YAML.replace("[0.5, 0]]", "[0.500000001, 0]]")
+    + "tolerances: {hermiticity: 1.0e-6}\n",
+    "unitary-rho-trace": RABI_YAML.replace("rho: [[1, 0]", "rho: [[1.0000001, 0]")
+    + "tolerances: {density: 1.0e-6}\n",
+    "qrf-rho_a-trace": RTN_YAML.replace("rho_a: [[0.5, 0]", "rho_a: [[0.5000001, 0]")
+    + "tolerances: {density: 1.0e-6}\n",
+    "raw-generator-H_a-hermiticity": RAW_GENERATOR_YAML + "tolerances: {hermiticity: 1.0e-6}\n",
+}
+
 # a number must be finite and not a boolean; a tolerance ≥ 0, the cluster width > 0
 BAD_NUMBERS = [(field, value) for field in NUMBER_FIELDS for value in ("abc", ".nan", "true")] + [
     ("tolerances.consistency", "-1.0"), ("tolerances.consistency", "null"),
@@ -212,6 +234,24 @@ class TestExitCodes:
         text = RABI_YAML + "tolerances: {consistency: 0, cluster: null}\n"
         tol = load_config(write(tmp_path, text)).tolerances
         assert tol.consistency == 0.0 and tol.cluster is None
+
+    @pytest.mark.parametrize("name,command", [
+        ("unitary-H-hermiticity", "analyze"), ("unitary-H-hermiticity", "sample"),
+        ("unitary-rho-trace", "analyze"), ("qrf-rho_a-trace", "qrf"),
+        ("raw-generator-H_a-hermiticity", "qrf"),
+    ])
+    def test_an_input_within_the_config_tolerance_runs(self, name, command, tmp_path):
+        out = tmp_path / "out"
+        assert main([command, write(tmp_path, WITHIN_TOLERANCE[name]), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("key", ["unitarity", "prob_floor"])
+    def test_a_tolerance_no_check_reads_is_refused(self, key, tmp_path, capsys):
+        path = write(tmp_path, RABI_YAML + f"tolerances: {{{key}: 1.0e-10}}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 2
+        assert f"unknown tolerance keys ['{key}']" in capsys.readouterr().err
 
     def test_seed_zero_is_accepted(self, tmp_path):
         assert load_config(write(tmp_path, INTEGER_FIELDS["sampling.seed"](0))).sampling.seed == 0

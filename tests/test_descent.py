@@ -1,7 +1,8 @@
 """The batched descent over outcome histories against the per-trajectory oracles.
 
 ``sample_ensemble`` must draw, trajectory by trajectory, the outcomes of the
-old collapse chain fed with the same Philox stream, and ``surrogate_average``
+old collapse chain fed with the same Philox stream, on fixed and on drawn
+unitary and GKLS sources, and ``surrogate_average``
 must reduce to exactly the arrays of the old per-trajectory loop, on the
 shipped joint configs and on drawn scenarios, zero signs included.
 """
@@ -29,7 +30,8 @@ from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.sampler import trajectory_rng
 from conftest import (I2, SZ, rabi_system, random_density, random_grid, random_hermitian,
                       random_system)
-from test_kernel import GRID3, clustered_d4_m2, gkls_3level, random_d6_m6, rtn, single_time
+from test_kernel import (DRAWN_CASES, GRID3, clustered_d4_m2, drawn_case, gkls_3level,
+                         random_d6_m6, rtn, single_time)
 import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -55,10 +57,7 @@ CASES = {  # name: (factory, ensemble size)
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_descent_draws_the_chains_outcomes(case, rng):
-    factory, size = CASES[case]
-    source, grid = factory(rng)
+def assert_descent_draws_the_chains_outcomes(source, grid, size):
     seed = 20260801
     ens = sample_ensemble(source, grid, size, seed)
     chain = oracles.MeasurementChain(source)
@@ -67,8 +66,22 @@ def test_descent_draws_the_chains_outcomes(case, rng):
     for j, traj in enumerate(expected):
         assert ens.indices[j].tolist() == list(traj.indices), j
     assert ens.trajectories == tuple(expected)
+    return ens
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_descent_draws_the_chains_outcomes(case, rng):
+    factory, size = CASES[case]
+    source, grid = factory(rng)
+    ens = assert_descent_draws_the_chains_outcomes(source, grid, size)
     if case == "rtn-21-times":  # sampling builds no table, so no table cap applies
         assert len(ens.eigenvalues) ** grid.n > DEFAULT_TABLE_CAP
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DRAWN_CASES)
+def test_descent_draws_the_chains_outcomes_on_drawn_sources(seed, d, n, degenerate, semigroup):
+    assert_descent_draws_the_chains_outcomes(*drawn_case(seed, d, n, degenerate, semigroup), 100)
 
 
 def test_uniforms_filled_in_place_are_successive_draws():

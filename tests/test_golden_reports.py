@@ -29,24 +29,24 @@ from bornlab.reporting import dump
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
-    ("analyze", "rabi"): "ce3fa60776f5702e7e81dddc544fb37b704269c21a725adf0008326c203a356b",
-    ("analyze", "quasistatic"): "60aabab1f45e54c435803412120b29e7e7ab79e87e33a4a325f0e23a22d53dad",
-    ("analyze", "rtn"): "30472daa8c27325e6d48d724761770bd1c218bd5ee61bc4b19a9a04a84741742",
-    ("analyze", "rotation"): "b9421ff33b8eb59586f4efb32ba09df0023780213611342e0177b661bbc88b10",
-    ("analyze", "dephasing"): "b7efcd38c6df9876891aca9049c32cc007572012780e82d8ad4f3edcfc2a9c30",
-    ("analyze", "rabi_joint"): "2d05888aafe8a4244b6377edd16d88b270dd6c8b3b1f330f44e1b14333fe8c7c",
-    ("qrf", "rtn"): "80a7773a2b7f1b4af5862df7ea33d45bb77ed7bbfc80067aeca411144b8abc79",
-    ("qrf", "rotation"): "3a3bdd89afd2b4c962e6be8f18cfd4431f9cb51762f3fbbc0059f60db81efb54",
-    ("simulate", "dephasing"): "bf918200e7965f47f05ff79cb8b3b83eafed8c30550cca470d46f5a9c2440857",
-    ("simulate", "rabi_joint"): "0e698a02f3c2c62be365eb438281c098712462f309f0ea112468eadaeea55c2f",
+    ("analyze", "rabi"): "38d3b6e24a48b39f3897800e3dec7be6c8e14154cb081dbb04ea705d5bfed4e1",
+    ("analyze", "quasistatic"): "df4a082fbe55c5867ee743bd796bbb502cddbffccb1d6e03086e26474d09fed6",
+    ("analyze", "rtn"): "4f66f553d1ceafdb7472aac8a54d10598c1662c45e517de4cf58915dac701ab1",
+    ("analyze", "rotation"): "b953cd2ac0e4692cbe3dc39df0d7d1a7dd257122705fd17cfe79c6415339bd35",
+    ("analyze", "dephasing"): "69cd33c12837646f1446d7a0ddd256459ff5d156b06b3753ba26f7f532b91990",
+    ("analyze", "rabi_joint"): "b61004a6bc9921e77f7b2944eb676debc6cb24dbca2358191fd75abac7436859",
+    ("qrf", "rtn"): "eff75d28fa012bc526f46bf0094185d53221c1e691ca807a805a97148656dd25",
+    ("qrf", "rotation"): "760cfb4668ab9ccbed035003fc8da0ae71ec1769ee2d00b2dd1dea0df8f17769",
+    ("simulate", "dephasing"): "f6923fdfe7221edf654615bd517fba5834235c240953fa6ac94451e6d1660165",
+    ("simulate", "rabi_joint"): "6c2d4da60085d62d6aa279b4d53259300c99a2583aed39c1f910e5c2aebb3383",
 }
 
 # simulate refuses a config whose observable fails the SF condition unless forced
 FLAGS = {("simulate", "rabi_joint"): ["--force"]}
 
 TRUNCATED_DIGESTS = {
-    "quasistatic": "5d08abc79dbed0c8ea4f120c38f01cd4a420441678b0b95e444bfaf79bd25bb6",
-    "rtn": "66f9e7f52ba513dfaf32af240b1a94c76ce7a0d42acef318f4d85e8ff4b97e0e",
+    "quasistatic": "143a2de9125a19a9c30e339a935411ed8ce9f7b2da319c971b88b743d51be3ad",
+    "rtn": "dd967c658f47cb13ca65b80fdf40db28a555b82402a8aabb46e6c3b4ec37af9e",
 }
 
 

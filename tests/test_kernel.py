@@ -1,7 +1,9 @@
-"""The shared table kernel against the independent per-source oracles."""
+"""The shared table kernel against the independent per-source oracles, on fixed and drawn sources."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import (
     QRFModel,
@@ -20,7 +22,7 @@ from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
 from bornlab.process import dynamics
 from bornlab.qrf import generator_from_matrix, qrf_born, semigroup
-from conftest import rabi_system, random_density, random_hermitian, random_unitary
+from conftest import rabi_system, random_density, random_grid, random_hermitian, random_unitary
 import oracles
 
 GRID3 = TimeGrid((0.3, 0.8, 1.7))
@@ -97,6 +99,31 @@ CASES = {  # name: (factory, number of outcomes)
 }
 
 
+def drawn_case(seed, d, n, degenerate, semigroup):
+    """A unitary or GKLS source of dimension d and an n-time grid, drawn from ``seed``.
+
+    A degenerate F draws its d eigenvalues from three values, so m runs from 1 to 3;
+    the GKLS rates sit on the Bohr frequencies 0 and ±(ε_1 − ε_0) of a random H_a.
+    """
+    rng = np.random.default_rng(seed)
+    F = (_degenerate_F(rng, rng.choice([-1.0, 0.5, 2.0], size=d)) if degenerate
+         else random_hermitian(rng, d))
+    H, rho = random_hermitian(rng, d), random_density(rng, d)
+    if semigroup:
+        w = np.linalg.eigvalsh(H)
+        rates = {omega: rng.uniform(0.0, 1.0) + 0.3j * rng.normal()
+                 for omega in (0.0, float(w[1] - w[0]), float(w[0] - w[1]))}
+        source = QRFModel(build_gkls(H, random_hermitian(rng, d), rates),
+                          spectral_decompose(F), rho)
+    else:
+        source = QuantumSystem.from_operators(H, F, rho)
+    return source, random_grid(rng, n)
+
+
+DRAWN_CASES = dict(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), n=st.integers(1, 4),
+                   degenerate=st.booleans(), semigroup=st.booleans())
+
+
 def builders(source, kind):
     """(kernel entry, oracle) pair for this source and table kind."""
     if isinstance(source, QRFModel):
@@ -108,15 +135,8 @@ def builders(source, kind):
     return pairs[kind]
 
 
-@pytest.mark.parametrize("kind", ["born", "biprob"])
-@pytest.mark.parametrize("case", list(CASES))
-def test_kernel_matches_oracle(case, kind, rng):
-    factory, m = CASES[case]
-    source, grid = factory(rng)
-    sd = source.F_a if isinstance(source, QRFModel) else source.F
-    assert sd.n_outcomes == m
-    if case == "clustered-d4-m2":
-        assert sd.clustered
+def assert_kernel_matches_oracle(source, grid, kind):
+    m = (source.F_a if isinstance(source, QRFModel) else source.F).n_outcomes
     kernel, oracle = builders(source, kind)
     table, expected = kernel(source, grid), oracle(source, grid)
     assert table.dist.shape == expected.dist.shape
@@ -127,6 +147,24 @@ def test_kernel_matches_oracle(case, kind, rng):
     if kind == "biprob":
         last_pair = table.dist.reshape(-1, m, m)
         assert np.all(last_pair[:, ~np.eye(m, dtype=bool)] == 0)
+
+
+@pytest.mark.parametrize("kind", ["born", "biprob"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_kernel_matches_oracle(case, kind, rng):
+    factory, m = CASES[case]
+    source, grid = factory(rng)
+    sd = source.F_a if isinstance(source, QRFModel) else source.F
+    assert sd.n_outcomes == m
+    if case == "clustered-d4-m2":
+        assert sd.clustered
+    assert_kernel_matches_oracle(source, grid, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["born", "biprob"]), **DRAWN_CASES)
+def test_kernel_matches_oracle_on_drawn_sources(kind, seed, d, n, degenerate, semigroup):
+    assert_kernel_matches_oracle(*drawn_case(seed, d, n, degenerate, semigroup), kind)
 
 
 @pytest.mark.parametrize("kind,entries", [("born", 8), ("biprob", 64)])

@@ -16,6 +16,7 @@ from bornlab import (
     vec,
 )
 from bornlab.errors import DimensionMismatch, NonFinite, NonHermitianInput
+from bornlab.linalg import require_density, require_hermitian
 from conftest import I2, KET0, KET1, SX, SZ, random_density, random_hermitian
 
 
@@ -45,6 +46,22 @@ class TestHermitianEig:
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(NonFinite):
             hermitian_eig(bad)
+
+
+class TestRequireHermitian:
+    def test_keeps_the_exact_hermitian_part(self, rng):
+        A = random_hermitian(rng, 4)
+        M = A + 1e-13 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        out = require_hermitian(M)
+        assert np.array_equal(out, out.conj().T)
+        assert np.array_equal(out, 0.5 * (M + M.conj().T))
+        assert np.array_equal(require_hermitian(out), out)
+
+    def test_a_state_is_kept_as_its_hermitian_part(self, rng):
+        rho = random_density(rng, 3)
+        rho[0, 1] += 1e-13
+        out = require_density(rho)
+        assert np.array_equal(out, out.conj().T)
 
 
 class TestPropagator:

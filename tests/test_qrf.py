@@ -24,7 +24,7 @@ from bornlab.errors import (
     UnmatchedFrequency,
 )
 from bornlab.process import born_table, marginalize_pair
-from bornlab.qrf import choi_matrix, generator_from_matrix, qrf_born, semigroup
+from bornlab.qrf import choi_matrix, generator_from_matrix, grid_pairs, qrf_born, semigroup
 from conftest import I2, KET0, SX, SZ, random_density, random_hermitian
 
 HALF_SZ = 0.5 * SZ
@@ -243,16 +243,16 @@ class TestNcgd:
     def test_rtn_passes(self):
         model = rtn_model(0.7, I2 / 2)
         report = check_ncgd(model, [(1.1, 0.4), (2.0, 0.5)])
-        assert report.record.max_abs_violation <= 1e-12
+        assert report.max_abs_violation <= 1e-12
 
     def test_coherent_rotation_fails(self):
         report = check_ncgd(rotation_model(), [(1.1, 0.4)])
         assert not report.passed
-        assert report.record.max_abs_violation > 1e-2
+        assert report.max_abs_violation > 1e-2
 
     def test_frozen_generator_passes(self):
         report = check_ncgd(frozen_model(), [(1.0, 0.3)])
-        assert report.record.max_abs_violation <= 1e-12
+        assert report.max_abs_violation <= 1e-12
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
@@ -304,7 +304,8 @@ class TestBlockStructure:
 
 
 def equivalence(model, grid):
-    return verify_ncgd_cm_equivalence(model, check_cm(qrf_bi_probability(model, grid)))
+    return verify_ncgd_cm_equivalence(model, check_ncgd(model, grid_pairs(grid)),
+                                      check_cm(qrf_bi_probability(model, grid)))
 
 
 class TestNcgdCmEquivalence:

@@ -7,9 +7,10 @@ The records of ``check_kc``, ``check_bi_consistency``,
 the sharing saves: ``analyze`` on an n-time grid builds each of its 2 + 2n
 distinct tables once and forms the diagonal-context sums of each index once,
 and ``bornlab qrf`` builds each grid's bi-probability table and runs CM on it
-once.
+once, and NCGD once on the pairs of the same grid.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -147,3 +148,24 @@ def test_qrf_command_builds_the_table_and_runs_cm_once(monkeypatch, tmp_path, ca
     assert main(["qrf", str(CONFIGS / "rtn.yaml"), "--out", str(tmp_path / "q.json")]) == 0
     times = (0.4, 1.1, 1.9)
     assert log == [("table", times), ("CM", times)]
+
+
+@pytest.mark.parametrize("n_max,pairs", [(3, [(1.1, 0.4), (1.9, 0.4), (1.9, 1.1)]),
+                                         (2, [(1.1, 0.4)])])
+def test_qrf_command_runs_ncgd_once_on_the_analysed_grid(n_max, pairs, monkeypatch, tmp_path,
+                                                         capsys):
+    calls, check = [], qrf.check_ncgd
+
+    def counted(model, time_pairs, epsilon):
+        calls.append(list(time_pairs))
+        return check(model, time_pairs, epsilon)
+    monkeypatch.setattr(qrf, "check_ncgd", counted)
+    config = tmp_path / "rtn.yaml"
+    config.write_text((CONFIGS / "rtn.yaml").read_text(encoding="utf-8")
+                      .replace("n_max: 3", f"n_max: {n_max}"), encoding="utf-8")
+    out = tmp_path / "q.json"
+    assert main(["qrf", str(config), "--out", str(out)]) == 0
+    assert calls == [pairs]
+    entry = json.loads(out.read_text(encoding="utf-8"))["grids"][0]
+    assert entry["ncgd"]["coverage"]["time_pairs"] == [list(p) for p in pairs]
+    assert entry["ncgd"] == entry["ncgd_cm_equivalence"]["ncgd"]
