@@ -35,6 +35,8 @@ from .process import (
 )
 
 IDENTITY_TOL = 1e-10
+# entries within this relative distance of the largest |entry| tie for the witness
+TIE_TOL = 1e-12
 
 _LETTERS = string.ascii_letters
 
@@ -75,11 +77,6 @@ def _record(condition, violation, witness, threshold, coverage):
         passed=violation <= threshold,
         coverage=coverage,
     )
-
-
-def _argmax_abs(arr):
-    flat = int(np.argmax(np.abs(arr)))
-    return np.unravel_index(flat, arr.shape), float(np.abs(arr).flat[flat])
 
 
 def _diag_context_sums(table: BiProbTable, position):
@@ -128,13 +125,30 @@ def _deletions(table, source, grid: TimeGrid, cap):
 
 
 def _worst(defects, witness):
-    """The first largest |entry| of the defects, and ``witness(i, outcomes)`` there."""
-    worst, where = 0.0, None
+    """The largest |entry| of the defects, and ``witness(i, outcomes)`` at the
+    first entry in (index, C-order outcome) order within TIE_TOL of it.
+
+    So a roundoff change does not move the witness among tied entries. Each
+    defect is reduced as it is formed to its entries within TIE_TOL of its own
+    peak (a superset of those within TIE_TOL of the overall peak), and of these
+    to the ones larger than every earlier one: only such an entry can be the
+    first above a threshold, so many exact ties keep one position.
+    """
+    near, worst = [], 0.0
     for i, defect in defects:
-        idx, mag = _argmax_abs(defect)
-        if mag > worst:
-            worst, where = mag, witness(i, [int(v) for v in idx])
-    return worst, where
+        a = np.abs(defect).ravel()
+        peak = float(a.max())
+        if peak > 0:
+            pos = np.flatnonzero(a >= peak * (1 - TIE_TOL))
+            mags = a[pos]
+            first = np.r_[True, mags[1:] > np.maximum.accumulate(mags)[:-1]]
+            near.append((i, defect.shape, pos[first], mags[first]))
+            worst = max(worst, peak)
+    for i, shape, pos, mags in near:
+        hits = pos[mags >= worst * (1 - TIE_TOL)]
+        if hits.size:
+            return worst, witness(i, [int(v) for v in np.unravel_index(hits[0], shape)])
+    return worst, None
 
 
 def _kc_records(grid: TimeGrid, born_defects, epsilon):
@@ -202,15 +216,10 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     """Surrogate-field condition: every off-diagonal entry of Q_n vanishes."""
     mask = _off_diagonal_mask(table.n, table.n_outcomes)
     off = np.where(mask, table.dist, 0.0)
-    idx, mag = _argmax_abs(off)
-    witness = {"outcomes": [int(v) for v in idx[0::2]],
-               "outcomes_minus": [int(v) for v in idx[1::2]]}
+    mag, witness = _worst([(None, off)], lambda _, idx: {
+        "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})
     coverage = {"n": table.n, "times": list(table.grid.times)}
-    return ConsistencyReport(
-        grid=table.grid,
-        n=table.n,
-        records=(_record("SF", mag, witness, epsilon, coverage),),
-    )
+    return ConsistencyReport(table.grid, table.n, (_record("SF", mag, witness, epsilon, coverage),))
 
 
 def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):

@@ -40,7 +40,7 @@ from .linalg import (
 )
 from .process import DEFAULT_TABLE_CAP, Dynamics, TimeGrid, biprob_table, born_table, dynamics
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
-from .consistency import ConditionRecord, ConsistencyReport, _record
+from .consistency import ConditionRecord, ConsistencyReport, _record, _worst
 # perfbench/tracing.py wraps qrf.check_cm and qrf.check_sf
 from .consistency import check_cm, check_sf  # noqa: F401
 
@@ -248,17 +248,13 @@ def grid_pairs(grid: TimeGrid):
 def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consistency):
     """The "NCGD" record of ΔΛ(t)Δ = ΔΛ(t−t′)ΔΛ(t′)Δ over the supplied (t, t′) pairs."""
     D = dephasing_projector(model.F_a)
-    worst, witness = 0.0, None
-    checked = []
-    for t, tp in time_pairs:
+    checked = [[float(t), float(tp)] for t, tp in time_pairs]
+    for t, tp in checked:
         if not t > tp > 0:
             raise ValueError(f"NCGD needs t > t' > 0, got ({t}, {tp})")
-        lhs = D @ semigroup(model, t) @ D
-        rhs = D @ semigroup(model, t - tp) @ D @ semigroup(model, tp) @ D
-        mag = float(np.max(np.abs(lhs - rhs)))
-        if mag > worst:
-            worst, witness = mag, {"t": float(t), "t_prime": float(tp)}
-        checked.append([float(t), float(tp)])
+    defects = (((t, tp), D @ semigroup(model, t) @ D
+                - D @ semigroup(model, t - tp) @ D @ semigroup(model, tp) @ D) for t, tp in checked)
+    worst, witness = _worst(defects, lambda pair, _: {"t": pair[0], "t_prime": pair[1]})
     return _record("NCGD", worst, witness, epsilon, {"time_pairs": checked})
 
 

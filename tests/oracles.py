@@ -10,16 +10,21 @@ agreement to roundoff checks both.
 ``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
 sampler used before its batched descent over outcome histories, kept
 verbatim: it reads out and collapses one flat row-major state per
-trajectory. ``surrogate_average`` is the per-trajectory loop the observer
-used before it propagated each distinct history once, and ``segments``,
-``stochastic_propagator`` and ``surrogate_propagate`` are the per-trajectory
-propagation it calls, kept verbatim (``segments`` was a ``Trajectory``
-method) from before the observer walked each distinct outcome prefix once.
+trajectory. ``trajectory_rng`` is the per-trajectory generator object the
+sampler built before it computed the uniforms in closed form, kept verbatim:
+numpy's own ``SeedSequence`` and ``Philox``. ``surrogate_average`` is the
+per-trajectory loop the observer used before it propagated each distinct
+history once, and ``segments``, ``stochastic_propagator`` and
+``surrogate_propagate`` are the per-trajectory propagation it calls, kept
+verbatim (``segments`` was a ``Trajectory`` method) from before the observer
+walked each distinct outcome prefix once.
 
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
 set of tables per grid, kept verbatim: each check builds its own full and
-reduced tables.
+reduced tables. Only their witness changed since, to the tie rule written
+out over all held defects (``_first_near_peak``): the first entry in (index,
+C-order outcome) order within ``TIE_TOL`` of the largest |entry|.
 
 ``born_table_json``, ``biprob_table_json`` and ``dump`` are the report
 serializer as it was before table entries were rendered from their arrays,
@@ -34,8 +39,8 @@ import numpy as np
 
 from bornlab.consistency import (
     IDENTITY_TOL,
+    TIE_TOL,
     ConsistencyReport,
-    _argmax_abs,
     _diag_context_sums,
     _record,
     check_cm,
@@ -141,6 +146,11 @@ def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     return BornTable(grid, model.F_a.eigenvalues.copy(), probs)
 
 
+def trajectory_rng(seed, index=0):
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 class MeasurementChain:
     """Conditional-collapse chain of any table source.
 
@@ -234,6 +244,17 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
 
 
+def _first_near_peak(diffs):
+    """``(i, outcomes, peak)``: the first entry in (i, C order) whose |entry| is
+    within TIE_TOL of the largest over all held diffs, and that largest."""
+    peak = max(float(np.max(np.abs(d))) for _, d in diffs)
+    for i, d in diffs:
+        hits = np.argwhere(np.abs(d) >= peak * (1 - TIE_TOL))
+        if peak > 0 and len(hits):
+            return i, hits[0].tolist(), peak
+    return None, [], peak
+
+
 def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
     """Kolmogorov consistency over every single-deletion of the given grid.
 
@@ -243,17 +264,14 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     if grid.n < 2:
         raise ValueError("KC check needs a grid of n ≥ 2 times")
     full = born_table(source, grid, cap)
-    worst, witness = 0.0, None
-    causality_worst, causality_witness = 0.0, None
+    diffs = []
     for i in range(1, grid.n + 1):
         reduced = born_table(source, grid.without(i), cap)
-        diff = full.dist.sum(axis=i - 1) - reduced.dist
-        idx, mag = _argmax_abs(diff)
-        if mag > worst:
-            worst, witness = mag, {"index": i, "outcomes": [int(v) for v in idx]}
-        if i == grid.n and mag > causality_worst:
-            causality_worst = mag
-            causality_witness = {"index": i, "outcomes": [int(v) for v in idx]}
+        diffs.append((i, full.dist.sum(axis=i - 1) - reduced.dist))
+    i, idx, worst = _first_near_peak(diffs)
+    witness = {"index": i, "outcomes": idx}
+    i, idx, causality_worst = _first_near_peak(diffs[-1:])
+    causality_witness = {"index": i, "outcomes": idx}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
     return ConsistencyReport(
         grid=grid,
@@ -276,19 +294,13 @@ def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEF
     if grid.n < 2:
         raise ValueError("bi-consistency check needs a grid of n ≥ 2 times")
     full = biprob_table(source, grid, cap)
-    worst, witness = 0.0, None
+    diffs = []
     for i in range(1, grid.n + 1):
         reduced = biprob_table(source, grid.without(i), cap)
         ax = 2 * (i - 1)
-        diff = full.dist.sum(axis=(ax, ax + 1)) - reduced.dist
-        idx, mag = _argmax_abs(diff)
-        if mag > worst:
-            worst = mag
-            witness = {
-                "index": i,
-                "outcomes": [int(v) for v in idx[0::2]],
-                "outcomes_minus": [int(v) for v in idx[1::2]],
-            }
+        diffs.append((i, full.dist.sum(axis=(ax, ax + 1)) - reduced.dist))
+    i, idx, worst = _first_near_peak(diffs)
+    witness = {"index": i, "outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
     return ConsistencyReport(
         grid=grid,

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from bornlab import (
     TimeGrid,
@@ -12,6 +13,8 @@ from bornlab import (
     check_sf,
     verify_generalized_relation,
 )
+from bornlab.consistency import _worst
+from bornlab.process import BiProbTable
 from conftest import quasistatic_system, rabi_system, random_grid, random_system
 
 
@@ -164,3 +167,45 @@ def test_bi_consistency_random(rng):
         sys = random_system(rng, 3)
         report = check_bi_consistency(sys, random_grid(rng, 3))
         assert report.record("bi-consistency").max_abs_violation <= 1e-10
+
+
+ULP_STEPS = {"one ulp down": 0.0, "tied": 0.25, "one ulp up": 1.0}
+
+
+@pytest.mark.parametrize("toward", list(ULP_STEPS.values()), ids=list(ULP_STEPS))
+def test_witness_is_the_first_of_entries_tied_to_one_ulp(toward):
+    """Among entries within TIE_TOL of the peak the witness is the first in
+    (index, C-order outcome) order, so a 1-ulp change does not move it."""
+    near = float(np.nextafter(0.25, toward))
+    first = np.array([[0.0, 0.25], [-near, 0.0]])
+    second = np.array([[near, 0.0], [0.0, 0.0]])
+    worst, witness = _worst([(1, first), (2, second)], lambda i, idx: (i, idx))
+    assert worst == max(0.25, near)
+    assert witness == (1, [0, 1])
+    worst, witness = _worst([(1, second), (2, first)], lambda i, idx: (i, idx))
+    assert witness == (1, [0, 0])
+
+
+@pytest.mark.parametrize("toward", list(ULP_STEPS.values()), ids=list(ULP_STEPS))
+def test_sf_witness_is_stable_across_a_conjugate_pair(toward):
+    near = float(np.nextafter(0.25, toward))
+    dist = np.array([[0.5, 0.25j], [-near * 1j, 0.5]])
+    record = check_sf(BiProbTable(TimeGrid((1.0,)), np.array([-1.0, 1.0]), dist)).record("SF")
+    assert record.max_abs_violation == max(0.25, near)
+    assert record.witness == {"outcomes": [0], "outcomes_minus": [1]}
+
+
+def test_witness_is_within_the_tie_tolerance_of_the_overall_peak():
+    # the first entry of index 1 is within TIE_TOL of its own peak but not of the overall one
+    first = np.array([0.25 * (1 - 0.9e-12), 0.25])
+    second = np.array([0.25 * (1 + 0.5e-12)])
+    assert _worst([(1, first), (2, second)], lambda i, idx: (i, idx)) == (second[0], (1, [1]))
+
+
+def test_many_exact_ties_keep_the_first():
+    defect = np.full((50, 40), -0.5)
+    assert _worst([(1, defect)], lambda i, idx: (i, idx)) == (0.5, (1, [0, 0]))
+
+
+def test_exact_zero_defects_have_no_witness():
+    assert _worst([(1, np.zeros((2, 2))), (2, np.zeros(3))], lambda i, idx: (i, idx)) == (0.0, None)

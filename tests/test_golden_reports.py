@@ -29,16 +29,16 @@ from bornlab.reporting import dump
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
-    ("analyze", "rabi"): "38d3b6e24a48b39f3897800e3dec7be6c8e14154cb081dbb04ea705d5bfed4e1",
+    ("analyze", "rabi"): "a96fc8f81b87751cee27234cc32890f1968fef5576c58c74995817ed581a469f",
     ("analyze", "quasistatic"): "df4a082fbe55c5867ee743bd796bbb502cddbffccb1d6e03086e26474d09fed6",
     ("analyze", "rtn"): "4f66f553d1ceafdb7472aac8a54d10598c1662c45e517de4cf58915dac701ab1",
-    ("analyze", "rotation"): "b953cd2ac0e4692cbe3dc39df0d7d1a7dd257122705fd17cfe79c6415339bd35",
+    ("analyze", "rotation"): "a2fb384345a71c77715fe1dce8e848ea7883b84a780e1775af26b160812137a0",
     ("analyze", "dephasing"): "69cd33c12837646f1446d7a0ddd256459ff5d156b06b3753ba26f7f532b91990",
-    ("analyze", "rabi_joint"): "b61004a6bc9921e77f7b2944eb676debc6cb24dbca2358191fd75abac7436859",
+    ("analyze", "rabi_joint"): "2009ef6ab3a31f438fb882761a49f72d8a615b528b5afa2358d67522e6d71875",
     ("qrf", "rtn"): "eff75d28fa012bc526f46bf0094185d53221c1e691ca807a805a97148656dd25",
-    ("qrf", "rotation"): "760cfb4668ab9ccbed035003fc8da0ae71ec1769ee2d00b2dd1dea0df8f17769",
+    ("qrf", "rotation"): "1132f084dbd70f196614fe45cabd7235b0d29c79061dd481b65e62bc9d6276d8",
     ("simulate", "dephasing"): "f6923fdfe7221edf654615bd517fba5834235c240953fa6ac94451e6d1660165",
-    ("simulate", "rabi_joint"): "6c2d4da60085d62d6aa279b4d53259300c99a2583aed39c1f910e5c2aebb3383",
+    ("simulate", "rabi_joint"): "4d6c31956035cb2232aaeda5b139d1d337d2ca381ea82c4aa1e4ca35840d1447",
 }
 
 # simulate refuses a config whose observable fails the SF condition unless forced
