@@ -11,6 +11,11 @@ This module builds GKLS generators from rate tables, supplies Λ(τ) as the
 step of the shared table kernel and the sampler (``dynamics``), and
 classifies generators (block-triangular structure, NCGD) against the
 consistency conditions. All of these read Λ(τ) from the generator's one cache.
+
+scipy's linear algebra (about a quarter second of import) is loaded only
+when a GKLS generator is constructed, not when bornlab is imported: unitary
+commands never need it, and ``load_config`` builds a config's generator, so
+a GKLS run still pays the import while loading, not inside the command.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatch,
@@ -48,6 +52,13 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def expm(matrix):
+    """exp(matrix) by ``scipy.linalg.expm``; a generator's construction has imported it."""
+    from scipy.linalg import expm
+
+    return expm(matrix)
+
+
 @dataclass(frozen=True)
 class GKLSTerm:
     frequency: float
@@ -66,6 +77,8 @@ class GKLSGenerator:
     total: Superoperator
 
     def __post_init__(self):
+        import scipy.linalg  # noqa: F401  (loaded here, at set-up, for ``expm``)
+
         # Λ(τ) = exp(τ ℒ_total), formed once per τ for every table, descent and check
         object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(tau * self.total.matrix)))
 

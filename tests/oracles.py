@@ -17,7 +17,9 @@ per-trajectory loop the observer used before it propagated each distinct
 history once, and ``segments``, ``stochastic_propagator`` and
 ``surrogate_propagate`` are the per-trajectory propagation it calls, kept
 verbatim (``segments`` was a ``Trajectory`` method) from before the observer
-walked each distinct outcome prefix once.
+walked each distinct outcome prefix once. ``export_csv`` is the trajectory
+CSV writer as it was before it formatted each distinct history once, kept
+verbatim: one Python row list per trajectory through ``csv.writer``.
 
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
@@ -32,6 +34,7 @@ kept verbatim: one dict per entry over ``itertools.product``, a Python sort
 when truncating, and ``json.dumps(indent=2)``.
 """
 
+import csv
 import itertools
 import json
 
@@ -242,6 +245,18 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     else:
         stderr = np.zeros_like(mean, dtype=float)
     return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
+
+
+def export_csv(ens: Ensemble, stream):
+    """Write the documented trajectory CSV: header t_1..t_n, eigenvalue rows.
+
+    Values use shortest round-trip decimal (repr); byte-identical for equal
+    ensembles.
+    """
+    labels = [repr(float(v)) for v in ens.eigenvalues]
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow([f"t_{k + 1}" for k in range(ens.grid.n)])
+    writer.writerows([labels[k] for k in row] for row in ens.indices.tolist())
 
 
 def _first_near_peak(diffs):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bornlab import (
@@ -10,6 +12,7 @@ from bornlab import (
     check_ncgd,
     check_sf,
     classify_block_structure,
+    qrf,
     qrf_bi_probability,
     rtn_model,
     spectral_decompose,
@@ -26,6 +29,7 @@ from bornlab.errors import (
 from bornlab.process import born_table, marginalize_pair
 from bornlab.qrf import choi_matrix, generator_from_matrix, grid_pairs, qrf_born, semigroup
 from conftest import I2, KET0, SX, SZ, random_density, random_hermitian
+from test_kernel import drawn_case
 
 HALF_SZ = 0.5 * SZ
 
@@ -118,6 +122,16 @@ class TestSemigroup:
             term = term @ (tau * L) / k
             series += term
         assert np.max(np.abs(semigroup(gen, tau) - series)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
+           tau=st.floats(0.0, 5.0, allow_nan=False))
+    def test_expm_is_scipys_on_drawn_generators(self, seed, d, tau):
+        # qrf.expm defers scipy's import to the call; the map is scipy's, bit for bit
+        model, _ = drawn_case(seed, d, 1, degenerate=False, semigroup=True)
+        M = tau * model.generator.total.matrix
+        assert np.array_equal(qrf.expm(M), expm(M))
+        assert np.array_equal(semigroup(model, tau), expm(M))
 
     def test_choi_positivity_spot_check(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),

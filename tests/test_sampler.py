@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import (
     QuantumSystem,
@@ -15,7 +17,7 @@ from bornlab import (
     sample_trajectory,
 )
 from bornlab.errors import TimeOutOfRange
-from bornlab.sampler import Trajectory, export_csv, switching_fraction
+from bornlab.sampler import Ensemble, Trajectory, export_csv, switching_fraction
 from conftest import I2, KET0, SZ, quasistatic_system, rabi_system
 import oracles
 
@@ -178,6 +180,21 @@ class TestCsvExport:
         assert len(lines) == 6
         for line in lines[1:]:
             assert all(float(v) in (-1.0, 1.0) for v in line.split(","))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 8),
+           size=st.integers(1, 400), eigenvalues=st.lists(
+               st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5))
+    def test_bytes_equal_the_row_by_row_writer(self, seed, m, n, size, eigenvalues):
+        # few distinct histories (a skewed draw) and up to m^n of them
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.full(m, 0.3))
+        ens = Ensemble(TimeGrid(tuple(0.5 * (k + 1) for k in range(n))),
+                       rng.choice(m, size=(size, n), p=p), np.array(eigenvalues[:m]))
+        buf, expected = io.StringIO(), io.StringIO()
+        export_csv(ens, buf)
+        oracles.export_csv(ens, expected)
+        assert buf.getvalue() == expected.getvalue()
 
 
 def test_rtn_switching_fraction():
