@@ -12,14 +12,17 @@ step of the shared table kernel and the sampler (``dynamics``), and
 classifies generators (block-triangular structure, NCGD) against the
 consistency conditions. All of these read Λ(τ) from the generator's one cache.
 
-scipy's linear algebra (about a quarter second of import) is loaded only
-when a GKLS generator is constructed, not when bornlab is imported: unitary
-commands never need it, and ``load_config`` builds a config's generator, so
-a GKLS run still pays the import while loading, not inside the command.
+Λ(τ) comes from ``expm``, Higham's scaling-and-squaring Padé algorithm
+(SIAM J. Matrix Anal. Appl. 26, 2005) in numpy, so no run imports scipy's
+linear algebra (about a third of a second of import). On drawn GKLS
+generators (d = 2–8, every Padé degree and up to 3 squarings) it agrees with
+scipy's ``expm`` to ≤ 6.5e-15 relative in the 1-norm, and on the shipped
+``rtn`` and ``rotation`` generators for τ ∈ [0, 5] to ≤ 1.1e-15 absolute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +55,71 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def expm(matrix):
-    """exp(matrix) by ``scipy.linalg.expm``; a generator's construction has imported it."""
-    from scipy.linalg import expm
+# Padé degrees m of Higham (2005), Table 2.3: the largest ‖A‖₁ at which the
+# [m/m] approximant of exp(A) has backward error below 2⁻⁵³, and its coefficients
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 5.371920351148152e0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
 
-    return expm(matrix)
+
+def pade_order(norm):
+    """(Padé degree m, squarings s) that ``expm`` uses for a matrix of 1-norm ``norm``."""
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE_THETA[m]:
+            return m, 0
+    return 13, max(0, math.ceil(math.log2(norm / _PADE_THETA[13])))
+
+
+def expm(matrix, tau):
+    """Λ = exp(τ·matrix) by scaling and squaring with a Padé approximant, in numpy.
+
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the degree m and
+    the s squarings come from ‖τ·matrix‖₁ (``pade_order``), then
+    (V − U)⁻¹(V + U), with U odd and V even in A = τ·matrix / 2ˢ, is squared s
+    times. The tests hold it to scipy's ``expm`` within 1e-13 relative in the
+    1-norm (measured ≤ 6.5e-15) on drawn GKLS generators, at every degree and
+    with squarings. A τ·matrix or a Λ that is not finite raises
+    ``NumericalInvariantViolation`` naming τ, and no floating-point warning escapes.
+    """
+    with np.errstate(all="ignore"):
+        A = tau * matrix
+        norm = float(np.linalg.norm(A, 1))
+        if not math.isfinite(norm):
+            raise NumericalInvariantViolation(f"τℒ is not finite at τ = {tau!r}")
+        m, s = pade_order(norm)
+        b = _PADE_B[m]
+        A = A / 2.0**s
+        eye = np.eye(A.shape[0], dtype=A.dtype)
+        A2 = A @ A
+        if m == 13:
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                     + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+                 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        else:
+            powers = [eye, A2]
+            while len(powers) <= m // 2:
+                powers.append(powers[-1] @ A2)
+            U = A @ sum(c * P for c, P in zip(b[1::2], powers))
+            V = sum(c * P for c, P in zip(b[0::2], powers))
+        out = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            out = out @ out
+        if not np.isfinite(out).all():
+            raise NumericalInvariantViolation(f"Λ(τ) is not finite at τ = {tau!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,10 +140,8 @@ class GKLSGenerator:
     total: Superoperator
 
     def __post_init__(self):
-        import scipy.linalg  # noqa: F401  (loaded here, at set-up, for ``expm``)
-
         # Λ(τ) = exp(τ ℒ_total), formed once per τ for every table, descent and check
-        object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(tau * self.total.matrix)))
+        object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(self.total.matrix, tau)))
 
 
 def _validate_generator(matrix, dim):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
 from bornlab.process import QuantumSystem
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -424,6 +428,19 @@ class TestQrfCommand:
         assert entry["ncgd"]["verdict"] == "fail"
         assert entry["cm"]["verdict"] == "fail"
         assert entry["ncgd_cm_equivalence"]["agree"] is True
+
+    @pytest.mark.parametrize("gamma", ["8.0e+307", "1.0e+150"])
+    def test_a_map_that_is_not_finite_exits_1_with_one_line(self, gamma, tmp_path):
+        text = (CONFIGS / "rtn.yaml").read_text(encoding="utf-8").replace(
+            "gamma: 0.35", f"gamma: {gamma}")
+        out = tmp_path / "rtn.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bornlab.cli", "qrf", write(tmp_path, text), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["bornlab: Λ(τ) is not finite at τ = 0.4"]
+        assert not out.exists()
 
     def test_requires_qrf_kind(self, tmp_path):
         assert main(["qrf", write(tmp_path, RABI_YAML),

@@ -31,12 +31,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = {
     ("analyze", "rabi"): "a96fc8f81b87751cee27234cc32890f1968fef5576c58c74995817ed581a469f",
     ("analyze", "quasistatic"): "df4a082fbe55c5867ee743bd796bbb502cddbffccb1d6e03086e26474d09fed6",
-    ("analyze", "rtn"): "4f66f553d1ceafdb7472aac8a54d10598c1662c45e517de4cf58915dac701ab1",
-    ("analyze", "rotation"): "a2fb384345a71c77715fe1dce8e848ea7883b84a780e1775af26b160812137a0",
+    ("analyze", "rtn"): "a5b4cc031c5db07e1abc8eaf37153831da286473b4b99365a7220a0c6b07c76c",
+    ("analyze", "rotation"): "45a98684614428723e1c802ceaeb22e81a8ccbfd73ee355cc8e9bcd3c72c836d",
     ("analyze", "dephasing"): "69cd33c12837646f1446d7a0ddd256459ff5d156b06b3753ba26f7f532b91990",
     ("analyze", "rabi_joint"): "2009ef6ab3a31f438fb882761a49f72d8a615b528b5afa2358d67522e6d71875",
-    ("qrf", "rtn"): "eff75d28fa012bc526f46bf0094185d53221c1e691ca807a805a97148656dd25",
-    ("qrf", "rotation"): "1132f084dbd70f196614fe45cabd7235b0d29c79061dd481b65e62bc9d6276d8",
+    ("qrf", "rtn"): "797e1638a1e005809327d319794454f6e5b76ba54af93fb58d922a4defc241d5",
+    ("qrf", "rotation"): "1b762159345de04ad820d524d5c6baf70d59f37f358a8cbb6be4b56d9a6a9759",
     ("simulate", "dephasing"): "f6923fdfe7221edf654615bd517fba5834235c240953fa6ac94451e6d1660165",
     ("simulate", "rabi_joint"): "4d6c31956035cb2232aaeda5b139d1d337d2ca381ea82c4aa1e4ca35840d1447",
 }
@@ -46,7 +46,7 @@ FLAGS = {("simulate", "rabi_joint"): ["--force"]}
 
 TRUNCATED_DIGESTS = {
     "quasistatic": "143a2de9125a19a9c30e339a935411ed8ce9f7b2da319c971b88b743d51be3ad",
-    "rtn": "dd967c658f47cb13ca65b80fdf40db28a555b82402a8aabb46e6c3b4ec37af9e",
+    "rtn": "374d5023ab3af0e8a5c3921550519e0925281ce09e397c3f0358f0b134385ffc",
 }
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from bornlab.errors import (
     NegativeRate,
     NonBlockDiagonalState,
     NonPositiveRate,
+    NumericalInvariantViolation,
     UnmatchedFrequency,
 )
 from bornlab.process import born_table, marginalize_pair
@@ -32,6 +36,16 @@ from conftest import I2, KET0, SX, SZ, random_density, random_hermitian
 from test_kernel import drawn_case
 
 HALF_SZ = 0.5 * SZ
+
+# Higham (2005)'s θ_m: qrf.expm takes Padé degree m on ‖τℒ‖₁ ∈ (θ_prev, θ_m], and
+# s squarings on (2^(s−1)·θ_13, 2^s·θ_13]
+THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+         9: 2.097847961257068e0, 13: 5.371920351148152e0}
+PADE_BANDS = {
+    (3, 0): (0.0, THETA[3]), (5, 0): (THETA[3], THETA[5]), (7, 0): (THETA[5], THETA[7]),
+    (9, 0): (THETA[7], THETA[9]), (13, 0): (THETA[9], THETA[13]),
+    (13, 1): (THETA[13], 2 * THETA[13]), (13, 3): (4 * THETA[13], 8 * THETA[13]),
+}
 
 
 def comm_super(A):
@@ -124,14 +138,41 @@ class TestSemigroup:
         assert np.max(np.abs(semigroup(gen, tau) - series)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4),
-           tau=st.floats(0.0, 5.0, allow_nan=False))
-    def test_expm_is_scipys_on_drawn_generators(self, seed, d, tau):
-        # qrf.expm defers scipy's import to the call; the map is scipy's, bit for bit
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), frac=st.floats(0.05, 0.95))
+    def test_expm_matches_scipy_on_drawn_generators(self, seed, d, frac):
+        # τ is placed inside each band of ‖τℒ‖₁, so every example reaches every degree
         model, _ = drawn_case(seed, d, 1, degenerate=False, semigroup=True)
-        M = tau * model.generator.total.matrix
-        assert np.array_equal(qrf.expm(M), expm(M))
-        assert np.array_equal(semigroup(model, tau), expm(M))
+        L = model.generator.total.matrix
+        for (degree, squarings), (low, high) in PADE_BANDS.items():
+            tau = (low + frac * (high - low)) / np.linalg.norm(L, 1)
+            assert qrf.pade_order(np.linalg.norm(tau * L, 1)) == (degree, squarings)
+            expected = expm(tau * L)
+            assert (np.linalg.norm(qrf.expm(L, tau) - expected, 1)
+                    <= 1e-13 * np.linalg.norm(expected, 1))
+
+    def test_expm_of_zero_is_the_identity(self, rng):
+        L = build_gkls(random_hermitian(rng, 3), random_hermitian(rng, 3), {0.0: 0.5}).total.matrix
+        assert np.array_equal(qrf.expm(L, 0.0), np.eye(9))
+
+    @pytest.mark.parametrize("scale,tau", [(1e10, 1e300), (1e308, 1.0), (1.0, np.inf)],
+                             ids=["entry-overflows", "norm-overflows", "infinite-tau"])
+    def test_expm_refuses_a_generator_that_is_not_finite(self, scale, tau):
+        L = scale * rtn_model(1.0, I2 / 2).generator.total.matrix
+        message = re.escape(f"τℒ is not finite at τ = {tau!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalInvariantViolation, match=message):
+                qrf.expm(L, tau)
+
+    def test_semigroup_is_served_from_the_generator_cache(self, monkeypatch):
+        model = rtn_model(0.7, I2 / 2)
+        formed, form = [], qrf.expm
+        monkeypatch.setattr(qrf, "expm",
+                            lambda matrix, tau: formed.append(tau) or form(matrix, tau))
+        first = semigroup(model, 0.4)
+        assert semigroup(model, 0.4) is first and formed == [0.4]
+        assert not first.flags.writeable
+        assert np.array_equal(first, form(model.generator.total.matrix, 0.4))
 
     def test_choi_positivity_spot_check(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),

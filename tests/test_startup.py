@@ -1,9 +1,9 @@
-"""Unitary and joint commands start without scipy's linear algebra.
+"""No bornlab command imports scipy's linear algebra.
 
-``scipy.linalg`` costs about a quarter second of import and serves only
-``qrf.expm``, so bornlab loads it where a GKLS generator is constructed.
-The steps run in a fresh interpreter, since the test process itself has long
-imported it.
+``scipy.linalg`` costs about a third of a second of import. GKLS maps come
+from ``qrf.expm``, a numpy Padé exponential, so no config kind needs it:
+after each step below, in a fresh interpreter (the test process itself has
+long imported it for the oracles), ``scipy.linalg`` is absent.
 """
 
 import json
@@ -26,28 +26,26 @@ def record(step):
     loaded.append([step, "scipy.linalg" in sys.modules])
 
 record("import bornlab.cli")
-for name in ("rabi", "dephasing"):
+for name in ("rabi", "dephasing", "rtn"):
     load_config(f"{configs}/{name}.yaml")
     record(f"load {name}")
 for argv in (["analyze", f"{configs}/rabi.yaml", "--out", f"{out}/rabi.json"],
              ["sample", f"{configs}/rabi.yaml", "--out", f"{out}/rabi.csv"],
-             ["simulate", f"{configs}/dephasing.yaml", "--out", f"{out}/dephasing.json"]):
+             ["simulate", f"{configs}/dephasing.yaml", "--out", f"{out}/dephasing.json"],
+             ["qrf", f"{configs}/rtn.yaml", "--out", f"{out}/rtn.json"]):
     assert main(argv) == 0
     record(" ".join(argv[:1]))
-load_config(f"{configs}/rtn.yaml")
-record("load rtn")
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_linalg_is_imported_only_when_a_gkls_model_is_built(tmp_path):
+def test_no_step_of_any_kind_imports_scipy_linalg(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", STEPS, str(ROOT / "configs"), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert [step for step, _ in loaded] == [
-        "import bornlab.cli", "load rabi", "load dephasing", "analyze", "sample", "simulate",
-        "load rtn"]
-    # GKLS configs pay the import while loading, before the command runs
-    assert [imported for _, imported in loaded] == [False] * 6 + [True]
+        "import bornlab.cli", "load rabi", "load dephasing", "load rtn", "analyze", "sample",
+        "simulate", "qrf"]
+    assert [imported for _, imported in loaded] == [False] * 8
