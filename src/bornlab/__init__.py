@@ -10,8 +10,6 @@ reproduces the exact reduced dynamics of a coupled system.
 """
 
 from .consistency import (
-    ConditionRecord,
-    ConsistencyReport,
     analyze,
     check_bi_consistency,
     check_cm,
@@ -20,121 +18,52 @@ from .consistency import (
     verify_generalized_relation,
 )
 from .errors import BornlabError
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Superoperator,
-    Tolerances,
-    commutator_superop,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    propagator,
-    sandwich_superop,
-    trace_distance,
-    unvec,
-    vec,
-)
-from .observer import (
-    JointScenario,
-    ObserverSystem,
-    SurrogateAverage,
-    compare,
-    exact_reduced_state,
-    joint_propagate,
-    observer_observable_biprob,
-    surrogate_average,
-)
-from .process import (
-    BiProbTable,
-    BornTable,
-    QuantumSystem,
-    TimeGrid,
-    bi_probability,
-    biprob_table,
-    born_distribution,
-    born_table,
-    conditional_state,
-    marginalize,
-    marginalize_pair,
-)
+from .linalg import Tolerances
+from .observer import JointScenario, ObserverSystem, compare, exact_reduced_state, surrogate_average
+from .process import QuantumSystem, TimeGrid, biprob_table, born_table
 from .qrf import (
-    GKLSGenerator,
     QRFModel,
     build_gkls,
     check_ncgd,
     classify_block_structure,
-    qrf_bi_probability,
     rtn_model,
     verify_ncgd_cm_equivalence,
 )
-from .sampler import (
-    Ensemble,
-    Trajectory,
-    autocorrelation,
-    empirical_joint,
-    sample_ensemble,
-    sample_trajectory,
-)
-from .spectral import SpectralDecomposition, heisenberg_projectors, spectral_decompose
+from .sampler import empirical_joint, sample_ensemble, sample_trajectory
+from .spectral import spectral_decompose
 from .version import __version__
 
 __all__ = [
-    "BornlabError",
-    "BiProbTable",
-    "BornTable",
-    "ConditionRecord",
-    "ConsistencyReport",
-    "DEFAULT_TOLERANCES",
-    "Ensemble",
-    "GKLSGenerator",
-    "JointScenario",
-    "ObserverSystem",
-    "QRFModel",
+    # sources and grids
     "QuantumSystem",
-    "SpectralDecomposition",
-    "Superoperator",
-    "SurrogateAverage",
+    "QRFModel",
+    "build_gkls",
+    "rtn_model",
+    "ObserverSystem",
+    "JointScenario",
+    "spectral_decompose",
     "TimeGrid",
     "Tolerances",
-    "Trajectory",
-    "analyze",
-    "autocorrelation",
-    "bi_probability",
-    "biprob_table",
-    "born_distribution",
+    # tables
     "born_table",
-    "build_gkls",
-    "check_bi_consistency",
-    "check_cm",
+    "biprob_table",
+    # consistency checks
+    "analyze",
     "check_kc",
-    "check_ncgd",
+    "check_cm",
     "check_sf",
+    "check_bi_consistency",
+    "verify_generalized_relation",
+    "check_ncgd",
     "classify_block_structure",
-    "commutator_superop",
-    "compare",
-    "conditional_state",
-    "empirical_joint",
-    "exact_reduced_state",
-    "heisenberg_projectors",
-    "hermitian_eig",
-    "joint_propagate",
-    "kron",
-    "marginalize",
-    "marginalize_pair",
-    "observer_observable_biprob",
-    "partial_trace",
-    "propagator",
-    "qrf_bi_probability",
-    "rtn_model",
+    "verify_ncgd_cm_equivalence",
+    # trajectories and the surrogate average
     "sample_ensemble",
     "sample_trajectory",
-    "sandwich_superop",
-    "spectral_decompose",
+    "empirical_joint",
+    "exact_reduced_state",
     "surrogate_average",
-    "trace_distance",
-    "unvec",
-    "vec",
-    "verify_generalized_relation",
-    "verify_ncgd_cm_equivalence",
+    "compare",
+    "BornlabError",
     "__version__",
 ]

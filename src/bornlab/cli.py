@@ -1,11 +1,10 @@
 """Config-driven scenario runner.
 
-    bornlab analyze  <config> [--out PATH] [--threads K]
-    bornlab simulate <config> [--out PATH] [--threads K] [--seed S] [--force]
-    bornlab sample   <config> [--out PATH] [--threads K] [--seed S]
+    bornlab analyze  <config> [--out PATH]
+    bornlab simulate <config> [--out PATH] [--seed S] [--force]
+    bornlab sample   <config> [--out PATH] [--seed S]
     bornlab qrf      <config> [--out PATH]
 
-``--threads`` is accepted for compatibility and has no effect.
 Exit codes: 0 success (verdicts live in the report), 2 config error,
 3 dimension/cap error, 4 surrogate-field refusal, 5 I/O error.
 """
@@ -273,9 +272,6 @@ def build_parser():
         p.add_argument("--out", help="output path (default: <config stem>.<command>)")
         if name in ("simulate", "sample"):
             p.add_argument("--seed", type=int, help="override the config seed")
-        if name != "qrf":
-            p.add_argument("--threads", type=int, default=1,
-                           help="accepted for compatibility; has no effect")
         if name == "simulate":
             p.add_argument("--force", action="store_true",
                            help="simulate despite an SF violation")

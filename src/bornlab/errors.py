@@ -37,10 +37,6 @@ class TableTooLarge(BornlabError):
     """A probability table would exceed the configured entry cap."""
 
 
-class ZeroProbabilityHistory(BornlabError):
-    """Conditioning on a measurement history of (near-)zero probability."""
-
-
 class IndexOutOfRange(BornlabError):
     """A 1-based measurement index does not address a valid table position."""
 

@@ -163,10 +163,7 @@ def unvec(v, dim):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """A linear map on operators, stored as a d² × d² matrix acting on vec(X).
-
-    Composition of maps is matrix multiplication of the stored matrices.
-    """
+    """A linear map on operators, stored as a d² × d² matrix acting on vec(X)."""
 
     dim: int
     matrix: np.ndarray
@@ -178,31 +175,6 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator side {m.shape[0]} does not equal dim² = {self.dim**2}"
             )
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, np.eye(dim**2, dtype=complex))
-
-    def apply(self, X):
-        return unvec(self.matrix @ vec(X), self.dim)
-
-    def __matmul__(self, other):
-        if isinstance(other, Superoperator):
-            if other.dim != self.dim:
-                raise DimensionMismatch("composing superoperators of different dims")
-            return Superoperator(self.dim, self.matrix @ other.matrix)
-        return NotImplemented
-
-
-def sandwich_superop(L, R):
-    """Superoperator X ↦ L X R, i.e. kron(R.T, L) in column-stacking."""
-    Lm = require_square(as_complex_matrix(L, "left factor"), "left factor")
-    Rm = require_square(as_complex_matrix(R, "right factor"), "right factor")
-    if Lm.shape != Rm.shape:
-        raise DimensionMismatch(
-            f"sandwich factors must share a dimension, got {Lm.shape} and {Rm.shape}"
-        )
-    return Superoperator(Lm.shape[0], np.kron(Rm.T, Lm))
 
 
 def commutator_superop(A):

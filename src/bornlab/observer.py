@@ -28,14 +28,8 @@ from .linalg import (
     require_hermitian,
     trace_distance,
 )
-from .process import (
-    DEFAULT_TABLE_CAP,
-    QuantumSystem,
-    TimeGrid,
-    bi_probability,
-)
-from .sampler import Ensemble, _slot
-from .spectral import SpectralDecomposition
+from .process import QuantumSystem
+from .sampler import Ensemble, _slot, rank_histories
 
 DEFAULT_JOINT_DIM_CAP = 32
 
@@ -130,7 +124,7 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     with numpy pairwise summation over it (deterministic for fixed N).
     """
     k = _slot(ens.grid, t)
-    prefixes, inverse = np.unique(ens.indices[:, :k + 1], axis=0, return_inverse=True)
+    prefixes, inverse = rank_histories(ens.indices[:, :k + 1], len(ens.eigenvalues))
     bounds = [0.0, *ens.grid.times[1:k + 1], t]
     W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (len(prefixes), obs.dim, obs.dim))
     for col in range(k + 1):
@@ -141,7 +135,7 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
             W = steps[prefixes[:, col]] @ W
     V = propagator(obs.H_o, t).conj().T @ W
     distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
-    states = distinct[inverse.reshape(-1)]
+    states = distinct[inverse]
     mean = states.mean(axis=0)
     if ens.size > 1:
         var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)
@@ -185,34 +179,3 @@ def compare(exact, mc):
         z[significant] = dev[significant] / stderr[significant]
     return StateComparison(trace_distance=trace_distance(exact, mean), z_scores=z)
 
-
-def observer_observable_biprob(
-    js: JointScenario,
-    X_o: SpectralDecomposition,
-    grid: TimeGrid,
-    cap=DEFAULT_TABLE_CAP,
-):
-    """Bi-probability of an observer-side observable under the joint dynamics.
-
-    Computed by embedding X_o ⊗ 1 in the joint system and reusing the exact
-    bi-probability construction with the joint Hamiltonian.
-    """
-    d_o, d_s = js.dims
-    if X_o.dim != d_o:
-        raise DimensionMismatch(
-            f"observer observable dim {X_o.dim} does not match observer dim {d_o}"
-        )
-    eye = np.eye(d_s)
-    embedded = SpectralDecomposition(
-        eigenvalues=X_o.eigenvalues.copy(),
-        projectors=np.array([kron(P, eye) for P in X_o.projectors]),
-        multiplicities=tuple(m * d_s for m in X_o.multiplicities),
-        dim=d_o * d_s,
-        clustered=X_o.clustered,
-    )
-    joint_sys = QuantumSystem(
-        H=joint_hamiltonian(js),
-        F=embedded,
-        rho0=kron(js.obs.rho_o, js.sys.rho0),
-    )
-    return bi_probability(joint_sys, grid, cap)

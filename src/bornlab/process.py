@@ -25,26 +25,20 @@ caches its maps (U here, Λ in :mod:`bornlab.qrf`), so a command forms each once
 from __future__ import annotations
 
 import functools
-import itertools
 import string
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NumericalInvariantViolation,
-    TableTooLarge,
-    ZeroProbabilityHistory,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NumericalInvariantViolation, TableTooLarge
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, map_cache, propagator, require_density,
                      require_hermitian)
-from .spectral import SpectralDecomposition, heisenberg_projectors, spectral_decompose
+from .spectral import SpectralDecomposition, spectral_decompose
+# nothing here calls heisenberg_projectors; it stays bound because perfbench/tracing.py wraps it
+from .spectral import heisenberg_projectors  # noqa: F401
 
 DEFAULT_TABLE_CAP = 1_000_000
-PROB_FLOOR = 1e-14  # conditional_state refuses a history at or below this probability
 
 _LETTERS = string.ascii_letters
 
@@ -71,19 +65,14 @@ class TimeGrid:
 
     def without(self, position):
         """Grid with the 1-based position removed (needs n ≥ 2)."""
-        self._check_position(position)
+        if not 1 <= position <= self.n:
+            raise IndexOutOfRange(f"position {position} outside 1..{self.n}")
         if self.n < 2:
             raise IndexOutOfRange("cannot remove a time from a single-time grid")
         return TimeGrid(self.times[: position - 1] + self.times[position:])
 
     def prefix(self, n):
         return TimeGrid(self.times[:n])
-
-    def _check_position(self, position):
-        if not 1 <= position <= self.n:
-            raise IndexOutOfRange(
-                f"position {position} outside 1..{self.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,15 +121,6 @@ class BornTable:
     def n_outcomes(self):
         return len(self.eigenvalues)
 
-    def prob(self, outcomes):
-        return float(self.dist[tuple(outcomes)])
-
-    def items(self):
-        """(outcome tuple, probability) pairs in lexicographic order."""
-        m, n = self.n_outcomes, self.n
-        for tup in itertools.product(range(m), repeat=n):
-            yield tup, float(self.dist[tup])
-
     def clamped(self):
         """Copy with roundoff negatives zeroed (report/sampling boundary)."""
         return np.maximum(self.dist, 0.0)
@@ -162,10 +142,6 @@ class BiProbTable:
     def n_outcomes(self):
         return len(self.eigenvalues)
 
-    def value(self, outcomes, outcomes_minus):
-        idx = tuple(np.ravel([*zip(outcomes, outcomes_minus)]))
-        return complex(self.dist[idx])
-
     def diagonal(self):
         """The Born distribution sitting on the diagonal f_- = f."""
         n = self.n
@@ -173,11 +149,6 @@ class BiProbTable:
         out = "".join(_LETTERS[k] for k in range(n))
         diag = np.einsum(f"{subs}->{out}", self.dist)
         return BornTable(self.grid, self.eigenvalues, diag.real)
-
-    def items(self):
-        m, n = self.n_outcomes, self.n
-        for tup in itertools.product(range(m), repeat=2 * n):
-            yield tup[0::2], tup[1::2], complex(self.dist[tup])
 
 
 def _check_cap(entries, cap, what):
@@ -263,70 +234,3 @@ def biprob_table(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Bi-probability table Q_n for any table source."""
     return _table(source, grid, cap, diagonal=False)
 
-
-def born_distribution(sys: QuantumSystem, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Exact joint distribution of n sequential projective measurements."""
-    return born_table(sys, grid, cap)
-
-
-def bi_probability(sys: QuantumSystem, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Exact bi-probability table with independent left/right sequences."""
-    return biprob_table(sys, grid, cap)
-
-
-def conditional_state(sys: QuantumSystem, outcomes, grid: TimeGrid | None, t_next):
-    """State at ``t_next`` conditioned on a measurement history.
-
-    ``outcomes``/``grid`` give the history (may be empty: pass ``()`` and
-    ``None``); the state is the collapsed-and-renormalized chain propagated
-    to ``t_next``.
-    """
-    outcomes = tuple(outcomes)
-    if (grid is None) != (len(outcomes) == 0):
-        raise ValueError("history outcomes and grid must be both empty or both given")
-    if grid is not None:
-        if len(outcomes) != grid.n:
-            raise DimensionMismatch(
-                f"history of {len(outcomes)} outcomes on a grid of {grid.n} times"
-            )
-        if t_next <= grid.times[-1]:
-            raise ValueError(f"t_next {t_next} must exceed the last history time")
-        M = sys.rho0
-        for t, f in zip(grid.times, outcomes):
-            Pk = heisenberg_projectors(sys.F, sys.H, t)[f]
-            M = Pk @ M @ Pk
-        p = np.trace(M).real
-        if p <= PROB_FLOOR:
-            raise ZeroProbabilityHistory(
-                f"history probability {p:.3e} at or below floor {PROB_FLOOR:.1e}"
-            )
-        M = M / p
-    else:
-        M = sys.rho0
-    U = propagator(sys.H, t_next)
-    return U @ M @ U.conj().T
-
-
-def marginalize(table: BornTable, position):
-    """Sum out the outcome at the 1-based position; grid loses that time."""
-    if table.n < 2:
-        raise IndexOutOfRange("marginalize needs a table of order n ≥ 2")
-    table.grid._check_position(position)
-    return BornTable(
-        table.grid.without(position),
-        table.eigenvalues,
-        table.dist.sum(axis=position - 1),
-    )
-
-
-def marginalize_pair(table: BiProbTable, position):
-    """Sum out the (f_i, f_-i) pair at the 1-based position."""
-    if table.n < 2:
-        raise IndexOutOfRange("marginalize_pair needs a table of order n ≥ 2")
-    table.grid._check_position(position)
-    ax = 2 * (position - 1)
-    return BiProbTable(
-        table.grid.without(position),
-        table.eigenvalues,
-        table.dist.sum(axis=(ax, ax + 1)),
-    )

@@ -420,13 +420,3 @@ def verify_ncgd_cm_equivalence(model: QRFModel, ncgd: ConditionRecord, cm: Consi
     return EquivalenceReport(ncgd=ncgd, cm=cm.record("CM"),
                              agree=ncgd.passed == cm.record("CM").passed)
 
-
-def choi_matrix(superop_matrix, dim):
-    """Choi matrix Σ_kl E_kl ⊗ Λ(E_kl) of a superoperator matrix."""
-    C = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim):
-        for l in range(dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[k, l] = 1.0
-            C += np.kron(E, unvec(superop_matrix @ vec(E), dim))
-    return C

@@ -62,9 +62,6 @@ class Trajectory:
         if len(self.indices) != self.grid.n or len(self.values) != self.grid.n:
             raise ValueError("trajectory length must match its grid")
 
-    def value_at(self, t):
-        return self.values[_slot(self.grid, t)]
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -224,19 +221,29 @@ def sample_ensemble(source, grid: TimeGrid, size, seed):
     return _descend(source, grid, _uniforms(seed, np.arange(size), grid.n))
 
 
+def rank_histories(indices, m):
+    """Distinct rows of an (N, k) outcome-index array and each row's rank among them.
+
+    Equal to ``np.unique(indices, axis=0, return_inverse=True)``: the distinct
+    rows in lexicographic order and, for each row, the position of its
+    distinct row. Indices must lie in [0, m). Rows are ranked one column at a
+    time, as the descent numbers its prefixes, so every sort is 1-D instead of
+    a sort of void rows.
+    """
+    rank = np.zeros(len(indices), dtype=np.intp)
+    for column in indices.T:
+        _, rank = np.unique(rank * m + column, return_inverse=True)
+    first = np.empty(rank.max() + 1, dtype=np.intp)
+    first[rank] = np.arange(len(indices))
+    return indices[first], rank
+
+
 def empirical_joint(ens: Ensemble):
     """Frequency table of outcome tuples, normalized over the ensemble."""
     m, n = len(ens.eigenvalues), ens.grid.n
     counts = np.zeros((m,) * n)
     np.add.at(counts, tuple(ens.indices.T), 1.0)
     return BornTable(ens.grid, ens.eigenvalues.copy(), counts / ens.size)
-
-
-def autocorrelation(ens: Ensemble, t, s):
-    """(1/N) Σ_j f_j(t) f_j(s) using piecewise-constant interpolation."""
-    kt, ks = _slot(ens.grid, t), _slot(ens.grid, s)
-    f = ens.eigenvalues
-    return float((f[ens.indices[:, kt]] * f[ens.indices[:, ks]]).mean())
 
 
 def export_csv(ens: Ensemble, stream):
@@ -248,19 +255,7 @@ def export_csv(ens: Ensemble, stream):
     """
     labels = [repr(float(v)) for v in ens.eigenvalues]
     stream.write(",".join(f"t_{k + 1}" for k in range(ens.grid.n)) + "\n")
-    # rank histories one column at a time, as the descent numbers its prefixes:
-    # 1-D sorts, far faster than np.unique(axis=0) on rows
-    rank = np.zeros(ens.size, dtype=np.intp)
-    for column in ens.indices.T:
-        _, rank = np.unique(rank * len(labels) + column, return_inverse=True)
-    first = np.empty(rank.max() + 1, dtype=np.intp)
-    first[rank] = np.arange(ens.size)
-    lines = [",".join([labels[k] for k in row]) + "\n" for row in ens.indices[first].tolist()]
+    histories, rank = rank_histories(ens.indices, len(labels))
+    lines = [",".join([labels[k] for k in row]) + "\n" for row in histories.tolist()]
     stream.write("".join([lines[r] for r in rank.tolist()]))
 
-
-def switching_fraction(ens: Ensemble):
-    """Fraction of consecutive-readout pairs whose value changed."""
-    flips = int(np.count_nonzero(np.diff(ens.indices, axis=1)))
-    total = ens.indices[:, 1:].size
-    return flips / total if total else 0.0

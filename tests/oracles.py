@@ -32,6 +32,12 @@ C-order outcome) order within ``TIE_TOL`` of the largest |entry|.
 serializer as it was before table entries were rendered from their arrays,
 kept verbatim: one dict per entry over ``itertools.product``, a Python sort
 when truncating, and ``json.dumps(indent=2)``.
+
+``conditional_state`` is the collapse chain of Heisenberg-picture projectors
+that the library once offered as a convenience, a second path to the Born
+table by the chain rule. ``observer_observable_biprob`` is the bi-probability
+of an observer observable X_o ⊗ 1 under the joint Hamiltonian: a joint
+``QuantumSystem`` fed to ``biprob_table``.
 """
 
 import csv
@@ -51,7 +57,7 @@ from bornlab.consistency import (
 )
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.linalg import DEFAULT_TOLERANCES, propagator, vec
-from bornlab.observer import ObserverSystem, SurrogateAverage
+from bornlab.observer import JointScenario, ObserverSystem, SurrogateAverage, joint_hamiltonian
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
@@ -147,6 +153,28 @@ def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
             f"Born table total {total} differs from 1 beyond 1e-10"
         )
     return BornTable(grid, model.F_a.eigenvalues.copy(), probs)
+
+
+def conditional_state(sys: QuantumSystem, outcomes, times, t_next):
+    """State at ``t_next`` given the outcomes measured at ``times`` (both may be empty).
+
+    Collapses ρ with P(f, t) = U†(t) P(f) U(t) for each (t, f) in turn,
+    renormalizes, and propagates the result to ``t_next``.
+    """
+    M = sys.rho0
+    for t, f in zip(times, outcomes):
+        P = heisenberg_projectors(sys.F, sys.H, t)[f]
+        M = P @ M @ P
+    U = propagator(sys.H, t_next)
+    return U @ (M / np.trace(M).real) @ U.conj().T
+
+
+def observer_observable_biprob(js: JointScenario, X_o, grid: TimeGrid):
+    """Q_n of the observer observable X_o ⊗ 1 in the joint system H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F."""
+    joint = QuantumSystem.from_operators(joint_hamiltonian(js),
+                                         np.kron(X_o.observable(), np.eye(js.sys.dim)),
+                                         np.kron(js.obs.rho_o, js.sys.rho0))
+    return biprob_table(joint, grid)
 
 
 def trajectory_rng(seed, index=0):

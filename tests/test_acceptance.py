@@ -14,8 +14,8 @@ import numpy as np
 
 from bornlab import (
     TimeGrid,
-    bi_probability,
-    born_distribution,
+    biprob_table,
+    born_table,
     check_bi_consistency,
     check_cm,
     check_kc,
@@ -23,19 +23,15 @@ from bornlab import (
     check_sf,
     classify_block_structure,
     exact_reduced_state,
-    marginalize,
-    observer_observable_biprob,
-    qrf_bi_probability,
     rtn_model,
     sample_ensemble,
     spectral_decompose,
     surrogate_average,
-    trace_distance,
     verify_generalized_relation,
     verify_ncgd_cm_equivalence,
 )
 from bornlab.cli import main
-from bornlab.sampler import autocorrelation
+from bornlab.linalg import trace_distance
 from conftest import (
     I2,
     SX,
@@ -47,6 +43,7 @@ from conftest import (
     random_system,
 )
 from test_consistency import brute_force_kc_violation
+import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,16 +72,16 @@ def test_criterion_1_algebraic_identity_suite():
             n = int(rng.integers(2, 4))
             sys = random_system(rng, d)
             grid = random_grid(rng, n)
-            born = born_distribution(sys, grid)
-            bip = bi_probability(sys, grid)
+            born = born_table(sys, grid)
+            bip = biprob_table(sys, grid)
 
             # bi-consistency ≤ 1e-10
             rec = check_bi_consistency(sys, grid).record("bi-consistency")
             assert rec.max_abs_violation <= 1e-10, (k, "bi-consistency")
 
             # causality ≤ 1e-10
-            reduced = born_distribution(sys, grid.prefix(n - 1))
-            causality = np.max(np.abs(marginalize(born, n).dist - reduced.dist))
+            reduced = born_table(sys, grid.prefix(n - 1))
+            causality = np.max(np.abs(born.dist.sum(axis=n - 1) - reduced.dist))
             assert causality <= 1e-10, (k, "causality")
 
             # diagonal-equals-Born ≤ 1e-12
@@ -122,7 +119,7 @@ def test_criterion_2_static_observable_golden_case():
         for sys in systems:
             for n in (1, 2, 3):
                 grid = TimeGrid(tuple(0.4 * (k + 1) for k in range(n)))
-                table = bi_probability(sys, grid)
+                table = biprob_table(sys, grid)
                 assert check_sf(table).record("SF").max_abs_violation <= 1e-12
 
         # sampling at N = 1e5: constant trajectories, 3-sigma frequencies
@@ -152,7 +149,7 @@ def test_criterion_3_kc_violation_witness():
         assert violation > 0.01
         assert abs(violation - brute_force_kc_violation(sys, grid)) <= 1e-10
 
-        p1 = born_distribution(sys, TimeGrid((t,))).prob((1,))
+        p1 = born_table(sys, TimeGrid((t,))).dist[1]
         assert abs(p1 - np.cos(omega * t / 2) ** 2) <= 1e-10
 
 
@@ -164,13 +161,13 @@ def test_criterion_4_rtn_suite():
         # SF at 1e-12 for n ≤ 3
         for n in (1, 2, 3):
             grid = TimeGrid(tuple(0.4 + 0.7 * k for k in range(n)))
-            table = qrf_bi_probability(model, grid)
+            table = biprob_table(model, grid)
             assert check_sf(table).record("SF").max_abs_violation <= 1e-12
 
         # two-time diagonal autocorrelation vs the closed form and an
         # independently assembled superoperator oracle, both at 1e-10
         t1, t2 = 0.4, 1.1
-        diag = qrf_bi_probability(model, TimeGrid((t1, t2))).diagonal()
+        diag = biprob_table(model, TimeGrid((t1, t2))).diagonal()
         vals = diag.eigenvalues
         corr = float(
             sum(vals[i] * vals[j] * diag.dist[i, j] for i in range(2) for j in range(2))
@@ -198,7 +195,8 @@ def test_criterion_4_rtn_suite():
         N = 100_000
         ens = sample_ensemble(model, TimeGrid((t1, t2)), N, seed=20260801)
         se = np.sqrt((1.0 / 16.0 - corr**2) / N)
-        assert abs(autocorrelation(ens, t2, t1) - corr) <= 3.0 * se
+        f = ens.eigenvalues[ens.indices]
+        assert abs((f[:, 1] * f[:, 0]).mean() - corr) <= 3.0 * se
 
         # NCGD, CM, SF, both block flags, and the equivalence, all pass
         grid = TimeGrid((t1, t2))
@@ -210,7 +208,7 @@ def test_criterion_4_rtn_suite():
         }
         ncgd = check_ncgd(model, [(t2, t1)])
         assert ncgd.passed
-        table = qrf_bi_probability(model, grid)
+        table = biprob_table(model, grid)
         cm = check_cm(table)
         assert cm.record("CM").passed
         assert check_sf(table).record("SF").passed
@@ -226,7 +224,7 @@ def test_criterion_4_rtn_suite():
             rho_a=np.diag([1.0, 0.0]).astype(complex),
         )
         counter = verify_ncgd_cm_equivalence(rotation, check_ncgd(rotation, [(t2, t1)]),
-                                             check_cm(qrf_bi_probability(rotation, grid)))
+                                             check_cm(biprob_table(rotation, grid)))
         assert counter.agree
         assert not counter.ncgd.passed and not counter.cm.passed
 
@@ -270,7 +268,7 @@ def test_criterion_6_observer_observable_consistency():
         js = dephasing_scenario(lam)
         grid = TimeGrid((0.6, 1.3))
         X_o = spectral_decompose(SX)
-        exact = observer_observable_biprob(js, X_o, grid).diagonal()
+        exact = oracles.observer_observable_biprob(js, X_o, grid).diagonal()
 
         # surrogate Monte-Carlo estimate of the two-time driven Born table,
         # built with a test-local piecewise propagator chain

@@ -340,12 +340,12 @@ class TestSampleCommand:
         assert "exceeding the cap of 2" in err
         assert "violate Kolmogorov consistency" not in err
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_threads_is_not_an_option(self, tmp_path):
         path = write(tmp_path, RABI_YAML)
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        main(["sample", path, "--out", a, "--threads", "1"])
-        main(["sample", path, "--out", b, "--threads", "4"])
-        assert Path(a).read_bytes() == Path(b).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", path, "--out", str(tmp_path / "a.csv"), "--threads", "1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "a.csv").exists()
 
     def test_rtn_csv_switch_rate(self, tmp_path):
         # read the shipped RTN scenario's CSV back and estimate the flip rate

@@ -6,7 +6,7 @@ import pytest
 from bornlab import (
     TimeGrid,
     analyze,
-    bi_probability,
+    biprob_table,
     check_bi_consistency,
     check_cm,
     check_kc,
@@ -80,7 +80,7 @@ class TestKC:
 
 class TestCM:
     def test_sf_passing_table_passes_cm(self):
-        table = bi_probability(quasistatic_system(), TimeGrid((0.3, 0.9)))
+        table = biprob_table(quasistatic_system(), TimeGrid((0.3, 0.9)))
         assert check_cm(table).record("CM").passed
 
     def test_rabi_cm_equals_kc_violation(self):
@@ -88,16 +88,16 @@ class TestCM:
         sys = rabi_system()
         grid = TimeGrid((t, 2 * t))
         kc = check_kc(sys, grid).record("KC").max_abs_violation
-        cm = check_cm(bi_probability(sys, grid)).record("CM").max_abs_violation
+        cm = check_cm(biprob_table(sys, grid)).record("CM").max_abs_violation
         assert abs(kc - cm) <= 1e-10
 
     def test_real_form_agreement(self, rng):
         sys = random_system(rng, 3)
-        report = check_cm(bi_probability(sys, random_grid(rng, 3)))
+        report = check_cm(biprob_table(sys, random_grid(rng, 3)))
         assert report.record("CM-real-form").max_abs_violation <= 1e-12
 
     def test_single_time_trivially_passes(self, rng):
-        table = bi_probability(random_system(rng, 3), TimeGrid((0.7,)))
+        table = biprob_table(random_system(rng, 3), TimeGrid((0.7,)))
         report = check_cm(table)
         assert report.record("CM").passed
         assert report.record("CM").max_abs_violation <= 1e-12
@@ -107,12 +107,12 @@ class TestSF:
     def test_quasistatic_passes_tightly(self):
         for n in (1, 2, 3):
             grid = TimeGrid(tuple(0.4 * (k + 1) for k in range(n)))
-            table = bi_probability(quasistatic_system(), grid)
+            table = biprob_table(quasistatic_system(), grid)
             assert check_sf(table).record("SF").max_abs_violation <= 1e-12
 
     def test_rabi_fails_with_offdiagonal_witness(self):
         t = np.pi / 4
-        table = bi_probability(rabi_system(), TimeGrid((t, 2 * t)))
+        table = biprob_table(rabi_system(), TimeGrid((t, 2 * t)))
         record = check_sf(table).record("SF")
         assert not record.passed
         assert abs(record.max_abs_violation - 0.125) <= 1e-10  # pinned oracle

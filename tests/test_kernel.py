@@ -9,19 +9,16 @@ from bornlab import (
     QRFModel,
     QuantumSystem,
     TimeGrid,
-    bi_probability,
     biprob_table,
-    born_distribution,
     born_table,
     build_gkls,
-    qrf_bi_probability,
     rtn_model,
     spectral_decompose,
 )
 from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
 from bornlab.process import dynamics
-from bornlab.qrf import generator_from_matrix, qrf_born, semigroup
+from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
 from conftest import rabi_system, random_density, random_grid, random_hermitian, random_unitary
 import oracles
 
@@ -130,8 +127,8 @@ def builders(source, kind):
         pairs = {"born": (qrf_born, oracles.qrf_born),
                  "biprob": (qrf_bi_probability, oracles.qrf_bi_probability)}
     else:
-        pairs = {"born": (born_distribution, oracles.born_distribution),
-                 "biprob": (bi_probability, oracles.bi_probability)}
+        pairs = {"born": (born_table, oracles.born_distribution),
+                 "biprob": (biprob_table, oracles.bi_probability)}
     return pairs[kind]
 
 

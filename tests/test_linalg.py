@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import (
-    Superoperator,
+from bornlab import spectral_decompose
+from bornlab.linalg import (
     commutator_superop,
     hermitian_eig,
     kron,
     partial_trace,
     propagator,
-    sandwich_superop,
     trace_distance,
     unvec,
     vec,
 )
+from bornlab.qrf import pair_superops
 from bornlab.errors import DimensionMismatch, NonFinite, NonHermitianInput
 from bornlab.linalg import require_density, require_hermitian
 from conftest import I2, KET0, KET1, SX, SZ, random_density, random_hermitian
@@ -147,41 +147,26 @@ class TestSuperoperators:
         assert np.allclose(vec(X), [1, 3, 2, 4])
         assert np.allclose(unvec(vec(X), 2), X)
 
-    def test_sandwich_identity(self):
-        S = sandwich_superop(I2, I2)
-        assert np.allclose(S.matrix, np.eye(4))
-
     def test_sandwich_left_multiplication(self, rng):
-        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(sandwich_superop(A, I2).matrix @ vec(X), vec(A @ X))
-
-    def test_sandwich_projector_pair(self):
-        # P(+) σ_x P(-) = |0⟩⟨1| for the σ_z eigenprojectors
-        S = sandwich_superop(KET0, KET1)
-        out = S.matrix @ vec(SX)
-        assert np.allclose(out, vec(np.array([[0, 1], [0, 0]])))
-
-    def test_composition_rule(self, rng):
-        mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4)]
-        A, B, C, D = mats
-        lhs = (sandwich_superop(A, B) @ sandwich_superop(C, D)).matrix
-        rhs = sandwich_superop(A @ C, D @ B).matrix
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+        # vec(L X R) = kron(R.T, L) vec(X), the convention every superoperator is built in
+        L, X, R = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+        assert np.allclose(np.kron(R.T, L) @ vec(X), vec(L @ X @ R))
 
     def test_apply_matches_matrix_action(self, rng):
-        L = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        R = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(sandwich_superop(L, R).apply(X), L @ X @ R)
+        # unvec(kron(R.T, L) vec(X)) = L X R: how a superoperator's action is read back
+        L, X, R = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+        assert np.allclose(unvec(np.kron(R.T, L) @ vec(X), 2), L @ X @ R)
+
+    def test_sandwich_projector_pair(self):
+        # 𝒫(+, -): σ_x ↦ P(+) σ_x P(-) = |0⟩⟨1|, at index f_+·m + f_- (σ_z outcomes ascend)
+        S = pair_superops(spectral_decompose(SZ))[1 * 2 + 0]
+        out = S @ vec(SX)
+        assert np.allclose(out, vec(np.array([[0, 1], [0, 0]])))
 
     def test_commutator_superop(self, rng):
         A = random_hermitian(rng, 3)
         X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(commutator_superop(A).apply(X), A @ X - X @ A)
-
-    def test_identity_classmethod(self):
-        assert np.allclose(Superoperator.identity(3).matrix, np.eye(9))
+        assert np.allclose(unvec(commutator_superop(A).matrix @ vec(X), 3), A @ X - X @ A)
 
 
 class TestTraceDistance:

@@ -4,26 +4,21 @@ import pytest
 from bornlab import (
     JointScenario,
     ObserverSystem,
-    QuantumSystem,
     TimeGrid,
-    bi_probability,
     compare,
     exact_reduced_state,
-    joint_propagate,
-    observer_observable_biprob,
     sample_ensemble,
-    spectral_decompose,
     surrogate_average,
-    trace_distance,
 )
 from bornlab.errors import DimensionCap, DimensionMismatch
+from bornlab.linalg import trace_distance
+from bornlab.observer import joint_propagate
 from bornlab.sampler import Ensemble
 from conftest import (
     I2,
     KET0,
     KET1,
     PLUS,
-    SX,
     SZ,
     dephasing_scenario,
     random_density,
@@ -206,31 +201,6 @@ class TestCompare:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             compare(random_density(rng, 2), random_density(rng, 3))
-
-
-class TestObserverObservableBiprob:
-    def test_zero_coupling_reduces_to_isolated(self, rng):
-        js = random_scenario(rng, coupling=0.0)
-        X_o = spectral_decompose(random_hermitian(rng, 2))
-        grid = TimeGrid((0.4, 1.0))
-        joint = observer_observable_biprob(js, X_o, grid)
-        isolated = bi_probability(
-            QuantumSystem.from_operators(js.obs.H_o, X_o, js.obs.rho_o), grid
-        )
-        assert np.max(np.abs(joint.dist - isolated.dist)) <= 1e-10
-
-    def test_single_time_diagonal_normalized(self, rng):
-        js = random_scenario(rng)
-        X_o = spectral_decompose(SX)
-        table = observer_observable_biprob(js, X_o, TimeGrid((0.7,)))
-        assert abs(table.dist.sum() - 1.0) <= 1e-10
-        assert abs(table.value((0,), (1,))) <= 1e-12
-
-    def test_dimension_mismatch(self, rng):
-        js = random_scenario(rng)
-        X_bad = spectral_decompose(random_hermitian(rng, 3))
-        with pytest.raises(DimensionMismatch):
-            observer_observable_biprob(js, X_bad, TimeGrid((0.5,)))
 
 
 def test_surrogate_equals_exact_under_sf():

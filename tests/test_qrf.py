@@ -16,11 +16,8 @@ from bornlab import (
     check_sf,
     classify_block_structure,
     qrf,
-    qrf_bi_probability,
     rtn_model,
     spectral_decompose,
-    unvec,
-    vec,
     verify_ncgd_cm_equivalence,
 )
 from bornlab.errors import (
@@ -30,8 +27,9 @@ from bornlab.errors import (
     NumericalInvariantViolation,
     UnmatchedFrequency,
 )
-from bornlab.process import born_table, marginalize_pair
-from bornlab.qrf import choi_matrix, generator_from_matrix, grid_pairs, qrf_born, semigroup
+from bornlab.linalg import unvec, vec
+from bornlab.process import born_table
+from bornlab.qrf import generator_from_matrix, grid_pairs, qrf_bi_probability, qrf_born, semigroup
 from conftest import I2, KET0, SX, SZ, random_density, random_hermitian
 from test_kernel import drawn_case
 
@@ -62,6 +60,17 @@ def rotation_model(rho_a=None):
         F_a=spectral_decompose(HALF_SZ),
         rho_a=KET0 if rho_a is None else rho_a,
     )
+
+
+def choi(superop_matrix, dim):
+    """Choi matrix Σ_kl E_kl ⊗ Λ(E_kl) of a column-stacking superoperator matrix."""
+    C = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for k in range(dim):
+        for l in range(dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E[k, l] = 1.0
+            C += np.kron(E, unvec(superop_matrix @ vec(E), dim))
+    return C
 
 
 def frozen_model(rho_a=None):
@@ -178,7 +187,7 @@ class TestSemigroup:
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
                          {0.0: 0.3 + 0.2j}, mu=1.1)
         for t in (0.2, 0.9, 2.0):
-            C = choi_matrix(semigroup(gen, t), 2)
+            C = choi(semigroup(gen, t), 2)
             assert np.min(np.linalg.eigvalsh(0.5 * (C + C.conj().T))) >= -1e-10
 
 
@@ -187,7 +196,8 @@ class TestQrfBiProbability:
         rho = np.diag([0.7, 0.3]).astype(complex)
         model = frozen_model(rho)
         table = qrf_bi_probability(model, TimeGrid((0.4, 1.0)))
-        for f, g, q in table.items():
+        for tup, q in np.ndenumerate(table.dist):
+            f, g = tup[0::2], tup[1::2]
             same = f == g and len(set(f)) == 1
             expected = (0.3 if f[0] == 0 else 0.7) if same else 0.0
             assert abs(q - expected) <= 1e-12
@@ -198,7 +208,7 @@ class TestQrfBiProbability:
         table = qrf_bi_probability(model, TimeGrid((t,)))
         rho_t = unvec(semigroup(model, t) @ vec(model.rho_a), 2)
         for k, P in enumerate(model.F_a.projectors):
-            assert abs(table.value((k,), (k,)) - np.trace(P @ rho_t)) <= 1e-12
+            assert abs(table.dist[k, k] - np.trace(P @ rho_t)) <= 1e-12
 
     def test_rtn_off_diagonal_vanishes(self):
         model = rtn_model(0.7, I2 / 2)
@@ -242,9 +252,8 @@ class TestQrfBiProbability:
             # bi-consistency against freshly built reduced tables
             for i in (1, 2, 3):
                 fresh = qrf_bi_probability(model, grid.without(i))
-                assert np.max(
-                    np.abs(marginalize_pair(table, i).dist - fresh.dist)
-                ) <= 1e-10
+                pair = table.dist.sum(axis=(2 * i - 2, 2 * i - 1))
+                assert np.max(np.abs(pair - fresh.dist)) <= 1e-10
             # last-index diagonality and Hermitian symmetry
             m = table.n_outcomes
             flat = table.dist.reshape(-1, m, m).copy()
@@ -277,15 +286,15 @@ class TestRtnModel:
     def test_mixed_state_single_time_probabilities(self):
         model = rtn_model(1.0, I2 / 2)
         table = qrf_born(model, TimeGrid((0.7,)))
-        assert abs(table.prob((0,)) - 0.5) <= 1e-12
-        assert abs(table.prob((1,)) - 0.5) <= 1e-12
+        assert abs(table.dist[0] - 0.5) <= 1e-12
+        assert abs(table.dist[1] - 0.5) <= 1e-12
 
     def test_polarized_state_relaxation(self):
         # oracle from L sigma_z = -2 gamma sigma_z: P(+1/2, t) = (1+e^{-2γt})/2
         gamma, t = 0.7, 0.9
         model = rtn_model(gamma, KET0)
         table = qrf_born(model, TimeGrid((t,)))
-        assert abs(table.prob((1,)) - 0.5 * (1 + np.exp(-2 * gamma * t))) <= 1e-12
+        assert abs(table.dist[1] - 0.5 * (1 + np.exp(-2 * gamma * t))) <= 1e-12
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(NonPositiveRate):

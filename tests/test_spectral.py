@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bornlab import heisenberg_projectors, kron, propagator, spectral_decompose
+from bornlab import spectral_decompose
+from bornlab.linalg import kron, propagator
+from bornlab.spectral import heisenberg_projectors
 from bornlab.errors import AmbiguousClustering, DimensionMismatch
 from conftest import I2, SX, SZ, random_hermitian, random_unitary
 
