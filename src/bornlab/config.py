@@ -59,10 +59,10 @@ def parse_matrix(value, where):
     return np.array(rows, dtype=complex)
 
 
-def _section(data, name, where=None):
+def _section(data, name):
     sec = data.get(name)
     if not isinstance(sec, dict):
-        raise ConfigError("missing or malformed section", where or name)
+        raise ConfigError("missing or malformed section", name)
     return sec
 
 
@@ -94,11 +94,9 @@ def _as_config_error(where):
         raise ConfigError(str(exc), where) from exc
 
 
-def _get(sec, key, where, required=True, default=None):
+def _get(sec, key, where):
     if key not in sec:
-        if required:
-            raise ConfigError("missing required field", f"{where}.{key}")
-        return default
+        raise ConfigError("missing required field", f"{where}.{key}")
     return sec[key]
 
 

@@ -20,7 +20,6 @@ records exactly what was covered):
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,8 @@ from .process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
     TimeGrid,
+    _LETTERS,
+    _pair_diagonal,
     biprob_table,
     born_table,
 )
@@ -37,8 +38,6 @@ from .process import (
 IDENTITY_TOL = 1e-10
 # entries within this relative distance of the largest |entry| tie for the witness
 TIE_TOL = 1e-12
-
-_LETTERS = string.ascii_letters
 
 
 @dataclass(frozen=True)
@@ -202,20 +201,10 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
                              _cm_records(table.grid, _context_sums(table), epsilon))
 
 
-def _off_diagonal_mask(n, m):
-    """Boolean mask over an interleaved table marking f_- ≠ f entries."""
-    shape = (m, m) * n
-    grids = np.indices(shape, dtype=np.int16)
-    diag = np.ones(shape, dtype=bool)
-    for k in range(n):
-        diag &= grids[2 * k] == grids[2 * k + 1]
-    return ~diag
-
-
 def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     """Surrogate-field condition: every off-diagonal entry of Q_n vanishes."""
-    mask = _off_diagonal_mask(table.n, table.n_outcomes)
-    off = np.where(mask, table.dist, 0.0)
+    off = table.dist.copy()
+    _pair_diagonal(off)[...] = 0.0
     mag, witness = _worst([(None, off)], lambda _, idx: {
         "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})
     coverage = {"n": table.n, "times": list(table.grid.times)}

@@ -144,11 +144,13 @@ class BiProbTable:
 
     def diagonal(self):
         """The Born distribution sitting on the diagonal f_- = f."""
-        n = self.n
-        subs = "".join(_LETTERS[k] * 2 for k in range(n))
-        out = "".join(_LETTERS[k] for k in range(n))
-        diag = np.einsum(f"{subs}->{out}", self.dist)
-        return BornTable(self.grid, self.eigenvalues, diag.real)
+        return BornTable(self.grid, self.eigenvalues, _pair_diagonal(self.dist).real)
+
+
+def _pair_diagonal(dist):
+    """Writable view of the entries f_- = f of an interleaved table, indexed by f."""
+    out = _LETTERS[:dist.ndim // 2]
+    return np.einsum("".join(c * 2 for c in out) + "->" + out, dist)
 
 
 def _check_cap(entries, cap, what):

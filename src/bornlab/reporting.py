@@ -14,7 +14,6 @@ import dataclasses
 import json
 
 import numpy as np
-import scipy
 
 from .consistency import ConditionRecord, ConsistencyReport
 from .process import BiProbTable, BornTable
@@ -130,7 +129,6 @@ def envelope(command, cfg, seed=None):
             "name": "bornlab",
             "version": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "rng": RNG_ALGORITHM,
         },
         "config": {"path": cfg.path, "sha256": cfg.sha256, "kind": cfg.kind},

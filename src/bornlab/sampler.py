@@ -8,20 +8,17 @@ depends only on the outcome prefix, so the ensemble descends at once with one
 operator per visited prefix: at most min(N, m^k) at t_k, a working set of
 min(N, m^k)·d²·16 bytes per layer. No table is built and no table cap applies.
 
-Reproducibility: trajectory ``j`` of an ensemble with base seed ``s`` draws
-its k-th outcome with the k-th uniform of ``numpy.random.Philox`` seeded by
-``SeedSequence(entropy=s, spawn_key=(j,))`` (a counter-based generator with
-splittable derived streams), so ensembles are reproducible regardless of
-generation order. No generator object is built: both stages are integer
-functions of (s, j), so the uniforms are computed in closed form over whole
-arrays of trajectories, bit-equal to numpy's objects, for any index j in
-[0, 2**64). Ensemble statistics are reduced with numpy's pairwise summation over the
-trajectory index order, which is deterministic for a fixed N.
+Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
+``s`` takes draws j·n … j·n+n−1 of ``Generator(PCG64(s))`` as its n uniforms,
+one per grid time. PCG64 jumps ahead by any number of draws in O(log) steps,
+so every row is a function of (s, j) alone, whatever the ensemble size or
+generation order, for any index j in [0, 2**64). Ensemble statistics are
+reduced with numpy's pairwise summation over the trajectory index order,
+which is deterministic for a fixed N.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +27,7 @@ from .errors import NumericalInvariantViolation, TimeOutOfRange
 from .linalg import propagator  # noqa: F401  (perfbench/tracing.py wraps sampler.propagator)
 from .process import BornTable, TimeGrid, dynamics, readout
 
-RNG_ALGORITHM = (
-    "numpy.random.Philox (philox4x64-10), "
-    "SeedSequence(entropy=seed, spawn_key=(trajectory_index,))"
-)
+RNG_ALGORITHM = "numpy.random.PCG64(seed), trajectory j advanced by j*n draws"
 
 
 def _slot(grid: TimeGrid, t):
@@ -88,95 +82,19 @@ class Ensemble:
                      for row in self.indices.tolist())
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx); its pool holds 4 words
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-# Philox4x64-10 round multipliers and Weyl key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_ROWS = 1024  # rows per pass: the integer temporaries stay near 0.5 MB beside the output
+def _uniforms(seed, start, count, n):
+    """The n uniforms of trajectories start … start+count−1, one row each.
 
-
-def _hasher(h, mult):
-    """SeedSequence's hashmix, which advances its constant h on every call."""
-    def hashmix(value):
-        nonlocal h
-        value = (value ^ h) * (h := h * mult & _M32)  # xor with h, multiply by the next h
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ r >> 16
-
-
-def _philox_keys(seed, j):
-    """Key words (k0, k1) of ``Philox(SeedSequence(entropy=seed, spawn_key=(j,)))``.
-
-    A spawn key pads the seed's 32-bit words to the pool size, so the pool is
-    hashed and mixed from seed words alone; then every further word (seed
-    words beyond 4, then the low word of j and, for j ≥ 2**32 only, its high
-    word) is mixed into each pool word, and ``generate_state(2, uint64)``
-    hashes the pool into the key.
+    Row r holds draws j·n … j·n+n−1 of ``Generator(PCG64(seed))`` for
+    j = start + r, reached by jumping the stream ahead. Indices must lie in
+    [0, 2**64).
     """
-    run = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words = [np.array([w], np.uint32) for w in run + [0] * (4 - len(run))]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:] + [j.astype(np.uint32)]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    high = (j >> 32).astype(np.uint32)
-    for dst in range(4):  # the hash constants advance for every row alike
-        pool[dst] = np.where(high > 0, _mix(pool[dst], hashmix(high)), pool[dst])
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    k = [hashmix(w).astype(np.uint64) for w in pool]
-    return k[0] | k[1] << 32, k[2] | k[3] << 32
-
-
-def _mulhilo(a, b):
-    """High and low words of the 128-bit product of the constant a and the uint64 array b."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    cross0, cross1 = a0 * b1, a1 * b0
-    carry = (a0 * b0 >> 32) + (cross0 & _M32) + (cross1 & _M32)
-    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32), a * b
-
-
-def _philox(k0, k1, blocks):
-    """Philox4x64-10 at counters (b+1, 0, 0, 0) for b < blocks: shape (rows, 4·blocks)."""
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None]
-    x1 = x2 = x3 = np.zeros_like(x0)
-    k0, k1 = k0[:, None], k1[:, None]
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(k0), 4 * blocks)
-
-
-def _uniforms(seed, indices, n):
-    """Row r holds the first n doubles of trajectory j = ``indices[r]``'s stream.
-
-    Equal bit for bit to ``Generator(Philox(SeedSequence(entropy=seed,
-    spawn_key=(j,)))).random(n)``, computed _ROWS rows at a time in uint32
-    (SeedSequence) and uint64 (Philox) integer arithmetic. Indices must lie
-    in [0, 2**64).
-    """
-    seed, j = operator.index(seed), np.asarray(indices)
-    if seed < 0 or j.dtype.kind not in "iu" or (j.size and j.min() < 0):
+    if seed < 0 or not 0 <= start <= 2**64 - count:
         raise ValueError("the seed must be a non-negative integer and trajectory "
                          "indices integers in [0, 2**64)")
-    j, u = j.astype(np.uint64), np.empty((len(j), n))
-    for lo in range(0, len(j), _ROWS):
-        x = _philox(*_philox_keys(seed, j[lo:lo + _ROWS]), -(-n // 4))
-        u[lo:lo + _ROWS] = (x[:, :n] >> 11) * 2.0**-53
-    return u
+    bits = np.random.PCG64(seed)
+    bits.advance(start * n)
+    return np.random.Generator(bits).random((count, n))
 
 
 def _descend(source, grid: TimeGrid, u):
@@ -211,14 +129,14 @@ def _descend(source, grid: TimeGrid, u):
 
 def sample_trajectory(source, grid: TimeGrid, seed, index=0):
     """Draw one trajectory; deterministic in (source, grid, seed, index)."""
-    return _descend(source, grid, _uniforms(seed, [index], grid.n)).trajectories[0]
+    return _descend(source, grid, _uniforms(seed, index, 1, grid.n)).trajectories[0]
 
 
 def sample_ensemble(source, grid: TimeGrid, size, seed):
-    """Draw ``size`` independent trajectories with derived per-index seeds."""
+    """Draw ``size`` independent trajectories, rows 0 … size−1 of the seed's stream."""
     if size < 1:
         raise ValueError("ensemble size must be ≥ 1")
-    return _descend(source, grid, _uniforms(seed, np.arange(size), grid.n))
+    return _descend(source, grid, _uniforms(seed, 0, size, grid.n))
 
 
 def rank_histories(indices, m):

@@ -10,14 +10,13 @@ agreement to roundoff checks both.
 ``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
 sampler used before its batched descent over outcome histories, kept
 verbatim: it reads out and collapses one flat row-major state per
-trajectory. ``trajectory_rng`` is the per-trajectory generator object the
-sampler built before it computed the uniforms in closed form, kept verbatim:
-numpy's own ``SeedSequence`` and ``Philox``. ``surrogate_average`` is the
-per-trajectory loop the observer used before it propagated each distinct
-history once, and ``segments``, ``stochastic_propagator`` and
-``surrogate_propagate`` are the per-trajectory propagation it calls, kept
-verbatim (``segments`` was a ``Trajectory`` method) from before the observer
-walked each distinct outcome prefix once. ``export_csv`` is the trajectory
+trajectory. ``trajectory_rng`` is the generator object that feeds it
+trajectory j's uniforms: numpy's own ``PCG64`` for the seed, jumped ahead by
+j·n draws. ``surrogate_average`` is the per-trajectory loop the observer used
+before it propagated each distinct history once, and ``segments``,
+``stochastic_propagator`` and ``surrogate_propagate`` are the per-trajectory
+propagation it calls, kept verbatim (``segments`` was a ``Trajectory``
+method) from before the observer walked each distinct outcome prefix once. ``export_csv`` is the trajectory
 CSV writer as it was before it formatted each distinct history once, kept
 verbatim: one Python row list per trajectory through ``csv.writer``.
 
@@ -26,7 +25,10 @@ verbatim: one Python row list per trajectory through ``csv.writer``.
 set of tables per grid, kept verbatim: each check builds its own full and
 reduced tables. Only their witness changed since, to the tie rule written
 out over all held defects (``_first_near_peak``): the first entry in (index,
-C-order outcome) order within ``TIE_TOL`` of the largest |entry|.
+C-order outcome) order within ``TIE_TOL`` of the largest |entry|. ``check_sf``
+is the SF check as it was before it zeroed the pair diagonal through an
+einsum view: it masks the table with an index grid (``_off_diagonal_mask``),
+and takes its witness by the same written-out tie rule.
 
 ``born_table_json``, ``biprob_table_json`` and ``dump`` are the report
 serializer as it was before table entries were rendered from their arrays,
@@ -53,7 +55,6 @@ from bornlab.consistency import (
     _diag_context_sums,
     _record,
     check_cm,
-    check_sf,
 )
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.linalg import DEFAULT_TOLERANCES, propagator, vec
@@ -177,9 +178,11 @@ def observer_observable_biprob(js: JointScenario, X_o, grid: TimeGrid):
     return biprob_table(joint, grid)
 
 
-def trajectory_rng(seed, index=0):
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+def trajectory_rng(seed, index, n):
+    """numpy's generator for trajectory ``index`` on an n-time grid: PCG64 jumped index·n draws."""
+    bits = np.random.PCG64(int(seed))
+    bits.advance(int(index) * n)
+    return np.random.Generator(bits)
 
 
 class MeasurementChain:
@@ -371,6 +374,26 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
         rhs, _ = _diag_context_sums(bip, i)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))
     return residual
+
+
+def _off_diagonal_mask(n, m):
+    """Boolean mask over an interleaved table marking f_- ≠ f entries."""
+    shape = (m, m) * n
+    grids = np.indices(shape, dtype=np.int16)
+    diag = np.ones(shape, dtype=bool)
+    for k in range(n):
+        diag &= grids[2 * k] == grids[2 * k + 1]
+    return ~diag
+
+
+def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
+    """Surrogate-field condition: every off-diagonal entry of Q_n vanishes."""
+    off = np.where(_off_diagonal_mask(table.n, table.n_outcomes), table.dist, 0.0)
+    _, idx, peak = _first_near_peak([(None, off)])
+    witness = {"outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
+    coverage = {"n": table.n, "times": list(table.grid.times)}
+    record = _record("SF", peak, witness, epsilon, coverage)
+    return ConsistencyReport(table.grid, table.n, (record,))
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):

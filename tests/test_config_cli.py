@@ -280,7 +280,7 @@ class TestAnalyzeCommand:
         report = json.loads(Path(out).read_text())
         assert report["command"] == "analyze"
         assert report["tool"]["name"] == "bornlab"
-        assert report["tool"]["rng"].startswith("numpy.random.Philox")
+        assert report["tool"]["rng"].startswith("numpy.random.PCG64")
         assert report["config"]["sha256"]
         n2 = [a for a in report["analyses"] if a["n"] == 2][0]
         kc = [r for r in n2["consistency"] if r["condition"] == "KC"][0]

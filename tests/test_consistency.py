@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bornlab import (
     TimeGrid,
@@ -16,6 +18,7 @@ from bornlab import (
 from bornlab.consistency import _worst
 from bornlab.process import BiProbTable
 from conftest import quasistatic_system, rabi_system, random_grid, random_system
+import oracles
 
 
 def brute_force_kc_violation(sys, grid):
@@ -193,6 +196,20 @@ def test_sf_witness_is_stable_across_a_conjugate_pair(toward):
     record = check_sf(BiProbTable(TimeGrid((1.0,)), np.array([-1.0, 1.0]), dist)).record("SF")
     assert record.max_abs_violation == max(0.25, near)
     assert record.witness == {"outcomes": [0], "outcomes_minus": [1]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       tied=st.booleans(), scale=st.sampled_from([1.0, 1e-9, 1e-13]))
+@example(seed=1, n=1, m=3, tied=True, scale=1.0)
+@example(seed=2, n=3, m=1, tied=False, scale=1.0)
+def test_sf_record_equals_the_mask_oracle_on_drawn_tables(seed, n, m, tied, scale):
+    rng = np.random.default_rng(seed)
+    shape = (m, m) * n
+    draw = (lambda: rng.integers(-2, 3, shape) * 0.25) if tied else (lambda: rng.normal(size=shape))
+    table = BiProbTable(random_grid(rng, n), np.arange(m, dtype=float),
+                        scale * (draw() + 1j * draw()))
+    assert check_sf(table).records == oracles.check_sf(table).records
 
 
 def test_witness_is_within_the_tie_tolerance_of_the_overall_peak():

@@ -1,11 +1,12 @@
 """The batched descent over outcome histories against the per-trajectory oracles.
 
 ``sample_ensemble`` must draw, trajectory by trajectory, the outcomes of the
-old collapse chain fed with the same Philox stream, on fixed and on drawn
-unitary and GKLS sources. The sampler's uniforms, computed over whole arrays
-of trajectories, must equal numpy's ``SeedSequence``/``Philox`` objects
-bit for bit for any seed and spawn index, and four pinned values tell which
-of the two moved if they ever part. ``surrogate_average``
+old collapse chain fed with the same uniforms, on fixed and on drawn unitary
+and GKLS sources. Trajectory j's uniforms on an n-time grid are draws
+j·n … j·n+n−1 of numpy's ``PCG64`` stream for the seed: the sampler's rows
+must equal generator objects jumped ahead by j·n for any seed and index in
+[0, 2**64), and one contiguous stream for a whole ensemble. Four pinned
+values tell which of the two moved if they ever part. ``surrogate_average``
 must reduce to exactly the arrays of the old per-trajectory loop, on the
 shipped joint configs and on drawn scenarios, zero signs included.
 """
@@ -30,7 +31,6 @@ from bornlab import (
 from bornlab.config import load_config
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.process import DEFAULT_TABLE_CAP
-from bornlab import sampler
 from bornlab.sampler import _uniforms
 from conftest import (I2, SZ, rabi_system, random_density, random_grid, random_hermitian,
                       random_system)
@@ -65,7 +65,8 @@ def assert_descent_draws_the_chains_outcomes(source, grid, size):
     seed = 20260801
     ens = sample_ensemble(source, grid, size, seed)
     chain = oracles.MeasurementChain(source)
-    expected = [chain.sample(grid, oracles.trajectory_rng(seed, j)) for j in range(size)]
+    expected = [chain.sample(grid, oracles.trajectory_rng(seed, j, grid.n))
+                for j in range(size)]
     assert ens.indices.shape == (size, grid.n)
     for j, traj in enumerate(expected):
         assert ens.indices[j].tolist() == list(traj.indices), j
@@ -90,46 +91,46 @@ def test_descent_draws_the_chains_outcomes_on_drawn_sources(seed, d, n, degenera
 
 def test_uniforms_filled_in_place_are_successive_draws():
     row = np.empty(7)
-    oracles.trajectory_rng(11, 3).random(out=row)
-    rng = oracles.trajectory_rng(11, 3)
+    oracles.trajectory_rng(11, 3, 7).random(out=row)
+    rng = oracles.trajectory_rng(11, 3, 7)
     assert row.tolist() == [rng.random() for _ in range(7)]
 
 
-# (seed, trajectory index, k): the k-th uniform of that trajectory's stream
+# (seed, trajectory index j, grid size n, k): trajectory j's k-th uniform on an n-time grid
 PINNED_UNIFORMS = {
-    (20260801, 0, 0): "0x1.5607e17c69311p-1",
-    (7, 2**32, 5): "0x1.59954702bfdfap-2",
-    (2**130 + 99, 2**64 - 1, 12): "0x1.93f5f59aa18c3p-1",
-    (0, 3, 20): "0x1.16ded8abf89cbp-1",
+    (20260801, 0, 1, 0): "0x1.b3cf7b6a5c5f4p-2",
+    (7, 2**32, 9, 5): "0x1.49503a34bb49cp-2",
+    (2**130 + 99, 2**64 - 1, 13, 12): "0x1.0121845e0a324p-2",
+    (0, 3, 21, 20): "0x1.925280dc75e2fp-1",
 }
 WIDE_INDICES = [2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
 
 
-def oracle_uniforms(seed, indices, n):
-    return np.array([oracles.trajectory_rng(seed, j).random(n) for j in indices]).reshape(-1, n)
+def oracle_uniforms(seed, start, count, n):
+    return np.array([oracles.trajectory_rng(seed, j, n).random(n)
+                     for j in range(start, start + count)])
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**192 - 1), n=st.integers(1, 21),
-       indices=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
-                        max_size=8))
-def test_uniforms_equal_numpys_generator_objects(seed, n, indices):
-    indices = np.array([0, *indices], dtype=np.uint64)
-    assert np.array_equal(_uniforms(seed, indices, n), oracle_uniforms(seed, indices.tolist(), n))
+@given(seed=st.integers(0, 2**192 - 1), n=st.integers(1, 21), count=st.integers(1, 8),
+       start=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 8)))
+def test_uniforms_equal_numpys_generator_objects(seed, n, count, start):
+    assert np.array_equal(_uniforms(seed, start, count, n), oracle_uniforms(seed, start, count, n))
 
 
-def test_uniforms_cross_row_blocks_unchanged():
-    indices = np.arange(2 * sampler._ROWS + 5)
-    assert np.array_equal(_uniforms(7, indices, 6), oracle_uniforms(7, indices.tolist(), 6))
+def test_ensemble_uniforms_are_one_contiguous_stream():
+    stream = np.random.Generator(np.random.PCG64(7)).random((2053, 6))
+    assert np.array_equal(_uniforms(7, 0, 2053, 6), stream)
+    assert np.array_equal(_uniforms(7, 1000, 53, 6), stream[1000:1053])
 
 
 @pytest.mark.parametrize("key", list(PINNED_UNIFORMS))
 def test_pinned_uniforms_name_the_side_that_moved(key):
-    seed, j, k = key
+    seed, j, n, k = key
     expected = float.fromhex(PINNED_UNIFORMS[key])
-    assert oracles.trajectory_rng(seed, j).random(k + 1)[k] == expected, (
-        "numpy's SeedSequence/Philox stream changed; the documented trajectory streams moved")
-    assert _uniforms(seed, np.array([j], dtype=np.uint64), k + 1)[0, k] == expected, (
+    assert oracles.trajectory_rng(seed, j, n).random(n)[k] == expected, (
+        "numpy's PCG64 stream or its jump-ahead changed; the documented trajectory streams moved")
+    assert _uniforms(seed, j, 1, n)[0, k] == expected, (
         "bornlab.sampler._uniforms no longer reproduces the documented trajectory streams")
 
 
@@ -137,9 +138,11 @@ def test_pinned_uniforms_name_the_side_that_moved(key):
 def test_wide_spawn_indices_draw_the_chains_outcomes(index):
     source, grid = rtn_long(None)
     seed = 20260801
-    expected = oracles.MeasurementChain(source).sample(grid, oracles.trajectory_rng(seed, index))
+    rng = oracles.trajectory_rng(seed, index, grid.n)
+    expected = oracles.MeasurementChain(source).sample(grid, rng)
     assert sample_trajectory(source, grid, seed, index=index) == expected
-    assert np.array_equal(_uniforms(seed, [index], grid.n), oracle_uniforms(seed, [index], grid.n))
+    assert np.array_equal(_uniforms(seed, index, 1, grid.n),
+                          oracle_uniforms(seed, index, 1, grid.n))
 
 
 @pytest.mark.parametrize("seed,index", [(1, -1), (-1, 0), (1, 2**64)])
@@ -147,9 +150,9 @@ def test_seed_or_spawn_index_outside_the_key_range_is_rejected(seed, index):
     source, grid = rabi(None)
     with pytest.raises(ValueError):
         sample_trajectory(source, grid, seed, index=index)
-    if index < 2**64:  # numpy's SeedSequence also refuses negatives; 2**64 is past our range
+    if seed < 0:  # numpy's PCG64 refuses it too; a negative or wide jump would wrap around
         with pytest.raises(ValueError):
-            oracles.trajectory_rng(seed, index)
+            oracles.trajectory_rng(seed, index, grid.n)
 
 
 def test_zero_total_probability_is_rejected():

@@ -37,8 +37,8 @@ DIGESTS = {
     ("analyze", "rabi_joint"): "2009ef6ab3a31f438fb882761a49f72d8a615b528b5afa2358d67522e6d71875",
     ("qrf", "rtn"): "797e1638a1e005809327d319794454f6e5b76ba54af93fb58d922a4defc241d5",
     ("qrf", "rotation"): "1b762159345de04ad820d524d5c6baf70d59f37f358a8cbb6be4b56d9a6a9759",
-    ("simulate", "dephasing"): "f6923fdfe7221edf654615bd517fba5834235c240953fa6ac94451e6d1660165",
-    ("simulate", "rabi_joint"): "4d6c31956035cb2232aaeda5b139d1d337d2ca381ea82c4aa1e4ca35840d1447",
+    ("simulate", "dephasing"): "0c78a5388c86d25bb8f2fd3d41dfd3af0f1c3c285ca2349fccc670b5ac8e69f1",
+    ("simulate", "rabi_joint"): "7083d4e350ece9a76fa8bab39f1279c5f99a1b88e27c483350769bc7a4506f05",
 }
 
 # simulate refuses a config whose observable fails the SF condition unless forced

@@ -1,9 +1,10 @@
 """``bornlab sample`` on the shipped configs writes pinned CSV bytes.
 
-The digests pin the trajectory stream contract end to end: the per-index
-Philox streams, the sampler's descent over outcome prefixes (one collapsed
-operator per visited prefix, drawn from with each trajectory's uniforms) for
-each source kind, and the CSV format. A change to any of them that moves a
+The digests pin the trajectory stream contract end to end: trajectory j's
+uniforms as draws j·n … j·n+n−1 of the seed's PCG64 stream, the sampler's
+descent over outcome prefixes (one collapsed operator per visited prefix,
+drawn from with each trajectory's uniforms) for each source kind, and the
+CSV format. A change to any of them that moves a
 single draw changes a digest.
 """
 
@@ -17,12 +18,12 @@ from bornlab.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
-    "rtn": "0f284eb7001675221c8311d669bb2ecdc1edac1d6238846029353f2f478ac653",
-    "rotation": "d197e66d3702bc453441141038c718f9d4f1f957cb250ea1c0478492bec426de",
-    "rabi": "c8935e8e46b434ad0f47dee03c0a072cb3e154bee5e18f7522ca41d873b8be07",
-    "quasistatic": "6fa9670c77dfc71bcd2c18a90d01b0e433058b4f689537409286b8b8b1d4603b",
-    "dephasing": "d0efb5469b74328cdf8a30124801d3ef131d50888ed4117824813ea14b89d578",
-    "rabi_joint": "a6c0fb944c85a386c2754de2beb5567d25b3aba2a9a5bdbfd0a497eb1667d9b8",
+    "rtn": "31ace962c18a51ea79d56f6c82b3a16869205dea6abfd96283484564edd3be7c",
+    "rotation": "f6d0f432bab621c3b61b20ff5af9b32909fee25c7573438251d8aa8739ef4f58",
+    "rabi": "8311540537be8de5ffdd461810b2b5ec689e049dd6fc1510997b4ad9b3c3c64d",
+    "quasistatic": "cde54ce148ee95118fa903f95a2a3c9da54bd2d404a25656b349e11f2674c144",
+    "dephasing": "6f5d20d95ba60930a53cab96cb75c156bcc95949ef2ebe35f980930cd63e13e8",
+    "rabi_joint": "0ac116600e3dd0b23e6e70f0a6c4bb858ff4d5276482345179731481dd807542",
 }
 
 

@@ -1,9 +1,10 @@
-"""No bornlab command imports scipy's linear algebra.
+"""No bornlab command imports scipy.
 
 ``scipy.linalg`` costs about a third of a second of import. GKLS maps come
-from ``qrf.expm``, a numpy Padé exponential, so no config kind needs it:
-after each step below, in a fresh interpreter (the test process itself has
-long imported it for the oracles), ``scipy.linalg`` is absent.
+from ``qrf.expm``, a numpy Padé exponential, so no config kind needs it, and
+reports name no scipy version: after each step below, in a fresh interpreter
+(the test process itself has long imported scipy for the oracles), neither
+``scipy.linalg`` nor ``scipy`` is loaded.
 """
 
 import json
@@ -23,7 +24,7 @@ configs, out = sys.argv[1], sys.argv[2]
 loaded = []
 
 def record(step):
-    loaded.append([step, "scipy.linalg" in sys.modules])
+    loaded.append([step, "scipy.linalg" in sys.modules, "scipy" in sys.modules])
 
 record("import bornlab.cli")
 for name in ("rabi", "dephasing", "rtn"):
@@ -45,7 +46,8 @@ def test_no_step_of_any_kind_imports_scipy_linalg(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert [step for step, _ in loaded] == [
+    assert [step for step, _, _ in loaded] == [
         "import bornlab.cli", "load rabi", "load dephasing", "load rtn", "analyze", "sample",
         "simulate", "qrf"]
-    assert [imported for _, imported in loaded] == [False] * 8
+    assert [linalg for _, linalg, _ in loaded] == [False] * 8
+    assert [scipy for _, _, scipy in loaded] == [False] * 8
