@@ -4,6 +4,13 @@ Configs are YAML (JSON syntax is accepted too) with a versioned ``schema``
 field. Matrices are nested arrays whose entries are numbers or two-element
 ``[re, im]`` arrays; grids are named lists of strictly increasing positive
 times. The schema is documented in the README.
+
+Configs are parsed by libyaml through PyYAML when PyYAML was built with it.
+PyYAML's pure-Python parser re-reads a config libyaml refuses, so the error
+text keeps its context snippet and caret. It alone reads a config holding a
+byte outside ``_LIBYAML_BYTES``: libyaml accepts tabs, ``?``, ``!`` tags,
+``|``/``>`` block scalars and an inner byte-order mark where the pure parser
+refuses them. Either way a config reads as ``yaml.safe_load`` reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +32,11 @@ from .qrf import QRFModel, build_gkls, generator_from_matrix
 from .spectral import spectral_decompose
 
 SCHEMA_VERSION = 1
+
+# the bytes of configs libyaml may read: every shipped and generated config
+# is made of them, and libyaml and the pure parser agree on text made of them
+_LIBYAML_BYTES = (b"\n\r #\"'()*+,-./:=[]_{}~0123456789"
+                  b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 _TOP_LEVEL_KEYS = {
     "schema", "kind", "tolerances", "caps", "system", "observer", "qrf",
@@ -213,6 +225,16 @@ def _parse_tolerances(sec):
                          for k, v in sec.items()})
 
 
+def _parse_yaml(blob):
+    """The YAML document in ``blob`` as ``yaml.safe_load`` reads it, read by libyaml where it can be."""
+    if yaml.__with_libyaml__ and not blob.translate(None, _LIBYAML_BYTES):
+        try:
+            return yaml.load(blob, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(blob)
+
+
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "rb") as fh:
@@ -220,7 +242,7 @@ def load_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        data = yaml.safe_load(blob)
+        data = _parse_yaml(blob)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

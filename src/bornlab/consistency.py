@@ -203,7 +203,7 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
 
 def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     """Surrogate-field condition: every off-diagonal entry of Q_n vanishes."""
-    off = table.dist.copy()
+    off = np.abs(table.dist)
     _pair_diagonal(off)[...] = 0.0
     mag, witness = _worst([(None, off)], lambda _, idx: {
         "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ def test_sf_record_equals_the_mask_oracle_on_drawn_tables(seed, n, m, tied, scal
     table = BiProbTable(random_grid(rng, n), np.arange(m, dtype=float),
                         scale * (draw() + 1j * draw()))
     assert check_sf(table).records == oracles.check_sf(table).records
+
+
+def test_sf_check_makes_no_copy_of_the_complex_table():
+    rng = np.random.default_rng(5)
+    shape = (4, 4) * 5                      # 4¹⁰ entries, 16 MiB of complex128
+    table = BiProbTable(random_grid(rng, 5), np.arange(4, dtype=float),
+                        rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    tracemalloc.start()
+    try:
+        report = check_sf(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * table.dist.nbytes
+    assert report.records == oracles.check_sf(table).records
 
 
 def test_witness_is_within_the_tie_tolerance_of_the_overall_peak():
