@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .errors import BornlabError, ConfigError, DimensionCap, TableTooLarge
-from .linalg import Tolerances, require_density
+from .linalg import Tolerances, require_density, require_hermitian
 from .observer import JointScenario, ObserverSystem, DEFAULT_JOINT_DIM_CAP
 from .process import DEFAULT_TABLE_CAP, QuantumSystem, TimeGrid
 from .qrf import QRFModel, build_gkls, generator_from_matrix
@@ -184,12 +184,12 @@ class ScenarioConfig:
             )
             rho_a = parse_matrix(_get(sec, "rho_a", "qrf"), "qrf.rho_a")
             if "generator" in sec:
+                matrix = parse_matrix(sec["generator"], "qrf.generator")
                 H_a = sec.get("H_a")
-                gen = generator_from_matrix(
-                    parse_matrix(sec["generator"], "qrf.generator"),
-                    None if H_a is None else parse_matrix(H_a, "qrf.H_a"),
-                    self.tolerances.hermiticity,
-                )
+                H_a = None if H_a is None else parse_matrix(H_a, "qrf.H_a")
+                gen = generator_from_matrix(matrix)
+                if H_a is not None:  # checked only: the raw generator already holds −i[H_a, ·]
+                    require_hermitian(H_a, self.tolerances.hermiticity, "H_a")
             else:
                 rates_raw = _get(sec, "rates", "qrf")
                 if not isinstance(rates_raw, list):
@@ -247,6 +247,8 @@ def load_config(path) -> ScenarioConfig:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"YAML parse error{loc}: {exc}") from exc
+    except ValueError as exc:  # a scalar that reads as an impossible date or time
+        raise ConfigError(f"YAML parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
 

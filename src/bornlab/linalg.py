@@ -156,11 +156,6 @@ def vec(X):
     return np.asarray(X, dtype=complex).flatten(order="F")
 
 
-def unvec(v, dim):
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """A linear map on operators, stored as a d² × d² matrix acting on vec(X)."""

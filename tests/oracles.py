@@ -35,6 +35,12 @@ serializer as it was before table entries were rendered from their arrays,
 kept verbatim: one dict per entry over ``itertools.product``, a Python sort
 when truncating, and ``json.dumps(indent=2)``.
 
+``validate_generator`` and ``classify_block_structure`` are the semigroup
+checks as they were before they read the generator as arrays, kept verbatim:
+one matrix unit E_kl at a time through ``unvec``, and one product
+𝒫(f,f) ℒ 𝒫(f_+,f_-) per (f, f_+, f_-). ``unvec`` is the inverse of
+``bornlab.linalg.vec``, which the library no longer needs.
+
 ``conditional_state`` is the collapse chain of Heisenberg-picture projectors
 that the library once offered as a convenience, a second path to the Born
 table by the chain rule. ``observer_observable_biprob`` is the bi-probability
@@ -71,7 +77,7 @@ from bornlab.process import (
     dynamics,
     readout,
 )
-from bornlab.qrf import QRFModel, pair_superops, semigroup
+from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
 from bornlab.reporting import complex_json
 from bornlab.sampler import Ensemble, Trajectory, _slot
 from bornlab.spectral import heisenberg_projectors
@@ -455,3 +461,82 @@ def biprob_table_json(table: BiProbTable, max_entries=4096):
 
 def dump(payload):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def unvec(v, dim):
+    """Inverse of :func:`vec`."""
+    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+
+
+def validate_generator(matrix, dim):
+    """Trace and Hermiticity preservation on the matrix-unit basis, to 1e-12 relative."""
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(matrix))))
+    for k in range(dim):
+        for l in range(dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E[k, l] = 1.0
+            out = unvec(matrix @ vec(E), dim)
+            out_dag = unvec(matrix @ vec(E.conj().T), dim)
+            if abs(np.trace(out)) > tol:
+                raise NumericalInvariantViolation(
+                    f"generator does not preserve trace: |tr ℒE_{k}{l}| = "
+                    f"{abs(np.trace(out)):.3e}"
+                )
+            if np.max(np.abs(out_dag - out.conj().T)) > tol:
+                raise NumericalInvariantViolation(
+                    "generator does not preserve Hermiticity on the basis"
+                )
+
+
+def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consistency,
+                             sample_times=(0.5, 1.0)):
+    """Block-triangular structure of the generator w.r.t. the eigen-sectors.
+
+    lower ⟺ 𝒫(f,f) ℒ_total 𝒫(f_+,f_-) = 0 for all f and f_+ ≠ f_-
+    (coherence non-activating: ΔΛ(t)Δ = ΔΛ(t));
+    upper ⟺ the mirrored condition (coherence non-generating:
+    ΔΛ(t)Δ = Λ(t)Δ). Labels are verified directly on ``sample_times``.
+    """
+    m = model.F_a.n_outcomes
+    K = pair_superops(model.F_a)
+    D = dephasing_projector(model.F_a)
+    L = model.generator.total.matrix
+    lower_v = upper_v = 0.0
+    for f in range(m):
+        Kd = K[f * m + f]
+        for a in range(m):
+            for b in range(m):
+                if a == b:
+                    continue
+                Kab = K[a * m + b]
+                lower_v = max(lower_v, float(np.max(np.abs(Kd @ L @ Kab))))
+                upper_v = max(upper_v, float(np.max(np.abs(Kab @ L @ Kd))))
+    lower = lower_v <= epsilon
+    upper = upper_v <= epsilon
+
+    residuals = {}
+    labels = []
+    if lower:
+        r = max(
+            float(np.max(np.abs(D @ semigroup(model, t) @ D - D @ semigroup(model, t))))
+            for t in sample_times
+        )
+        residuals["coherence non-activating"] = r
+        if r <= epsilon:
+            labels.append("coherence non-activating")
+    if upper:
+        r = max(
+            float(np.max(np.abs(D @ semigroup(model, t) @ D - semigroup(model, t) @ D)))
+            for t in sample_times
+        )
+        residuals["coherence non-generating"] = r
+        if r <= epsilon:
+            labels.append("coherence non-generating")
+    return BlockStructure(
+        lower=lower,
+        upper=upper,
+        labels=tuple(labels),
+        lower_violation=lower_v,
+        upper_violation=upper_v,
+        label_residuals=residuals,
+    )

@@ -214,3 +214,22 @@ def test_edited_configs_parse_as_the_pure_parser_reads_them(base, edits):
     fast, pure = _outcome(config._parse_yaml, blob), _outcome(yaml.safe_load, blob)
     assert fast[0] == pure[0]
     assert fast[1] == pure[1] if fast[0] == "error" else same(fast[1], pure[1])
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+@pytest.mark.parametrize("scalar, problem", [
+    ("2001-02-30", "day is out of range for month"),
+    ("2001-02-03 25:00:00", "hour must be in 0..23"),
+], ids=["impossible-date", "impossible-time"])
+def test_impossible_timestamp_is_a_config_error(tmp_path, capsys, monkeypatch, libyaml, scalar, problem):
+    # PyYAML's timestamp constructor raises a bare ValueError under either loader
+    if libyaml and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+    text = (ROOT / "configs" / "rabi.yaml").read_text(encoding="utf-8")
+    path = write(tmp_path, text.replace("seed: 20260801", f"seed: {scalar}"))
+    with pytest.raises(ConfigError, match=f"^YAML parse error: {problem}$"):
+        load_config(path)
+    capsys.readouterr()
+    assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == ("", f"bornlab: config error: YAML parse error: {problem}\n")

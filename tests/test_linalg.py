@@ -11,13 +11,13 @@ from bornlab.linalg import (
     partial_trace,
     propagator,
     trace_distance,
-    unvec,
     vec,
 )
 from bornlab.qrf import pair_superops
 from bornlab.errors import DimensionMismatch, NonFinite, NonHermitianInput
 from bornlab.linalg import require_density, require_hermitian
 from conftest import I2, KET0, KET1, SX, SZ, random_density, random_hermitian
+from oracles import unvec
 
 
 class TestHermitianEig:

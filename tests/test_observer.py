@@ -223,7 +223,8 @@ class TestRtnDephasing:
     def _grid_limit(self, n_steps):
         """Transfer-matrix contraction over all grid trajectories: the exact
         value the Monte-Carlo average estimates (test-local oracle)."""
-        from bornlab.linalg import unvec, vec
+        from bornlab.linalg import vec
+        from oracles import unvec
 
         dt = self.T_FINAL / n_steps
         vals = [-0.5, 0.5]

@@ -27,10 +27,20 @@ from bornlab.errors import (
     NumericalInvariantViolation,
     UnmatchedFrequency,
 )
-from bornlab.linalg import unvec, vec
+from bornlab.linalg import Superoperator, vec
 from bornlab.process import born_table
-from bornlab.qrf import generator_from_matrix, grid_pairs, qrf_bi_probability, qrf_born, semigroup
-from conftest import I2, KET0, SX, SZ, random_density, random_hermitian
+from bornlab.qrf import (
+    GKLSGenerator,
+    generator_from_matrix,
+    grid_pairs,
+    pair_superops,
+    qrf_bi_probability,
+    qrf_born,
+    semigroup,
+)
+from conftest import I2, KET0, SX, SZ, random_density, random_hermitian, random_unitary
+import oracles
+from oracles import unvec
 from test_kernel import drawn_case
 
 HALF_SZ = 0.5 * SZ
@@ -71,6 +81,17 @@ def choi(superop_matrix, dim):
             E[k, l] = 1.0
             C += np.kron(E, unvec(superop_matrix @ vec(E), dim))
     return C
+
+
+def superop(action, dim):
+    """Column-stacking matrix of the linear map ``action``, read off the matrix units."""
+    columns = []
+    for l in range(dim):
+        for k in range(dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E[k, l] = 1.0
+            columns.append(vec(action(E)))
+    return np.array(columns).T
 
 
 def frozen_model(rho_a=None):
@@ -121,11 +142,22 @@ class TestBuildGkls:
             build_gkls(SZ, SX, {0.37: 0.1}, 1.0)
 
     def test_bohr_frequency_splitting(self):
-        # H_a = σ_z has Bohr frequencies {−2, 0, 2}; G_x splits into ladders
-        gen = build_gkls(SZ, SX, {2.0: 0.3, -2.0: 0.1}, 1.0)
-        ops = {t.frequency: t.operator for t in gen.terms}
-        assert np.allclose(ops[2.0], [[0, 1], [0, 0]])   # |0⟩⟨1| raises energy by 2
-        assert np.allclose(ops[-2.0], [[0, 0], [1, 0]])
+        # H_a = σ_z has Bohr frequencies {−2, 0, 2}; G_x splits into the ladders
+        # |0⟩⟨1| at ω = 2 (it raises energy by 2) and |1⟩⟨0| at ω = −2
+        rates = {2.0: 0.3, -2.0: 0.1}
+        ladders = {2.0: np.array([[0, 1], [0, 0]], dtype=complex),
+                   -2.0: np.array([[0, 0], [1, 0]], dtype=complex)}
+
+        def action(X):
+            out = -1j * (SZ @ X - X @ SZ)
+            for omega, gamma in rates.items():
+                G = ladders[omega]
+                GdG = G.conj().T @ G
+                out = out + 2 * gamma * (G @ X @ G.conj().T - 0.5 * (GdG @ X + X @ GdG))
+            return out
+
+        gen = build_gkls(SZ, SX, rates, 1.0)
+        assert np.max(np.abs(gen.total.matrix - superop(action, 2))) <= 1e-12
 
 
 class TestSemigroup:
@@ -407,3 +439,109 @@ def test_generator_from_matrix_roundtrip():
 def test_cm_check_on_qrf_table_matches_rotation_expectation():
     table = qrf_bi_probability(rotation_model(), TimeGrid((0.4, 1.1)))
     assert not check_cm(table).record("CM").passed
+
+
+STRUCTURES = ("gkls", "lower", "upper", "both")
+
+
+def drawn_block_model(seed, d, m, rotated, structure):
+    """A GKLS model whose F_a has min(m, d) distinct outcomes, drawn from ``seed``.
+
+    F_a repeats its eigenvalues and, when ``rotated``, is not diagonal in the
+    computational basis; the rates are complex. For "lower", "upper" and "both" the
+    blocks 𝒫(f,f) ℒ 𝒫(f_+,f_-) (lower), their mirror (upper) or both are projected
+    out of the generator, so the labels and their residuals are formed too. The
+    projected generator is not checked: the classification does not need it valid.
+    """
+    rng = np.random.default_rng(seed)
+    m = min(m, d)
+    values = np.concatenate([np.arange(m), rng.integers(0, m, size=d - m)]) - 0.5 * m
+    V = random_unitary(rng, d) if rotated else np.eye(d)
+    F_a = spectral_decompose((V * values) @ V.conj().T)
+    H = random_hermitian(rng, d)
+    w = np.linalg.eigvalsh(H)
+    omegas = {0.0} if d == 1 else {0.0, float(w[1] - w[0]), float(w[0] - w[1])}
+    rates = {omega: rng.uniform(0.0, 1.0) + 0.3j * rng.normal() for omega in omegas}
+    L = build_gkls(H, random_hermitian(rng, d), rates).total.matrix
+    K = pair_superops(F_a).reshape(m, m, d * d, d * d)
+    off = [(a, b) for a in range(m) for b in range(m) if a != b]
+    cut = np.zeros_like(L)
+    for f in range(m):
+        for a, b in off:
+            if structure in ("lower", "both"):
+                cut += K[f, f] @ L @ K[a, b]
+            if structure in ("upper", "both"):
+                cut += K[a, b] @ L @ K[f, f]
+    generator = GKLSGenerator(dim=d, total=Superoperator(d, L - cut))
+    return QRFModel(generator=generator, F_a=F_a, rho_a=random_density(rng, d))
+
+
+def raised(check, matrix, dim):
+    """(type, message) of what ``check`` raises, or None."""
+    try:
+        with np.errstate(invalid="ignore"):  # the loop forms inf·0 and inf − inf
+            check(matrix, dim)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestAgainstOracles:
+    """The array-algebra checks against their per-basis-element loops, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), m=st.integers(1, 5),
+           rotated=st.booleans(), structure=st.sampled_from(STRUCTURES))
+    def test_block_classification_matches_the_loop(self, seed, d, m, rotated, structure):
+        model = drawn_block_model(seed, d, m, rotated, structure)
+        fast = classify_block_structure(model, sample_times=(0.4, 1.1))
+        slow = oracles.classify_block_structure(model, sample_times=(0.4, 1.1))
+        assert fast.lower_violation == slow.lower_violation
+        assert fast.upper_violation == slow.upper_violation
+        assert fast.labels == slow.labels
+        assert fast.label_residuals == slow.label_residuals
+        assert fast == slow
+
+    def test_drawn_structures_reach_every_label(self):
+        seen = set()
+        for seed in range(4):
+            for structure in STRUCTURES:
+                out = classify_block_structure(drawn_block_model(seed, 3, 2, True, structure))
+                seen.add((structure, out.labels))
+        assert ("gkls", ()) in seen and ("lower", ("coherence non-activating",)) in seen
+        assert ("both", ("coherence non-activating", "coherence non-generating")) in seen
+        assert any(structure == "upper" and labels for structure, labels in seen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           hits=st.lists(st.tuples(st.integers(0, 255), st.sampled_from(
+               [1e-13, 1e-11, -3e-9j, 1e-3, 1.0 - 2j, np.nan, np.inf, complex(0, -np.inf)])),
+               max_size=3))
+    def test_generator_validation_matches_the_loop(self, seed, d, hits):
+        L = drawn_block_model(seed, d, 2, True, "gkls").generator.total.matrix.copy()
+        for where, shift in hits:
+            L.flat[where % L.size] += shift
+        assert raised(qrf._validate_generator, L, d) == raised(oracles.validate_generator, L, d)
+
+    # δ puts tr ℒE_00 = 0 + 1.5 − 1.5 + δ at d = 4 within an ulp of the tolerance
+    # 1e-12·1.5, where the order of the summation decides the verdict
+    DELTA = 1e-12 * 1.5 + 2.0**-56
+
+    @pytest.mark.parametrize("dim, entries, expected", [
+        (2, {(0, 0): 1e-3}, "trace: |tr ℒE_00| = 1.000e-03"),
+        (2, {(1, 0): 1e-3}, "Hermiticity on the basis"),
+        # a NaN in row 1 makes entry (1, 0) of every ℒE_kl NaN, which hides the
+        # Hermiticity defect at entry (0, 1) of ℒE_00
+        (2, {(2, 0): 1e-3, (1, 3): np.nan}, None),
+        (2, {(0, 0): 1e-3, (1, 3): np.nan}, "trace: |tr ℒE_00| = 1.000e-03"),
+        (4, {(5, 0): 1.5, (10, 0): -1.5, (15, 0): DELTA}, None),
+        (4, {(5, 0): DELTA, (10, 0): -1.5, (15, 0): 1.5}, "trace: |tr ℒE_00| = 1.500e-12"),
+    ], ids=["trace", "hermiticity", "nan-row-hides-hermiticity", "nan-row-keeps-trace",
+            "trace-rounded-below", "trace-exact-above"])
+    def test_generator_validation_errors(self, dim, entries, expected):
+        L = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for index, entry in entries.items():
+            L[index] = entry
+        expected = expected and (NumericalInvariantViolation, f"generator does not preserve {expected}")
+        assert raised(oracles.validate_generator, L, dim) == expected
+        assert raised(qrf._validate_generator, L, dim) == expected
