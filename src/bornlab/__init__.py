@@ -9,28 +9,8 @@ surrogate-field condition holds — averaging over sampled trajectories
 reproduces the exact reduced dynamics of a coupled system.
 """
 
-from .consistency import (
-    analyze,
-    check_bi_consistency,
-    check_cm,
-    check_kc,
-    check_sf,
-    verify_generalized_relation,
-)
-from .errors import BornlabError
-from .linalg import Tolerances
-from .observer import JointScenario, ObserverSystem, compare, exact_reduced_state, surrogate_average
-from .process import QuantumSystem, TimeGrid, biprob_table, born_table
-from .qrf import (
-    QRFModel,
-    build_gkls,
-    check_ncgd,
-    classify_block_structure,
-    rtn_model,
-    verify_ncgd_cm_equivalence,
-)
-from .sampler import empirical_joint, sample_ensemble, sample_trajectory
-from .spectral import spectral_decompose
+import importlib
+
 from .version import __version__
 
 __all__ = [
@@ -67,3 +47,27 @@ __all__ = [
     "BornlabError",
     "__version__",
 ]
+
+# the module each name of __all__ is read from; a name is imported on first use (PEP 562),
+# so ``import bornlab.cli`` loads the modules of the commands and not those of other kinds
+_HOME = {
+    "QuantumSystem": "process", "TimeGrid": "process", "born_table": "process",
+    "biprob_table": "process", "Tolerances": "linalg", "spectral_decompose": "spectral",
+    "QRFModel": "qrf", "build_gkls": "qrf", "rtn_model": "qrf", "check_ncgd": "qrf",
+    "classify_block_structure": "qrf", "verify_ncgd_cm_equivalence": "qrf",
+    "ObserverSystem": "observer", "JointScenario": "observer",
+    "exact_reduced_state": "observer", "surrogate_average": "observer", "compare": "observer",
+    "analyze": "consistency", "check_kc": "consistency", "check_cm": "consistency",
+    "check_sf": "consistency", "check_bi_consistency": "consistency",
+    "verify_generalized_relation": "consistency",
+    "sample_ensemble": "sampler", "sample_trajectory": "sampler", "empirical_joint": "sampler",
+    "BornlabError": "errors",
+}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import consistency, observer, qrf, reporting, sampler
+from . import consistency, reporting, sampler
 from .config import ScenarioConfig, load_config, require_integer
 from .errors import (
     BornlabError,
@@ -84,6 +84,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
 def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     if cfg.kind != "joint":
         raise ConfigError("simulate requires kind: joint", "kind")
+    from . import observer  # only a joint config needs it; load_config has loaded it
     if cfg.sampling is None:
         raise ConfigError("simulate requires a sampling section", "sampling")
     js = cfg.source
@@ -189,6 +190,7 @@ def _warn_if_inconsistent(cfg, source, grid):
 def cmd_qrf(cfg: ScenarioConfig, out_path):
     if cfg.kind != "qrf":
         raise ConfigError("qrf command requires kind: qrf", "kind")
+    from . import qrf  # only a qrf config needs it; load_config has loaded it
     model = cfg.source
     first_grid = next(iter(cfg.grids.values()))
     structure = qrf.classify_block_structure(

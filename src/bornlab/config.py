@@ -18,17 +18,16 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import math
 import sys
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from .errors import BornlabError, ConfigError, DimensionCap, TableTooLarge
 from .linalg import Tolerances, require_density, require_hermitian
-from .observer import JointScenario, ObserverSystem, DEFAULT_JOINT_DIM_CAP
-from .process import DEFAULT_TABLE_CAP, QuantumSystem, TimeGrid
-from .qrf import QRFModel, build_gkls, generator_from_matrix
+from .process import DEFAULT_JOINT_DIM_CAP, DEFAULT_TABLE_CAP, QuantumSystem, TimeGrid
 from .spectral import spectral_decompose
 
 SCHEMA_VERSION = 1
@@ -50,12 +49,13 @@ _REQUIRED_SECTIONS = {
 
 
 def parse_complex(value, where):
+    """A number or an [re, im] pair as a complex, each part read by ``require_number``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(require_number(value, where))
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
-        return complex(float(value[0]), float(value[1]))
+        return complex(require_number(value[0], where), require_number(value[1], where))
     raise ConfigError("expected a number or a two-element [re, im] array", where)
 
 
@@ -89,7 +89,7 @@ def require_integer(value, where, minimum=1):
 def require_number(value, where, minimum=-np.inf, exclusive=False):
     """``value`` as a float if a finite real, not a bool, ≥ ``minimum`` (> if ``exclusive``)."""
     x = float(value) if type(value) in (int, float) and abs(value) <= sys.float_info.max else np.nan
-    if not np.isfinite(x) or x < minimum or exclusive and x == minimum:
+    if not math.isfinite(x) or x < minimum or exclusive and x == minimum:
         bound = "" if minimum == -np.inf else f" {'>' if exclusive else '≥'} {minimum:g}"
         raise ConfigError(f"expected a finite number{bound}, got {value!r}", where)
     return x
@@ -112,33 +112,35 @@ def _get(sec, key, where):
     return sec[key]
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(NamedTuple):
     size: int
     seed: int
     grid: str
 
 
-@dataclass(frozen=True)
-class SimulateConfig:
+class SimulateConfig(NamedTuple):
     grid: str
     probe_times: tuple[float, ...]
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
-    path: str
-    sha256: str
-    kind: str
-    tolerances: Tolerances
-    table_cap: int
-    joint_dim_cap: int
-    grids: dict[str, TimeGrid]
-    n_max: int
-    sampling: SamplingConfig | None
-    simulate: SimulateConfig | None
-    report_max_entries: int
-    raw: dict = field(repr=False, default_factory=dict)
+    """A parsed config: its sections, and in ``raw`` the mapping they were read from."""
+
+    def __init__(self, path, sha256, kind, tolerances: Tolerances, table_cap, joint_dim_cap,
+                 grids: dict[str, TimeGrid], n_max, sampling: SamplingConfig | None,
+                 simulate: SimulateConfig | None, report_max_entries, raw: dict):
+        self.path = path
+        self.sha256 = sha256
+        self.kind = kind
+        self.tolerances = tolerances
+        self.table_cap = table_cap
+        self.joint_dim_cap = joint_dim_cap
+        self.grids = grids
+        self.n_max = n_max
+        self.sampling = sampling
+        self.simulate = simulate
+        self.report_max_entries = report_max_entries
+        self.raw = raw
 
     def grid(self, name):
         if name not in self.grids:
@@ -161,7 +163,10 @@ class ScenarioConfig:
                 self.tolerances,
             )
 
-    def build_joint(self) -> JointScenario:
+    def build_joint(self):
+        """The JointScenario of a ``kind: joint`` config; only this kind loads ``observer``."""
+        from .observer import JointScenario, ObserverSystem
+
         sys = self.build_system()
         sec = _section(self.raw, "observer")
         with _as_config_error("observer"):
@@ -174,7 +179,10 @@ class ScenarioConfig:
             )
         return JointScenario(obs=obs, sys=sys, dim_cap=self.joint_dim_cap)
 
-    def build_qrf(self) -> QRFModel:
+    def build_qrf(self):
+        """The QRFModel of a ``kind: qrf`` config; only this kind loads ``qrf``."""
+        from .qrf import QRFModel, build_gkls, generator_from_matrix
+
         sec = _section(self.raw, "qrf")
         with _as_config_error("qrf"):
             F_a = spectral_decompose(
@@ -217,7 +225,7 @@ class ScenarioConfig:
 def _parse_tolerances(sec):
     if not isinstance(sec, dict):
         raise ConfigError("tolerances must be a mapping", "tolerances")
-    unknown = set(sec) - {f.name for f in fields(Tolerances)}
+    unknown = set(sec) - set(Tolerances._fields)
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)}", "tolerances")
     return Tolerances(**{k: None if k == "cluster" and v is None else

@@ -20,7 +20,7 @@ records exactly what was covered):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,18 +40,16 @@ IDENTITY_TOL = 1e-10
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(NamedTuple):
     condition: str
     max_abs_violation: float
     witness: dict | None
     threshold: float
     passed: bool
-    coverage: dict = field(default_factory=dict)
+    coverage: dict
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     grid: TimeGrid
     n: int
     records: tuple[ConditionRecord, ...]

@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """The tolerances a run applies, each to the inputs or verdicts named here.
 
     ``hermiticity`` bounds max |M − M†| of H, F and the observer and QRF
@@ -156,20 +155,15 @@ def vec(X):
     return np.asarray(X, dtype=complex).flatten(order="F")
 
 
-@dataclass(frozen=True)
 class Superoperator:
     """A linear map on operators, stored as a d² × d² matrix acting on vec(X)."""
 
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "superoperator")
-        require_square(m, "superoperator")
-        if m.shape[0] != self.dim**2:
+    def __init__(self, dim, matrix):
+        m = require_square(as_complex_matrix(matrix, "superoperator"), "superoperator")
+        if m.shape[0] != dim**2:
             raise DimensionMismatch(
-                f"superoperator side {m.shape[0]} does not equal dim² = {self.dim**2}"
-            )
+                f"superoperator side {m.shape[0]} does not equal dim² = {dim**2}")
+        self.dim, self.matrix = dim, matrix
 
 
 def commutator_superop(A):

@@ -13,7 +13,7 @@ every trajectory that shares it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +28,11 @@ from .linalg import (
     require_hermitian,
     trace_distance,
 )
-from .process import QuantumSystem
+from .process import DEFAULT_JOINT_DIM_CAP, QuantumSystem
 from .sampler import Ensemble, _slot, rank_histories
 
-DEFAULT_JOINT_DIM_CAP = 32
 
-
-@dataclass(frozen=True)
-class ObserverSystem:
+class ObserverSystem(NamedTuple):
     """Free Hamiltonian, coupling operator, initial state, coupling strength."""
 
     H_o: np.ndarray
@@ -57,20 +54,14 @@ class ObserverSystem:
         return self.H_o.shape[0]
 
 
-@dataclass(frozen=True)
 class JointScenario:
     """An observer coupled to a measured system, within the dimension cap."""
 
-    obs: ObserverSystem
-    sys: QuantumSystem
-    dim_cap: int = DEFAULT_JOINT_DIM_CAP
-
-    def __post_init__(self):
-        joint = self.obs.dim * self.sys.dim
-        if joint > self.dim_cap:
-            raise DimensionCap(
-                f"joint dimension {joint} exceeds cap {self.dim_cap}"
-            )
+    def __init__(self, obs: ObserverSystem, sys: QuantumSystem, dim_cap=DEFAULT_JOINT_DIM_CAP):
+        joint = obs.dim * sys.dim
+        if joint > dim_cap:
+            raise DimensionCap(f"joint dimension {joint} exceeds cap {dim_cap}")
+        self.obs, self.sys, self.dim_cap = obs, sys, dim_cap
 
     @property
     def dims(self):
@@ -102,8 +93,7 @@ def exact_reduced_state(js: JointScenario, t):
     return U_o.conj().T @ reduced @ U_o
 
 
-@dataclass(frozen=True)
-class SurrogateAverage:
+class SurrogateAverage(NamedTuple):
     """Monte-Carlo mean state with per-entry standard errors."""
 
     mean: np.ndarray
@@ -145,8 +135,7 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
 
 
-@dataclass(frozen=True)
-class StateComparison:
+class StateComparison(NamedTuple):
     trace_distance: float
     z_scores: np.ndarray
 

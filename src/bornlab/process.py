@@ -25,9 +25,8 @@ caches its maps (U here, Λ in :mod:`bornlab.qrf`), so a command forms each once
 from __future__ import annotations
 
 import functools
-import string
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,25 +38,29 @@ from .spectral import SpectralDecomposition, spectral_decompose
 from .spectral import heisenberg_projectors  # noqa: F401
 
 DEFAULT_TABLE_CAP = 1_000_000
+DEFAULT_JOINT_DIM_CAP = 32
 
-_LETTERS = string.ascii_letters
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing positive measurement times t_1 < ... < t_n."""
 
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", ts)
+    def __init__(self, times):
+        ts = tuple(float(t) for t in times)
         if len(ts) < 1:
             raise ValueError("a time grid needs at least one time")
         if not all(np.isfinite(ts)):
             raise ValueError("grid times must be finite")
         if ts[0] <= 0 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"grid times must satisfy 0 < t_1 < ... < t_n, got {ts}")
+        self.times = ts
+
+    def __eq__(self, other):
+        return isinstance(other, TimeGrid) and self.times == other.times
+
+    def __hash__(self):
+        return hash(self.times)
 
     @property
     def n(self):
@@ -75,17 +78,13 @@ class TimeGrid:
         return TimeGrid(self.times[:n])
 
 
-@dataclass(frozen=True)
 class QuantumSystem:
     """Hamiltonian, decomposed observable, and initial state of one system."""
 
-    H: np.ndarray
-    F: SpectralDecomposition
-    rho0: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, H, F: SpectralDecomposition, rho0):
+        self.H, self.F, self.rho0 = H, F, rho0
         # U(gap) = exp(−i gap H), formed once per gap for every table and descent
-        object.__setattr__(self, "propagator", map_cache(lambda gap: propagator(self.H, gap)))
+        self.propagator = map_cache(lambda gap: propagator(H, gap))
 
     @classmethod
     def from_operators(cls, H, F, rho0, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -105,8 +104,7 @@ class QuantumSystem:
         return self.F.dim
 
 
-@dataclass(frozen=True)
-class BornTable:
+class BornTable(NamedTuple):
     """Joint distribution over outcome-index tuples, axes chronological."""
 
     grid: TimeGrid
@@ -126,8 +124,7 @@ class BornTable:
         return np.maximum(self.dist, 0.0)
 
 
-@dataclass(frozen=True)
-class BiProbTable:
+class BiProbTable(NamedTuple):
     """Two-sided complex table; axes interleaved (f_1, f_-1, f_2, f_-2, ...)."""
 
     grid: TimeGrid
@@ -160,8 +157,7 @@ def _check_cap(entries, cap, what):
         )
 
 
-@dataclass(frozen=True)
-class Dynamics:
+class Dynamics(NamedTuple):
     """What the table kernel and the sampler need of a source.
 
     ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in

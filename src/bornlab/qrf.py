@@ -25,7 +25,7 @@ scipy's ``expm`` to ≤ 6.5e-15 relative in the 1-norm, and on the shipped
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,16 +123,13 @@ def expm(matrix, tau):
     return out
 
 
-@dataclass(frozen=True)
 class GKLSGenerator:
     """ℒ_total = −i[H_a, ·] + μ² ℒ with ℒ in GKLS form."""
 
-    dim: int
-    total: Superoperator
-
-    def __post_init__(self):
+    def __init__(self, dim, total: Superoperator):
+        self.dim, self.total = dim, total
         # Λ(τ) = exp(τ ℒ_total), formed once per τ for every table, descent and check
-        object.__setattr__(self, "semigroup", map_cache(lambda tau: expm(self.total.matrix, tau)))
+        self.semigroup = map_cache(lambda tau: expm(total.matrix, tau))
 
 
 def _validate_generator(matrix, dim):
@@ -218,19 +215,13 @@ def generator_from_matrix(matrix):
     return GKLSGenerator(dim=d, total=Superoperator(d, M))
 
 
-@dataclass(frozen=True)
 class QRFModel:
     """Semigroup generator + measured observable + initial state."""
 
-    generator: GKLSGenerator
-    F_a: SpectralDecomposition
-    rho_a: np.ndarray
-
-    def __post_init__(self):
-        if self.F_a.dim != self.generator.dim:
-            raise DimensionMismatch(
-                f"observable dim {self.F_a.dim} vs generator dim {self.generator.dim}"
-            )
+    def __init__(self, generator: GKLSGenerator, F_a: SpectralDecomposition, rho_a):
+        if F_a.dim != generator.dim:
+            raise DimensionMismatch(f"observable dim {F_a.dim} vs generator dim {generator.dim}")
+        self.generator, self.F_a, self.rho_a = generator, F_a, rho_a
 
     @property
     def dim(self):
@@ -315,8 +306,7 @@ def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consisten
     return _record("NCGD", worst, witness, epsilon, {"time_pairs": checked})
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(NamedTuple):
     lower: bool
     upper: bool
     labels: tuple[str, ...]
@@ -359,8 +349,7 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
     return BlockStructure(lower, upper, labels, lower_v, upper_v, residuals)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     ncgd: ConditionRecord
     cm: ConditionRecord
     agree: bool

@@ -10,7 +10,6 @@ template per table, in the bytes ``json.dumps`` would give.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -132,7 +131,7 @@ def envelope(command, cfg, seed=None):
             "rng": RNG_ALGORITHM,
         },
         "config": {"path": cfg.path, "sha256": cfg.sha256, "kind": cfg.kind},
-        "tolerances": dataclasses.asdict(cfg.tolerances),
+        "tolerances": cfg.tolerances._asdict(),
         "caps": {"table_entries": cfg.table_cap, "joint_dim": cfg.joint_dim_cap},
     }
     if seed is not None:

@@ -19,7 +19,7 @@ which is deterministic for a fixed N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +38,8 @@ def _slot(grid: TimeGrid, t):
     return max(int(np.searchsorted(times, t, side="right")) - 1, 0)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant outcome path on a grid.
+class Trajectory(NamedTuple):
+    """Piecewise-constant outcome path on a grid, one outcome per grid time.
 
     ``values[k]`` is the eigenvalue measured at ``grid.times[k]``; it is held
     on [t_{k+1}, t_{k+2}) and the first value extends back to 0, so the path
@@ -52,13 +51,8 @@ class Trajectory:
     indices: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.indices) != self.grid.n or len(self.values) != self.grid.n:
-            raise ValueError("trajectory length must match its grid")
 
-
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(NamedTuple):
     """Independently sampled trajectories on a shared grid.
 
     ``indices[j, k]`` is trajectory j's outcome index into ``eigenvalues`` at

@@ -9,7 +9,7 @@ outcome whose value is the mean of the cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .errors import AmbiguousClustering, DimensionMismatch
 from .linalg import DEFAULT_TOLERANCES, hermitian_eig, propagator
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Unique outcomes of an observable with their eigenprojectors.
 
     ``eigenvalues`` is strictly increasing; ``projectors[k]`` projects onto

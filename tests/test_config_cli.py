@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bornlab import config, process, qrf
+from bornlab import process, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
@@ -77,6 +77,8 @@ NUMBER_FIELDS = {
     "simulate.probe_times": lambda v: DEPHASING_YAML + f"simulate: {{probe_times: [0.5, {v}]}}\n",
     "qrf.mu": lambda v: RTN_YAML.replace("mu: 1.0", f"mu: {v}"),
     "qrf.rates[0].omega": lambda v: RTN_YAML.replace("omega: 0.0", f"omega: {v}"),
+    "system.H[0][0]": lambda v: RABI_YAML.replace("H: [[0, 0.5]", f"H: [[{v}, 0.5]"),
+    "qrf.rates[0].gamma": lambda v: RTN_YAML.replace("gamma: 0.35", f"gamma: {v}"),
 }
 RAW_GENERATOR_YAML = """
 schema: 1
@@ -104,7 +106,13 @@ WITHIN_TOLERANCE = {
 BAD_NUMBERS = [(field, value) for field in NUMBER_FIELDS for value in ("abc", ".nan", "true")] + [
     ("tolerances.consistency", "-1.0"), ("tolerances.consistency", "null"),
     ("tolerances.cluster", "0.0"), ("qrf.mu", ".inf"),
-    pytest.param("qrf.mu", "9" * 400, id="qrf.mu-beyond-float-range")]
+    pytest.param("qrf.mu", "9" * 400, id="qrf.mu-beyond-float-range")] + [
+    # a complex entry is checked part by part: finite, and within float range
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field in ("system.H[0][0]", "qrf.rates[0].gamma")
+    for name, value in ((".inf", ".inf"), ("[0.35, .inf]", "[0.35, .inf]"),
+                        ("beyond-float-range", "9" * 400),
+                        ("imaginary-beyond-float-range", f"[0.35, {'9' * 400}]"))]
 
 
 class TestConfigParsing:
@@ -510,7 +518,7 @@ def test_a_command_builds_its_source_once_after_loading(command, name, systems, 
         return build_gkls(*args, **kwargs)
 
     monkeypatch.setattr(QuantumSystem, "from_operators", classmethod(counted_system))
-    monkeypatch.setattr(config, "build_gkls", counted_gkls)
+    monkeypatch.setattr(qrf, "build_gkls", counted_gkls)  # build_qrf imports it from qrf
     out = tmp_path / f"{name}.{command}.json"
     assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert calls == {"systems": systems, "generators": generators}

@@ -86,3 +86,14 @@ def test_all_is_pinned_and_resolves():
 
 def test_no_public_definition_is_dead():
     assert dead_names() == []
+
+
+def test_names_resolve_on_first_use_and_no_other_name_does():
+    # __all__ resolves through the package's __getattr__, which refuses any other name
+    assert not hasattr(bornlab, "not_a_public_name")
+    namespace = {}
+    exec("from bornlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+    from bornlab.qrf import QRFModel
+
+    assert namespace["QRFModel"] is QRFModel
