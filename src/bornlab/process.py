@@ -39,6 +39,7 @@ from .spectral import heisenberg_projectors  # noqa: F401
 
 DEFAULT_TABLE_CAP = 1_000_000
 DEFAULT_JOINT_DIM_CAP = 32
+TRACE_TOL = 1e-10  # how far a table total, or a map's trace, may stray from exact
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -216,9 +217,9 @@ def _table(source, grid: TimeGrid, cap, diagonal):
         dist[:, range(m), range(m)] = traces
         dist = dist.reshape((m, m) * n)
     total, trace = dist.sum(), np.trace(dyn.rho).real
-    if not np.isfinite(total) or abs(total - trace) > 1e-10:
+    if not np.isfinite(total) or abs(total - trace) > TRACE_TOL:
         raise NumericalInvariantViolation(
-            f"{what} total {total} differs from tr ρ = {trace} beyond 1e-10"
+            f"{what} total {total} differs from tr ρ = {trace} beyond {TRACE_TOL}"
         )
     return (BornTable if diagonal else BiProbTable)(grid, dyn.F.eigenvalues.copy(), dist)
 

@@ -46,7 +46,8 @@ from .linalg import (
     require_hermitian,
     vec,
 )
-from .process import DEFAULT_TABLE_CAP, Dynamics, TimeGrid, biprob_table, born_table, dynamics
+from .process import (DEFAULT_TABLE_CAP, TRACE_TOL, Dynamics, TimeGrid, biprob_table, born_table,
+                      dynamics)
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
 from .consistency import ConditionRecord, ConsistencyReport, _record, _worst
 # perfbench/tracing.py wraps qrf.check_cm and qrf.check_sf
@@ -123,13 +124,33 @@ def expm(matrix, tau):
     return out
 
 
+def _trace_preserving_map(matrix, dim, tau):
+    """Λ(τ) = ``expm(matrix, tau)``, refused if roundoff has broken its trace preservation.
+
+    A trace-preserving Λ has vec(1)ᵀΛ = vec(1)ᵀ, with ``vec`` stacking columns.
+    When ‖vec(1)ᵀΛ(τ) − vec(1)ᵀ‖∞ exceeds ``TRACE_TOL``, as it can for a stiff
+    generator after many squarings, ``NumericalInvariantViolation`` names τ.
+    """
+    out = expm(matrix, tau)
+    ones = np.arange(dim) * (dim + 1)  # where vec(1) holds its ones
+    row = out[ones].sum(axis=0)
+    row[ones] -= 1.0
+    defect = float(np.max(np.abs(row)))
+    if defect > TRACE_TOL:
+        raise NumericalInvariantViolation(
+            f"Λ(τ) does not preserve the trace at τ = {tau!r}: "
+            f"‖vec(1)ᵀΛ − vec(1)ᵀ‖∞ = {defect:.3e} beyond {TRACE_TOL}"
+        )
+    return out
+
+
 class GKLSGenerator:
     """ℒ_total = −i[H_a, ·] + μ² ℒ with ℒ in GKLS form."""
 
     def __init__(self, dim, total: Superoperator):
         self.dim, self.total = dim, total
-        # Λ(τ) = exp(τ ℒ_total), formed once per τ for every table, descent and check
-        self.semigroup = map_cache(lambda tau: expm(total.matrix, tau))
+        # Λ(τ) = exp(τ ℒ_total), formed and checked once per τ for every table, descent and check
+        self.semigroup = map_cache(lambda tau: _trace_preserving_map(total.matrix, dim, tau))
 
 
 def _validate_generator(matrix, dim):

@@ -4,8 +4,10 @@ Reports are JSON with sorted keys and two-space indentation; floats use the
 shortest round-trip decimal. For a fixed (config, seed) the serialized bytes
 are identical across runs. Complex numbers are two-element [re, im] arrays.
 Roundoff-negative probabilities are clamped to zero at this boundary only.
-Table entries stay arrays until ``dump`` writes them through one entry
-template per table, in the bytes ``json.dumps`` would give.
+Table entries stay arrays until ``dump`` writes them column by column, in the
+bytes ``json.dumps`` would give: each distinct float bit pattern of a table
+is written by one ``repr``, each outcome by a lookup of decimal strings, and
+the report text is made by a single join over every piece.
 """
 
 from __future__ import annotations
@@ -37,38 +39,69 @@ class TableEntries:
     ``entry`` is one entry with ``"%d"`` in place of each outcome and ``"%r"``
     in place of each float. ``columns`` hold the values, one array per
     placeholder in the order ``json.dumps(sort_keys=True)`` writes them.
+    ``render`` writes them column by column into pieces that ``dump`` joins:
+    one ``repr`` per distinct float bit pattern, one string per outcome value.
     """
 
     def __init__(self, entry, columns):
         text = json.dumps(entry, indent=2, sort_keys=True)
-        self.template = text.replace('"%d"', "%d").replace('"%r"', "%r")
+        # one more literal than columns: the text before, between and after them
+        self.literals = text.replace('"%d"', '"%r"').split('"%r"')
         self.columns = columns
 
     def render(self, indent):
-        """The list as ``json.dumps(indent=2)`` writes it on a line indented by ``indent``."""
+        """Pieces of the list as ``json.dumps(indent=2)`` writes it on a line indented by ``indent``."""
         for column in self.columns:
             if column.dtype.kind == "f" and not np.isfinite(column).all():
                 bad = float(column[~np.isfinite(column)][0])
                 raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        if not len(self.columns[0]):
-            return "[]"
+        rows, width = len(self.columns[0]), 2 * len(self.columns)
+        if not rows:
+            return ["[]"]
         pad = "\n" + " " * (indent + 2)
-        template = pad[1:] + self.template.replace("\n", pad)
-        # tolist gives Python ints and floats, which %d and %r print as json does
-        rows = zip(*(column.tolist() for column in self.columns))
-        return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n" + " " * indent + "]"
+        first, *inner, last = (part.replace("\n", pad) for part in self.literals)
+        first = pad[1:] + first
+        # a row is value, literal, value, …, literal: its values go in the even slots
+        cycle = [None] * width
+        cycle[1:width - 1:2] = inner
+        cycle[-1] = last + ",\n" + first
+        pieces = ["[\n" + first] + cycle * rows
+        pieces[-1] = last + "\n" + " " * indent + "]"
+        floats = [j for j, column in enumerate(self.columns) if column.dtype.kind == "f"]
+        if floats:
+            bits = np.concatenate([self.columns[j] for j in floats]).view(np.int64)
+            # the int64 view keeps -0.0 apart from 0.0
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse]
+            for i, j in enumerate(floats):
+                pieces[1 + 2 * j::width] = text[i * rows:(i + 1) * rows].tolist()
+        outcomes = [j for j, column in enumerate(self.columns) if column.dtype.kind != "f"]
+        if outcomes:
+            top = max(int(self.columns[j].max()) for j in outcomes)
+            digits = np.array(list(map(str, range(top + 1))), dtype=object)
+            for j in outcomes:
+                pieces[1 + 2 * j::width] = digits[self.columns[j]].tolist()
+        return pieces
 
 
 def _kept(score, max_entries):
     """Flat C-order indices of the entries kept, and whether any were dropped.
 
-    A truncated table keeps its ``max_entries`` largest scores; the stable sort
-    breaks ties in C order, which is lexicographic outcome order.
+    A truncated table keeps its ``max_entries`` largest scores, ties broken in
+    C order, which is lexicographic outcome order: the entries above the k-th
+    largest score and the first of those equal to it, found by a partition,
+    then sorted stably. Equal scores all fall in one of the two index lists,
+    each ascending, so the stable sort sees every tie in C order.
     """
     score = score.ravel()
     if score.size <= max_entries:
         return np.arange(score.size), False
-    return np.argsort(-score, kind="stable")[:max_entries], True
+    negated = -score
+    kth = np.partition(negated, max_entries - 1)[max_entries - 1]
+    above = np.flatnonzero(negated < kth)
+    tied = np.flatnonzero(negated == kth)[:max_entries - above.size]
+    keep = np.concatenate([above, tied])
+    return keep[np.argsort(negated[keep], kind="stable")], True
 
 
 def born_table_json(table: BornTable, max_entries=4096):
@@ -144,7 +177,8 @@ def dump(payload):
 
     Each ``TableEntries`` is written as the list of entry objects it holds:
     ``json.dumps`` leaves a placeholder string there, and the rendered list
-    replaces it at the indentation of its line.
+    replaces it at the indentation of its line. The text is one join over the
+    skeleton's parts, every block's pieces and the final newline.
     """
     blocks = []
 
@@ -157,7 +191,9 @@ def dump(payload):
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=defer)
     parts = text.split(json.dumps(_PLACEHOLDER))
     out = [parts[0]]
-    for block, part in zip(blocks, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        out += [block.render(len(line) - len(line.lstrip(" "))), part]
-    return "".join(out) + "\n"
+    for block, before, after in zip(blocks, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        out += block.render(len(line) - len(line.lstrip(" ")))
+        out.append(after)
+    out.append("\n")
+    return "".join(out)

@@ -33,7 +33,11 @@ and takes its witness by the same written-out tie rule.
 ``born_table_json``, ``biprob_table_json`` and ``dump`` are the report
 serializer as it was before table entries were rendered from their arrays,
 kept verbatim: one dict per entry over ``itertools.product``, a Python sort
-when truncating, and ``json.dumps(indent=2)``.
+when truncating, and ``json.dumps(indent=2)``. ``TableEntries`` and
+``_kept`` are the array renderer and truncation as they were before entries
+were written column by column, kept verbatim: one ``%``-template per row
+(one ``%d`` per outcome, one ``%r`` per float), and a stable sort of the
+whole score array.
 
 ``validate_generator`` and ``classify_block_structure`` are the semigroup
 checks as they were before they read the generator as arrays, kept verbatim:
@@ -461,6 +465,46 @@ def biprob_table_json(table: BiProbTable, max_entries=4096):
 
 def dump(payload):
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TableEntries:
+    """The kept entries of a table as arrays, written as a JSON list by ``dump``.
+
+    ``entry`` is one entry with ``"%d"`` in place of each outcome and ``"%r"``
+    in place of each float. ``columns`` hold the values, one array per
+    placeholder in the order ``json.dumps(sort_keys=True)`` writes them.
+    """
+
+    def __init__(self, entry, columns):
+        text = json.dumps(entry, indent=2, sort_keys=True)
+        self.template = text.replace('"%d"', "%d").replace('"%r"', "%r")
+        self.columns = columns
+
+    def render(self, indent):
+        """The list as ``json.dumps(indent=2)`` writes it on a line indented by ``indent``."""
+        for column in self.columns:
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                bad = float(column[~np.isfinite(column)][0])
+                raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        if not len(self.columns[0]):
+            return "[]"
+        pad = "\n" + " " * (indent + 2)
+        template = pad[1:] + self.template.replace("\n", pad)
+        # tolist gives Python ints and floats, which %d and %r print as json does
+        rows = zip(*(column.tolist() for column in self.columns))
+        return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n" + " " * indent + "]"
+
+
+def _kept(score, max_entries):
+    """Flat C-order indices of the entries kept, and whether any were dropped.
+
+    A truncated table keeps its ``max_entries`` largest scores; the stable sort
+    breaks ties in C order, which is lexicographic outcome order.
+    """
+    score = score.ravel()
+    if score.size <= max_entries:
+        return np.arange(score.size), False
+    return np.argsort(-score, kind="stable")[:max_entries], True
 
 
 def unvec(v, dim):

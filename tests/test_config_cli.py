@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +449,15 @@ class TestQrfCommand:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["bornlab: Λ(τ) is not finite at τ = 0.4"]
+        assert not out.exists()
+
+    def test_a_map_that_moves_the_trace_exits_1_naming_tau(self, tmp_path, capsys):
+        # finite, but its squarings leave vec(1)ᵀΛ(0.4) off by about 1.6e-2
+        out = tmp_path / "rtn.json"
+        text = RTN_YAML.replace("gamma: 0.35", "gamma: 1.0e+14")
+        assert main(["qrf", write(tmp_path, text), "--out", str(out)]) == 1
+        assert re.fullmatch(r"bornlab: Λ\(τ\) does not preserve the trace at τ = 0\.4: .* beyond 1e-10",
+                            capsys.readouterr().err.splitlines()[-1])
         assert not out.exists()
 
     def test_requires_qrf_kind(self, tmp_path):

@@ -215,6 +215,18 @@ class TestSemigroup:
         assert not first.flags.writeable
         assert np.array_equal(first, form(model.generator.total.matrix, 0.4))
 
+    @pytest.mark.parametrize("coupling,refused", [(1e-9, True), (1e-11, False)])
+    def test_semigroup_refuses_a_map_that_moves_the_trace(self, coupling, refused):
+        # ℒ = c·vec(E_00) vec(E_10)ᵀ moves tr X by τ·c·X_10: vec(1)ᵀΛ(τ) is off by τc
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[0, 1] = coupling
+        generator = qrf.GKLSGenerator(2, Superoperator(2, matrix))
+        if refused:
+            with pytest.raises(NumericalInvariantViolation, match=re.escape("at τ = 0.5: ")):
+                generator.semigroup(0.5)
+        else:
+            assert generator.semigroup(0.5)[0, 1] == 0.5 * coupling
+
     def test_choi_positivity_spot_check(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
                          {0.0: 0.3 + 0.2j}, mu=1.1)

@@ -5,10 +5,13 @@ keeps the serializer that built one dict per entry and ran
 ``json.dumps(indent=2)``. Every case here compares the two texts byte for
 byte, with the tables nested as an ``analyze`` report nests them and also at
 the top level, so that the entries are spliced in at more than one
-indentation.
+indentation. The oracles also keep the per-row template renderer and the
+full stable sort that truncation used; the column-wise renderer and the
+partition are held to them directly.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +59,69 @@ def test_drawn_tables_give_the_oracle_bytes(seed, m, n, pool, data):
     bip_dist = drawn_values(rng, (m, m) * n, pool) + 1j * drawn_values(rng, (m, m) * n, pool)
     max_entries = data.draw(st.integers(1, m ** (2 * n) + 1), label="max_entries")
     assert_same_bytes(*tables(m, n, born_dist, bip_dist), max_entries)
+
+
+@pytest.mark.parametrize("max_entries", [4096, 50, 1])
+@pytest.mark.parametrize("m, n", [(10, 1), (11, 1), (12, 1), (10, 2), (11, 2), (12, 2), (150, 1)])
+def test_outcomes_of_two_and_more_digits(m, n, max_entries):
+    # n = 2 truncates the bi-probability table even at 4096; m = 150 writes three digits
+    rng = np.random.default_rng(1000 * m + n)
+    born_dist = drawn_values(rng, (m,) * n, 0)
+    bip_dist = drawn_values(rng, (m, m) * n, 3) + 1j * drawn_values(rng, (m, m) * n, 0)
+    assert_same_bytes(*tables(m, n, born_dist, bip_dist), max_entries)
+
+
+def with_signed_zeros(rng, values):
+    values = values.copy()
+    values[rng.random(values.shape) < 0.15] = -0.0
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 13), n=st.integers(1, 3),
+       rows=st.integers(0, 60), indent=st.integers(0, 10), pool=st.sampled_from([0, 1, 3]))
+def test_columns_render_as_the_row_template_renders(seed, m, n, rows, indent, pool):
+    rng = np.random.default_rng(seed)
+    outcomes = [rng.integers(0, m, size=rows) for _ in range(2 * n)]
+    re, im = with_signed_zeros(rng, drawn_values(rng, (2, rows), pool))
+    cases = [({"outcomes": ["%d"] * n, "p": "%r"}, [*outcomes[:n], re]),
+             ({"outcomes": ["%d"] * n, "outcomes_minus": ["%d"] * n, "value": ["%r", "%r"]},
+              [*outcomes, re, im])]
+    for entry, columns in cases:
+        pieces = reporting.TableEntries(entry, columns).render(indent)
+        assert "".join(pieces) == oracles.TableEntries(entry, columns).render(indent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 80), pool=st.sampled_from([0, 1, 3, 8]))
+def test_partition_keeps_what_the_stable_sort_keeps(seed, size, pool):
+    rng = np.random.default_rng(seed)
+    score = with_signed_zeros(rng, drawn_values(rng, size, pool))
+    special = rng.choice([5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.0], size=size)
+    score = np.where(rng.random(size) < 0.2, special, score)
+    for max_entries in range(1, size + 2):
+        kept, truncated = reporting._kept(score, max_entries)
+        old_kept, old_truncated = oracles._kept(score, max_entries)
+        assert np.array_equal(kept, old_kept) and truncated == old_truncated
+
+
+def test_dump_peak_memory_stays_below_twice_the_text(rng):
+    # an analyze report the size of the generated u4 config's: d = m = 4 at n = 1..4
+    source, grid = random_system(rng, 4), random_grid(rng, 4)
+    analyses = []
+    for n in range(1, 5):
+        sub = grid.prefix(n)
+        analyses.append({"grid": "main", "n": n,
+                         "born": reporting.born_table_json(born_table(source, sub)),
+                         "bi_probability": reporting.biprob_table_json(biprob_table(source, sub))})
+    tracemalloc.start()
+    try:
+        text = reporting.dump({"analyses": analyses})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 2 * len(text)
 
 
 @pytest.mark.parametrize("max_entries", [1, 3, 5, 9, 12, 15])
