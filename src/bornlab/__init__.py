@@ -13,43 +13,8 @@ import importlib
 
 from .version import __version__
 
-__all__ = [
-    # sources and grids
-    "QuantumSystem",
-    "QRFModel",
-    "build_gkls",
-    "rtn_model",
-    "ObserverSystem",
-    "JointScenario",
-    "spectral_decompose",
-    "TimeGrid",
-    "Tolerances",
-    # tables
-    "born_table",
-    "biprob_table",
-    # consistency checks
-    "analyze",
-    "check_kc",
-    "check_cm",
-    "check_sf",
-    "check_bi_consistency",
-    "verify_generalized_relation",
-    "check_ncgd",
-    "classify_block_structure",
-    "verify_ncgd_cm_equivalence",
-    # trajectories and the surrogate average
-    "sample_ensemble",
-    "sample_trajectory",
-    "empirical_joint",
-    "exact_reduced_state",
-    "surrogate_average",
-    "compare",
-    "BornlabError",
-    "__version__",
-]
-
-# the module each name of __all__ is read from; a name is imported on first use (PEP 562),
-# so ``import bornlab.cli`` loads the modules of the commands and not those of other kinds
+# the module each public name is read from; a name is imported on first use (PEP 562), so
+# ``import bornlab.cli`` loads the modules of the commands and not those of other kinds
 _HOME = {
     "QuantumSystem": "process", "TimeGrid": "process", "born_table": "process",
     "biprob_table": "process", "Tolerances": "linalg", "spectral_decompose": "spectral",
@@ -60,9 +25,9 @@ _HOME = {
     "analyze": "consistency", "check_kc": "consistency", "check_cm": "consistency",
     "check_sf": "consistency", "check_bi_consistency": "consistency",
     "verify_generalized_relation": "consistency",
-    "sample_ensemble": "sampler", "sample_trajectory": "sampler", "empirical_joint": "sampler",
-    "BornlabError": "errors",
+    "sample_ensemble": "sampler", "empirical_joint": "sampler", "BornlabError": "errors",
 }
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name):

@@ -41,8 +41,7 @@ def _clustering_active(cfg: ScenarioConfig, source):
 
 def _sf_gate(cfg: ScenarioConfig, source, grid):
     """SF check of the measured observable at the config-capped order."""
-    n_gate = min(cfg.n_max, grid.n)
-    gate_grid = grid.prefix(n_gate)
+    gate_grid = grid.prefix(cfg.n_max)
     table = biprob_table(source, gate_grid, cfg.table_cap)
     report = consistency.check_sf(table, cfg.tolerances.consistency)
     return report.record("SF"), gate_grid
@@ -52,7 +51,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
     source = _analysis_source(cfg)
     analyses = []
     for name, grid in cfg.grids.items():
-        for n in range(1, min(cfg.n_max, grid.n) + 1):
+        for n in range(1, grid.prefix(cfg.n_max).n + 1):
             sub = grid.prefix(n)
             report, born, bip = consistency.analyze(
                 source, sub, cfg.tolerances.consistency, cfg.table_cap
@@ -124,7 +123,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
                 "mc_mean": reporting.matrix_json(avg.mean),
                 "mc_stderr": [[float(v) for v in row] for row in avg.stderr],
                 "trace_distance": float(cmp_.trace_distance),
-                "max_z": float(cmp_.max_z) if math.isfinite(cmp_.max_z) else None,
+                "max_z": cmp_.max_z if math.isfinite(cmp_.max_z) else None,
             }
         )
 
@@ -167,20 +166,18 @@ def _warn_if_inconsistent(cfg, source, grid):
 
     When the table cap stops the check, a note says that KC was not checked.
     """
-    n_check = min(cfg.n_max, grid.n)
-    if n_check < 2:
+    checked = grid.prefix(cfg.n_max)
+    if checked.n < 2:
         return
     try:
-        report = consistency.check_kc(
-            source, grid.prefix(n_check), cfg.tolerances.consistency, cfg.table_cap
-        )
+        report = consistency.check_kc(source, checked, cfg.tolerances.consistency, cfg.table_cap)
     except TableTooLarge as exc:
-        print(f"[sample] note: KC not checked at n={n_check}: {exc}", file=sys.stderr)
+        print(f"[sample] note: KC not checked at n={checked.n}: {exc}", file=sys.stderr)
         return
     if not report.record("KC").passed:
         print(
             "[sample] WARNING: Born distributions violate Kolmogorov consistency "
-            f"at n={n_check} (max violation "
+            f"at n={checked.n} (max violation "
             f"{report.record('KC').max_abs_violation:.3e}); trajectories are "
             "measurement-contextual, not samples of an objective process",
             file=sys.stderr,
@@ -198,27 +195,25 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
     )
     grids_out = []
     for name, grid in cfg.grids.items():
-        sub = grid.prefix(min(cfg.n_max, grid.n))
-        table = qrf.qrf_bi_probability(model, sub, cfg.table_cap)
-        cm = consistency.check_cm(table, cfg.tolerances.consistency)
+        sub = grid.prefix(cfg.n_max)
+        table = biprob_table(model, sub, cfg.table_cap)
+        cm = consistency.check_cm(table, cfg.tolerances.consistency).record("CM")
         sf = consistency.check_sf(table, cfg.tolerances.consistency)
         pairs = qrf.grid_pairs(sub)
         entry = {
             "grid": name,
             "times": [float(t) for t in sub.times],
-            "cm": reporting.record_json(cm.record("CM")),
+            "cm": reporting.record_json(cm),
             "sf": reporting.record_json(sf.record("SF")),
         }
         if pairs:
             ncgd = qrf.check_ncgd(model, pairs, cfg.tolerances.consistency)
             entry["ncgd"] = reporting.record_json(ncgd)
             try:
-                equiv = qrf.verify_ncgd_cm_equivalence(model, ncgd, cm,
+                agree = qrf.verify_ncgd_cm_equivalence(model, ncgd, cm,
                                                        cfg.tolerances.consistency)
                 entry["ncgd_cm_equivalence"] = {
-                    "ncgd": reporting.record_json(equiv.ncgd),
-                    "cm": reporting.record_json(equiv.cm),
-                    "agree": equiv.agree,
+                    "ncgd": entry["ncgd"], "cm": entry["cm"], "agree": agree,
                 }
             except BornlabError as exc:
                 entry["ncgd_cm_equivalence"] = {"hypothesis_violated": str(exc)}

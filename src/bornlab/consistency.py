@@ -50,8 +50,6 @@ class ConditionRecord(NamedTuple):
 
 
 class ConsistencyReport(NamedTuple):
-    grid: TimeGrid
-    n: int
     records: tuple[ConditionRecord, ...]
 
     def record(self, condition):
@@ -59,9 +57,6 @@ class ConsistencyReport(NamedTuple):
             if r.condition == condition:
                 return r
         raise KeyError(condition)
-
-    def passed(self, condition):
-        return self.record(condition).passed
 
 
 def _record(condition, violation, witness, threshold, coverage):
@@ -170,7 +165,7 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     an identity for Born families.
     """
     _, defects = _deletions(born_table, source, grid, cap)
-    return ConsistencyReport(grid, grid.n, _kc_records(grid, list(defects), epsilon))
+    return ConsistencyReport(_kc_records(grid, list(defects), epsilon))
 
 
 def _context_sums(table: BiProbTable):
@@ -195,8 +190,7 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     recomputed independently and their agreement is reported as a separate
     identity record ("CM-real-form").
     """
-    return ConsistencyReport(table.grid, table.n,
-                             _cm_records(table.grid, _context_sums(table), epsilon))
+    return ConsistencyReport(_cm_records(table.grid, _context_sums(table), epsilon))
 
 
 def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
@@ -206,13 +200,13 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     mag, witness = _worst([(None, off)], lambda _, idx: {
         "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})
     coverage = {"n": table.n, "times": list(table.grid.times)}
-    return ConsistencyReport(table.grid, table.n, (_record("SF", mag, witness, epsilon, coverage),))
+    return ConsistencyReport((_record("SF", mag, witness, epsilon, coverage),))
 
 
 def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Pair-marginalization identity of bi-probabilities (always holds)."""
     _, defects = _deletions(biprob_table, source, grid, cap)
-    return ConsistencyReport(grid, grid.n, (_bi_consistency_record(grid, defects),))
+    return ConsistencyReport((_bi_consistency_record(grid, defects),))
 
 
 def _relation_residual(born_defects, sums):
@@ -259,4 +253,4 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
            _record("generalized-relation", _relation_residual(born_defects, sums), None,
                    IDENTITY_TOL, _coverage(grid)))
     )
-    return ConsistencyReport(grid, grid.n, records), born, bip
+    return ConsistencyReport(records), born, bip

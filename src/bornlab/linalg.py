@@ -130,11 +130,8 @@ def kron(A, B):
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
-def partial_trace(M, subsystem, dims):
-    """Trace out one factor of a bipartite operator on C^{d1} ⊗ C^{d2}.
-
-    ``subsystem`` names the factor that is traced OUT: "first" or "second".
-    """
+def partial_trace(M, dims):
+    """Trace out the second factor of a bipartite operator on C^{d1} ⊗ C^{d2}."""
     d1, d2 = dims
     A = as_complex_matrix(M, "bipartite operator")
     require_square(A, "bipartite operator")
@@ -142,12 +139,7 @@ def partial_trace(M, subsystem, dims):
         raise DimensionMismatch(
             f"operator side {A.shape[0]} does not equal d1*d2 = {d1 * d2}"
         )
-    R = A.reshape(d1, d2, d1, d2)
-    if subsystem == "first":
-        return np.einsum("isit->st", R)
-    if subsystem == "second":
-        return np.einsum("isjs->ij", R)
-    raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+    return np.einsum("isjs->ij", A.reshape(d1, d2, d1, d2))
 
 
 def vec(X):
@@ -167,11 +159,10 @@ class Superoperator:
 
 
 def commutator_superop(A):
-    """Superoperator X ↦ [A, X]."""
+    """The d² × d² matrix of X ↦ [A, X] acting on vec(X)."""
     Am = require_square(as_complex_matrix(A, "commutator generator"), "commutator generator")
-    d = Am.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return Superoperator(d, np.kron(eye, Am) - np.kron(Am.T, eye))
+    eye = np.eye(Am.shape[0], dtype=complex)
+    return np.kron(eye, Am) - np.kron(Am.T, eye)
 
 
 def trace_distance(rho, sigma):

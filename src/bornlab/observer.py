@@ -61,7 +61,7 @@ class JointScenario:
         joint = obs.dim * sys.dim
         if joint > dim_cap:
             raise DimensionCap(f"joint dimension {joint} exceeds cap {dim_cap}")
-        self.obs, self.sys, self.dim_cap = obs, sys, dim_cap
+        self.obs, self.sys = obs, sys
 
     @property
     def dims(self):
@@ -88,7 +88,7 @@ def joint_propagate(js: JointScenario, t):
 
 def exact_reduced_state(js: JointScenario, t):
     """Interaction-picture reduced state U_o†(t) tr_s[ρ_os(t)] U_o(t)."""
-    reduced = partial_trace(joint_propagate(js, t), "second", js.dims)
+    reduced = partial_trace(joint_propagate(js, t), js.dims)
     U_o = propagator(js.obs.H_o, t)
     return U_o.conj().T @ reduced @ U_o
 
@@ -137,34 +137,23 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
 
 class StateComparison(NamedTuple):
     trace_distance: float
-    z_scores: np.ndarray
-
-    @property
-    def max_z(self):
-        return float(np.max(self.z_scores))
+    max_z: float
 
 
-def compare(exact, mc):
-    """Trace distance and entrywise deviation over standard error.
+def compare(exact, mc: SurrogateAverage):
+    """Trace distance and the largest entrywise deviation over standard error.
 
-    ``mc`` may be a :class:`SurrogateAverage` (z-scores use its standard
-    errors) or a bare matrix. Entries whose deviation is at most 1e-12 get
-    z = 0 (deterministic entries have vanishing standard error and would
-    otherwise divide roundoff by roundoff); a larger deviation with zero
-    standard error gives z = inf.
+    Entries whose deviation is at most 1e-12 get z = 0 (deterministic entries
+    have vanishing standard error and would otherwise divide roundoff by
+    roundoff); a larger deviation with zero standard error gives z = inf.
     """
-    if isinstance(mc, SurrogateAverage):
-        mean, stderr = mc.mean, mc.stderr
-    else:
-        mean = np.asarray(mc, dtype=complex)
-        stderr = np.zeros(mean.shape, dtype=float)
     exact = np.asarray(exact, dtype=complex)
-    if exact.shape != mean.shape:
-        raise DimensionMismatch(f"compare: shapes {exact.shape} vs {mean.shape}")
-    dev = np.abs(exact - mean)
+    if exact.shape != mc.mean.shape:
+        raise DimensionMismatch(f"compare: shapes {exact.shape} vs {mc.mean.shape}")
+    dev = np.abs(exact - mc.mean)
     z = np.zeros(dev.shape, dtype=float)
     significant = dev > 1e-12
     with np.errstate(divide="ignore"):
-        z[significant] = dev[significant] / stderr[significant]
-    return StateComparison(trace_distance=trace_distance(exact, mean), z_scores=z)
+        z[significant] = dev[significant] / mc.stderr[significant]
+    return StateComparison(trace_distance(exact, mc.mean), float(np.max(z)))
 

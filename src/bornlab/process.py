@@ -90,9 +90,7 @@ class QuantumSystem:
     @classmethod
     def from_operators(cls, H, F, rho0, tolerances: Tolerances = DEFAULT_TOLERANCES):
         Hm = require_hermitian(H, tolerances.hermiticity, "H")
-        sd = F if isinstance(F, SpectralDecomposition) else spectral_decompose(
-            F, tolerances.cluster, tolerances.hermiticity
-        )
+        sd = spectral_decompose(F, tolerances.cluster, tolerances.hermiticity)
         rho = require_density(rho0, tolerances.density, "rho0")
         if not (Hm.shape[0] == sd.dim == rho.shape[0]):
             raise DimensionMismatch(

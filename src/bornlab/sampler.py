@@ -33,7 +33,7 @@ RNG_ALGORITHM = "numpy.random.PCG64(seed), trajectory j advanced by j*n draws"
 def _slot(grid: TimeGrid, t):
     """Index of the grid value in force at t; the first extends back to 0."""
     times = grid.times
-    if t < 0 or t > times[-1]:
+    if not 0 <= t <= times[-1]:
         raise TimeOutOfRange(f"t={t} outside trajectory domain [0, {times[-1]}]")
     return max(int(np.searchsorted(times, t, side="right")) - 1, 0)
 
@@ -69,8 +69,8 @@ class Ensemble(NamedTuple):
 
     @property
     def trajectories(self):
-        # built on demand for sample_trajectory, perfbench/tracing.py and the
-        # tests; the descent, CSV export and surrogate average read ``indices``
+        # built on demand for perfbench/tracing.py and the tests; the descent,
+        # CSV export and surrogate average read ``indices``
         values = self.eigenvalues.tolist()
         return tuple(Trajectory(self.grid, tuple(row), tuple(values[k] for k in row))
                      for row in self.indices.tolist())
@@ -119,11 +119,6 @@ def _descend(source, grid: TimeGrid, u):
             X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
         prev = t
     return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float))
-
-
-def sample_trajectory(source, grid: TimeGrid, seed, index=0):
-    """Draw one trajectory; deterministic in (source, grid, seed, index)."""
-    return _descend(source, grid, _uniforms(seed, index, 1, grid.n)).trajectories[0]
 
 
 def sample_ensemble(source, grid: TimeGrid, size, seed):

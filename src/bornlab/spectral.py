@@ -57,7 +57,7 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
     """
     w, V = hermitian_eig(F, hermiticity_tol, "observable")
     tol = default_cluster_tol(w) if cluster_tol is None else float(cluster_tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("cluster_tol must be positive")
 
     d = len(w)

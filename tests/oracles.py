@@ -7,6 +7,10 @@ a state held at t = 0, and the semigroup ones act with d²×d² superoperators
 on column-stacked vectors. Neither path shares a step with the kernel, so an
 agreement to roundoff checks both.
 
+``sample_trajectory`` is the one-trajectory draw the library offered before
+only whole ensembles were sampled: row ``index`` of the seed's stream, through
+the same descent as ``bornlab.sampler.sample_ensemble``.
+
 ``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
 sampler used before its batched descent over outcome histories, kept
 verbatim: it reads out and collapses one flat row-major state per
@@ -83,7 +87,7 @@ from bornlab.process import (
 )
 from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
 from bornlab.reporting import complex_json
-from bornlab.sampler import Ensemble, Trajectory, _slot
+from bornlab.sampler import Ensemble, Trajectory, _descend, _slot, _uniforms
 from bornlab.spectral import heisenberg_projectors
 
 
@@ -186,6 +190,11 @@ def observer_observable_biprob(js: JointScenario, X_o, grid: TimeGrid):
                                          np.kron(X_o.observable(), np.eye(js.sys.dim)),
                                          np.kron(js.obs.rho_o, js.sys.rho0))
     return biprob_table(joint, grid)
+
+
+def sample_trajectory(source, grid: TimeGrid, seed, index=0):
+    """Draw one trajectory; deterministic in (source, grid, seed, index)."""
+    return _descend(source, grid, _uniforms(seed, index, 1, grid.n)).trajectories[0]
 
 
 def trajectory_rng(seed, index, n):
@@ -330,8 +339,6 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     causality_witness = {"index": i, "outcomes": idx}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
     return ConsistencyReport(
-        grid=grid,
-        n=grid.n,
         records=(
             _record("KC", worst, witness, epsilon, coverage),
             _record(
@@ -359,8 +366,6 @@ def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEF
     witness = {"index": i, "outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
     return ConsistencyReport(
-        grid=grid,
-        n=grid.n,
         records=(_record("bi-consistency", worst, witness, threshold, coverage),),
     )
 
@@ -403,7 +408,7 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     witness = {"outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
     coverage = {"n": table.n, "times": list(table.grid.times)}
     record = _record("SF", peak, witness, epsilon, coverage)
-    return ConsistencyReport(table.grid, table.n, (record,))
+    return ConsistencyReport((record,))
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
@@ -422,7 +427,7 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
         {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))},
     )
     records = kc.records + cm.records + sf.records + bic.records + (gen,)
-    return ConsistencyReport(grid=grid, n=grid.n, records=records)
+    return ConsistencyReport(records=records)
 
 
 def born_table_json(table: BornTable, max_entries=4096):

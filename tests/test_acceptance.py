@@ -209,11 +209,11 @@ def test_criterion_4_rtn_suite():
         ncgd = check_ncgd(model, [(t2, t1)])
         assert ncgd.passed
         table = biprob_table(model, grid)
-        cm = check_cm(table)
-        assert cm.record("CM").passed
+        cm = check_cm(table).record("CM")
+        assert cm.passed
         assert check_sf(table).record("SF").passed
-        equiv = verify_ncgd_cm_equivalence(model, ncgd, cm)
-        assert equiv.agree and equiv.ncgd.passed and equiv.cm.passed
+        agree = verify_ncgd_cm_equivalence(model, ncgd, cm)
+        assert agree and ncgd.passed and cm.passed
 
         # sigma_x-rotation counter-model fails NCGD and CM concordantly
         from bornlab import QRFModel, build_gkls
@@ -223,10 +223,10 @@ def test_criterion_4_rtn_suite():
             F_a=spectral_decompose(0.5 * SZ),
             rho_a=np.diag([1.0, 0.0]).astype(complex),
         )
-        counter = verify_ncgd_cm_equivalence(rotation, check_ncgd(rotation, [(t2, t1)]),
-                                             check_cm(biprob_table(rotation, grid)))
-        assert counter.agree
-        assert not counter.ncgd.passed and not counter.cm.passed
+        counter_ncgd = check_ncgd(rotation, [(t2, t1)])
+        counter_cm = check_cm(biprob_table(rotation, grid)).record("CM")
+        assert verify_ncgd_cm_equivalence(rotation, counter_ncgd, counter_cm)
+        assert not counter_ncgd.passed and not counter_cm.passed
 
 
 def test_criterion_5_surrogate_vs_exact(tmp_path):

@@ -460,6 +460,16 @@ class TestQrfCommand:
                             capsys.readouterr().err.splitlines()[-1])
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    def test_a_refused_map_names_the_step_as_written(self, command, tmp_path, capsys):
+        # the step from 0.4 to 1.1 is 0.7000000000000001 in floating point
+        out = tmp_path / "rtn.out"
+        text = RTN_YAML.replace("gamma: 0.35", "gamma: 1.0e+6")
+        assert main([command, write(tmp_path, text), "--out", str(out)]) == 1
+        assert re.fullmatch(r"bornlab: Λ\(τ\) does not preserve the trace at τ = 0\.7: .* beyond 1e-10",
+                            capsys.readouterr().err.splitlines()[-1])
+        assert not out.exists()
+
     def test_requires_qrf_kind(self, tmp_path):
         assert main(["qrf", write(tmp_path, RABI_YAML),
                      "--out", str(tmp_path / "x.json")]) == 2

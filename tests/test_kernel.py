@@ -200,7 +200,7 @@ def test_a_sources_map_cache_is_bounded_and_read_only(source):
 def test_semigroup_returns_the_generators_shared_read_only_map():
     model = rtn_model(0.7, np.eye(2) / 2)
     L = semigroup(model, 0.3)
-    assert semigroup(model.generator, 0.3) is L
+    assert model.generator.semigroup(0.3) is L
     with pytest.raises(ValueError):
         L[0, 0] = 1.0
     sys = rabi_system()

@@ -116,17 +116,12 @@ class TestKron:
 class TestPartialTrace:
     def test_trace_out_second(self, rng):
         rho, sigma = random_density(rng, 2), random_density(rng, 3)
-        out = partial_trace(kron(rho, sigma), "second", (2, 3))
+        out = partial_trace(kron(rho, sigma), (2, 3))
         assert np.allclose(out, rho * np.trace(sigma))
-
-    def test_trace_out_first(self, rng):
-        rho, sigma = random_density(rng, 2), random_density(rng, 3)
-        out = partial_trace(kron(rho, sigma), "first", (2, 3))
-        assert np.allclose(out, np.trace(rho) * sigma)
 
     def test_preserves_trace_index_sum_oracle(self, rng):
         M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        out = partial_trace(M, "second", (2, 2))
+        out = partial_trace(M, (2, 2))
         # index-sum oracle
         oracle = np.zeros((2, 2), dtype=complex)
         for i in range(2):
@@ -138,7 +133,7 @@ class TestPartialTrace:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(5), "first", (2, 2))
+            partial_trace(np.eye(5), (2, 2))
 
 
 class TestSuperoperators:
@@ -166,7 +161,7 @@ class TestSuperoperators:
     def test_commutator_superop(self, rng):
         A = random_hermitian(rng, 3)
         X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(unvec(commutator_superop(A).matrix @ vec(X), 3), A @ X - X @ A)
+        assert np.allclose(unvec(commutator_superop(A) @ vec(X), 3), A @ X - X @ A)
 
 
 class TestTraceDistance:

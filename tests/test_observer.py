@@ -12,7 +12,7 @@ from bornlab import (
 )
 from bornlab.errors import DimensionCap, DimensionMismatch
 from bornlab.linalg import trace_distance
-from bornlab.observer import joint_propagate
+from bornlab.observer import SurrogateAverage, joint_propagate
 from bornlab.sampler import Ensemble
 from conftest import (
     I2,
@@ -188,19 +188,24 @@ class TestSurrogateAverage:
         assert np.max(np.abs(avg.mean - avg.mean.conj().T)) <= 1e-12
 
 
+def settled(state):
+    """A surrogate average with ``state`` as its mean and no sampling error."""
+    return SurrogateAverage(np.asarray(state, dtype=complex), np.zeros(np.shape(state)), 1)
+
+
 class TestCompare:
     def test_identical_states(self, rng):
         rho = random_density(rng, 2)
-        out = compare(rho, rho)
+        out = compare(rho, settled(rho))
         assert out.trace_distance == 0.0
         assert out.max_z == 0.0
 
     def test_orthogonal_pure_states(self):
-        assert abs(compare(KET0, KET1).trace_distance - 1.0) <= 1e-12
+        assert abs(compare(KET0, settled(KET1)).trace_distance - 1.0) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            compare(random_density(rng, 2), random_density(rng, 3))
+            compare(random_density(rng, 2), settled(random_density(rng, 3)))
 
 
 def test_surrogate_equals_exact_under_sf():

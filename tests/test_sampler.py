@@ -14,7 +14,6 @@ from bornlab import (
     empirical_joint,
     rtn_model,
     sample_ensemble,
-    sample_trajectory,
     surrogate_average,
 )
 from bornlab.errors import TimeOutOfRange
@@ -31,7 +30,8 @@ class TestSampleTrajectory:
     def test_seed_determinism(self):
         sys = rabi_system()
         grid = TimeGrid((0.5, 1.0, 1.5))
-        assert sample_trajectory(sys, grid, 123) == sample_trajectory(sys, grid, 123)
+        draw = oracles.sample_trajectory
+        assert draw(sys, grid, 123) == draw(sys, grid, 123)
         # one 3-time trajectory per seed can coincide by chance; 64 of them cannot
         first, second = (sample_ensemble(sys, grid, 64, seed).indices for seed in (123, 124))
         assert not np.array_equal(first, second)
@@ -40,12 +40,12 @@ class TestSampleTrajectory:
         sys = mixed_qubit_static()
         grid = TimeGrid((0.4, 0.9, 1.7))
         for j in range(200):
-            traj = sample_trajectory(sys, grid, 99, index=j)
+            traj = oracles.sample_trajectory(sys, grid, 99, index=j)
             assert len(set(traj.values)) == 1
 
     def test_pure_state_draws_certain_outcome(self):
         sys = QuantumSystem.from_operators(np.zeros((2, 2)), SZ, KET0)
-        traj = sample_trajectory(sys, TimeGrid((0.5, 1.0)), 7)
+        traj = oracles.sample_trajectory(sys, TimeGrid((0.5, 1.0)), 7)
         assert traj.values == (1.0, 1.0)
 
     def test_ensemble_matches_indexed_single_draws(self):
@@ -53,7 +53,7 @@ class TestSampleTrajectory:
         grid = TimeGrid((0.5, 1.0))
         ens = sample_ensemble(sys, grid, 50, seed=31)
         for j in (0, 17, 49):
-            assert ens.trajectories[j] == sample_trajectory(sys, grid, 31, index=j)
+            assert ens.trajectories[j] == oracles.sample_trajectory(sys, grid, 31, index=j)
 
 
 class TestEmpiricalStatistics:
@@ -159,6 +159,9 @@ class TestAutocorrelation:
             surrogate_average(obs, ens, 1.5)
         with pytest.raises(TimeOutOfRange):
             surrogate_average(obs, ens, -0.1)
+        # NaN compares False with both ends of [0, t_n]; it must not fall into a slot
+        with pytest.raises(TimeOutOfRange):
+            surrogate_average(obs, ens, float("nan"))
 
 
 class TestTrajectoryInterpolation:

@@ -133,7 +133,7 @@ def test_analyze_forms_the_context_sums_of_each_index_once(monkeypatch):
 
 
 def test_qrf_command_builds_the_table_and_runs_cm_once(monkeypatch, tmp_path, capsys):
-    log, build, cm = [], qrf.qrf_bi_probability, consistency.check_cm
+    log, build, cm = [], cli.biprob_table, consistency.check_cm
 
     def counted_build(model, grid, cap):
         log.append(("table", grid.times))
@@ -142,7 +142,7 @@ def test_qrf_command_builds_the_table_and_runs_cm_once(monkeypatch, tmp_path, ca
     def counted_cm(table, epsilon):
         log.append(("CM", table.grid.times))
         return cm(table, epsilon)
-    monkeypatch.setattr(qrf, "qrf_bi_probability", counted_build)
+    monkeypatch.setattr(cli, "biprob_table", counted_build)
     for module in (consistency, qrf):
         monkeypatch.setattr(module, "check_cm", counted_cm)
     assert main(["qrf", str(CONFIGS / "rtn.yaml"), "--out", str(tmp_path / "q.json")]) == 0

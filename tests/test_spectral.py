@@ -41,6 +41,13 @@ def test_ambiguous_ladder_raises():
         spectral_decompose(F, cluster_tol=tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_cluster_tolerance_must_be_positive(tol):
+    # a NaN tolerance would compare False with every gap and merge all outcomes into one
+    with pytest.raises(ValueError, match="cluster_tol must be positive"):
+        spectral_decompose(np.diag([1.0, 2.0, 5.0]), tol)
+
+
 def test_reconstruction():
     rng = np.random.default_rng(5)
     F = random_hermitian(rng, 5)

@@ -4,7 +4,9 @@ A public top-level function or class of ``src/bornlab`` must be used in the
 package outside its own definition, be exported in ``__all__``, or be a name
 that the benchmark's tracer (``perfbench/tracing.py``) or driver
 (``perfbench/run.py``) binds. Import statements do not count as uses, so a
-name kept alive only by an import fails.
+name kept alive only by an import fails. The names that ``src`` binds only
+for the benchmark to find are pinned too, so each can go once the benchmark
+stops binding it.
 """
 
 import ast
@@ -23,7 +25,7 @@ PUBLIC = [
     "analyze", "check_kc", "check_cm", "check_sf", "check_bi_consistency",
     "verify_generalized_relation", "check_ncgd", "classify_block_structure",
     "verify_ncgd_cm_equivalence",
-    "sample_ensemble", "sample_trajectory", "empirical_joint",
+    "sample_ensemble", "empirical_joint",
     "exact_reduced_state", "surrogate_average", "compare",
     "BornlabError", "__version__",
 ]
@@ -57,24 +59,52 @@ def _bench_bound():
     return names
 
 
-def dead_names():
-    """``module.name`` of each public top-level definition nothing keeps alive."""
+# ``module.name`` of each module-level name that src binds and nothing in src uses beyond
+# the binding: each is kept only because the benchmark binds it. When the benchmark stops
+# binding one, test_benchmark_only_bindings_are_bound_by_the_benchmark names it for deletion.
+BENCH_ONLY = [
+    "cli.born_table", "process.heisenberg_projectors", "qrf.check_cm", "qrf.check_sf",
+    "qrf.qrf_bi_probability", "qrf.qrf_born", "sampler.propagator",
+    "spectral.heisenberg_projectors",
+]
+
+
+def _uses(statements):
+    """Identifiers of the statements that are not imports."""
+    return {name for stmt in statements if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+            for name in _identifiers(stmt)}
+
+
+def idle_bindings():
+    """``module.name`` of each module-level binding that src uses nowhere beyond it.
+
+    An imported name counts as used only in its own module; a function or class
+    outside ``__all__`` anywhere in the package outside its definition. Dunder
+    names are module protocol, not bindings of the library.
+    """
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(SRC.glob("*.py"))}
-    kept = set(bornlab.__all__) | _bench_bound()
-    dead = []
+    idle = []
     for stem, tree in modules.items():
+        own = _uses(tree.body)
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in kept:
-                continue
-            used = any(node.name in _identifiers(stmt)
-                       for other in modules.values() for stmt in other.body
-                       if stmt is not node and not isinstance(stmt, (ast.Import, ast.ImportFrom)))
-            if not used:
-                dead.append(f"{stem}.{node.name}")
-    return dead
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                idle += [f"{stem}.{name}" for name in names if name not in own]
+            elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in bornlab.__all__
+                  and not any(node.name in _uses(s for s in other.body if s is not node)
+                              for other in modules.values())):
+                idle.append(f"{stem}.{node.name}")
+    return [name for name in idle if not name.split(".")[1].startswith("__")]
+
+
+def dead_names():
+    """``module.name`` of each binding nothing keeps alive: idle in src, unbound by the benchmark."""
+    bound = _bench_bound()
+    return [name for name in idle_bindings() if name.split(".")[1] not in bound]
 
 
 def test_all_is_pinned_and_resolves():
@@ -97,3 +127,9 @@ def test_names_resolve_on_first_use_and_no_other_name_does():
     from bornlab.qrf import QRFModel
 
     assert namespace["QRFModel"] is QRFModel
+
+
+def test_benchmark_only_bindings_are_bound_by_the_benchmark():
+    assert sorted(idle_bindings()) == sorted(BENCH_ONLY)
+    bound = _bench_bound()
+    assert [name for name in BENCH_ONLY if name.split(".")[1] not in bound] == []
