@@ -1,18 +1,29 @@
 """Config-driven scenario runner.
 
+usage:
     bornlab analyze  <config> [--out PATH]
     bornlab simulate <config> [--out PATH] [--seed S] [--force]
     bornlab sample   <config> [--out PATH] [--seed S]
     bornlab qrf      <config> [--out PATH]
 
-Exit codes: 0 success (verdicts live in the report), 2 config error,
-3 dimension/cap error, 4 surrogate-field refusal, 5 I/O error.
+    --out PATH   output path (default: <config stem>.<command>.json, and
+                 <config stem>.trajectories.csv for sample)
+    --seed S     override the config's sampling seed
+    --force      simulate despite a surrogate-field violation
+    -h, --help   print this and exit
+
+Options go before or after the config, as ``--out PATH`` or ``--out=PATH``,
+and are spelled in full. ``--`` ends them, the last of a repeated option
+wins, and a value may look like a negative number (``-5``).
+
+Exit codes: 0 success (verdicts live in the report), 2 usage or config
+error, 3 dimension/cap error, 4 surrogate-field refusal, 5 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     SFViolation,
     TableTooLarge,
+    UsageError,
 )
 # nothing here calls born_table; it stays bound because perfbench/tracing.py wraps it
 from .process import biprob_table, born_table  # noqa: F401
@@ -82,7 +94,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
 
 def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     if cfg.kind != "joint":
-        raise ConfigError("simulate requires kind: joint", "kind")
+        raise ConfigError(f"the simulate command needs 'joint', got {cfg.kind!r}", "kind")
     from . import observer  # only a joint config needs it; load_config has loaded it
     if cfg.sampling is None:
         raise ConfigError("simulate requires a sampling section", "sampling")
@@ -186,7 +198,7 @@ def _warn_if_inconsistent(cfg, source, grid):
 
 def cmd_qrf(cfg: ScenarioConfig, out_path):
     if cfg.kind != "qrf":
-        raise ConfigError("qrf command requires kind: qrf", "kind")
+        raise ConfigError(f"the qrf command needs 'qrf', got {cfg.kind!r}", "kind")
     from . import qrf  # only a qrf config needs it; load_config has loaded it
     model = cfg.source
     first_grid = next(iter(cfg.grids.values()))
@@ -256,37 +268,113 @@ def _default_out(config_path, command):
     return f"{stem}.{suffix}"
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bornlab",
-        description="Sequential-measurement statistics, consistency conditions, "
-        "and surrogate-field simulation for finite quantum systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "simulate", "sample", "qrf"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="scenario config file (YAML)")
-        p.add_argument("--out", help="output path (default: <config stem>.<command>)")
-        if name in ("simulate", "sample"):
-            p.add_argument("--seed", type=int, help="override the config seed")
-        if name == "simulate":
-            p.add_argument("--force", action="store_true",
-                           help="simulate despite an SF violation")
-    return parser
+# the usage block, printed before a usage error; -h prints the options after it too
+# (python -OO strips the docstring: the command line is then read the same, without the text)
+USAGE, OPTIONS = __doc__.split("\n\n")[1:3] if __doc__ else ("", "")
+# the options each command takes, besides -h and --help
+COMMANDS = {"analyze": ("--out",), "qrf": ("--out",), "sample": ("--out", "--seed"),
+            "simulate": ("--out", "--seed", "--force")}
+HELP = ("-h", "--help")
+# argparse's test for a negative number: a token that passes it is a value, not an option
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _option(token, known):
+    """``(name, value)`` if ``token`` reads as an option, None if it is a value.
+
+    ``value`` is the text after ``=``, or after ``-h`` (as argparse, ``-hx`` is ``-h``
+    given ``x``), else None. An option not in ``known`` keeps its whole token as its name.
+    """
+    if token in known:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in known:
+        return name, value
+    if token.startswith("-h"):
+        return "-h", token[2:]
+    if token[:1] != "-" or token == "-" or " " in token or _NEGATIVE_NUMBER.match(token):
+        return None
+    return token, None
+
+
+def parse_args(argv):
+    """``(command, config, out, seed, force)`` from ``argv``, or None for ``-h``/``--help``.
+
+    The tokens are read left to right, as argparse read them. Help, an unknown command, an
+    option with a missing value and a flag given a value end the reading where they stand.
+    An unknown or misplaced option and an extra argument are reported only once every
+    token is read, so a later ``-h`` still prints the help. Refusals raise UsageError, and
+    a ``--seed`` that ``int()`` refuses raises ConfigError.
+    """
+    command = config = out = seed = None
+    force, ended, known, late = False, False, HELP, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and command is not None and not ended:
+            ended = True  # before the command, argparse read "--" as one
+            continue
+        option = None if ended or token == "--" else _option(token, known)
+        if option is None:
+            if command is None:
+                if token not in COMMANDS:
+                    raise UsageError(f"unknown command {token!r}")
+                command, known = token, (*HELP, *COMMANDS[token])
+            elif config is None:
+                config = token
+            else:
+                late.append(f"extra argument {token!r}")
+            continue
+        name, value = option
+        if name not in known:
+            late.append(f"{command} takes no option {name!r}" if command
+                        else f"option {name!r} comes before the command")
+        elif name in HELP or name == "--force":
+            if value is not None:
+                raise UsageError(f"{name} takes no value, got {token!r}")
+            if name in HELP:
+                return None
+            force = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, known) is not None:
+                    raise UsageError(f"{name} needs a value")
+            if name == "--out":
+                out = value
+            else:
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise ConfigError(f"expected a non-negative integer, got {value!r}",
+                                      "--seed") from None
+    if command is None:
+        late.append("missing command")
+    elif config is None:
+        late.append(f"{command} needs a <config>")
+    if late:
+        raise UsageError(late[0])
+    return command, config, out, seed, force
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    out = args.out or _default_out(args.config, args.command)
     try:
-        cfg = load_config(args.config)
-        if args.command == "analyze":
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(f"{USAGE}\n\n{OPTIONS}")
+            return 0
+        command, config, out, seed, force = args
+        out = out or _default_out(config, command)
+        cfg = load_config(config)
+        if command == "analyze":
             return cmd_analyze(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, seed=args.seed, force=args.force)
-        if args.command == "sample":
-            return cmd_sample(cfg, out, seed=args.seed)
+        if command == "simulate":
+            return cmd_simulate(cfg, out, seed=seed, force=force)
+        if command == "sample":
+            return cmd_sample(cfg, out, seed=seed)
         return cmd_qrf(cfg, out)
+    except UsageError as exc:
+        print(f"{USAGE}\nbornlab: usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"bornlab: config error: {exc}", file=sys.stderr)
         return 2

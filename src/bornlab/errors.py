@@ -77,5 +77,9 @@ class ConfigError(BornlabError):
         self.field = field
 
 
+class UsageError(BornlabError):
+    """A command line does not follow the CLI's usage block."""
+
+
 class SFViolation(BornlabError):
     """The surrogate-field condition failed for a simulation that requires it."""

@@ -54,8 +54,13 @@ that the library once offered as a convenience, a second path to the Born
 table by the chain rule. ``observer_observable_biprob`` is the bi-probability
 of an observer observable X_o ⊗ 1 under the joint Hamiltonian: a joint
 ``QuantumSystem`` fed to ``biprob_table``.
+
+``build_parser`` is the command line's argparse parser as it was before
+``bornlab.cli.parse_args`` read the four commands' grammar itself, kept
+verbatim.
 """
 
+import argparse
 import csv
 import itertools
 import json
@@ -589,3 +594,22 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
         upper_violation=upper_v,
         label_residuals=residuals,
     )
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="bornlab",
+        description="Sequential-measurement statistics, consistency conditions, "
+        "and surrogate-field simulation for finite quantum systems",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("analyze", "simulate", "sample", "qrf"):
+        p = sub.add_parser(name)
+        p.add_argument("config", help="scenario config file (YAML)")
+        p.add_argument("--out", help="output path (default: <config stem>.<command>)")
+        if name in ("simulate", "sample"):
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name == "simulate":
+            p.add_argument("--force", action="store_true",
+                           help="simulate despite an SF violation")
+    return parser

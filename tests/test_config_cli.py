@@ -276,9 +276,9 @@ class TestExitCodes:
         assert main([command, path, "--out", str(out), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
-        with pytest.raises(SystemExit) as exc:  # argparse refuses a non-integer
-            main([command, path, "--out", str(out), "--seed", "2.7"])
-        assert exc.value.code == 2
+        assert main([command, path, "--out", str(out), "--seed", "2.7"]) == 2
+        assert "bornlab: config error: --seed: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:
@@ -351,9 +351,7 @@ class TestSampleCommand:
 
     def test_threads_is_not_an_option(self, tmp_path):
         path = write(tmp_path, RABI_YAML)
-        with pytest.raises(SystemExit) as exc:
-            main(["sample", path, "--out", str(tmp_path / "a.csv"), "--threads", "1"])
-        assert exc.value.code == 2
+        assert main(["sample", path, "--out", str(tmp_path / "a.csv"), "--threads", "1"]) == 2
         assert not (tmp_path / "a.csv").exists()
 
     def test_rtn_csv_switch_rate(self, tmp_path):
@@ -473,6 +471,19 @@ class TestQrfCommand:
     def test_requires_qrf_kind(self, tmp_path):
         assert main(["qrf", write(tmp_path, RABI_YAML),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("command, kind, config, given_kind", [
+        ("qrf", "qrf", "rabi", "unitary"), ("qrf", "qrf", "dephasing", "joint"),
+        ("simulate", "joint", "rtn", "qrf"), ("simulate", "joint", "quasistatic", "unitary"),
+    ])
+    def test_a_kind_mismatch_names_the_field_once_and_the_kind_given(
+            self, command, kind, config, given_kind, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([command, str(CONFIGS / f"{config}.yaml"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"bornlab: config error: kind: the {command} command needs {kind!r}, "
+            f"got {given_kind!r}\n")
+        assert not out.exists()
 
     def test_raw_generator_config(self, tmp_path):
         text = """

@@ -13,6 +13,9 @@ interest are recorded:
 * ``bornlab.observer`` loads only with a ``kind: joint`` config and
   ``bornlab.qrf`` only with a ``kind: qrf`` config, so neither is loaded
   after ``import bornlab.cli`` or after loading a unitary config.
+* ``argparse``, and the ``gettext`` and ``locale`` it loads when it builds a
+  parser, are loaded after no step: ``bornlab.cli`` reads its four commands'
+  grammar itself, so neither set-up nor a timed command pays for them.
 * What every command needs (``consistency``, ``sampler``, ``reporting`` and
   ``json``) is loaded by ``import bornlab.cli``, so none of that import is
   paid inside ``main``, where the benchmark times a command.
@@ -29,7 +32,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 TRACKED = ("scipy.linalg", "scipy", "dataclasses", "bornlab.observer", "bornlab.qrf",
-           "bornlab.consistency", "bornlab.sampler", "bornlab.reporting", "json")
+           "bornlab.consistency", "bornlab.sampler", "bornlab.reporting", "json",
+           "argparse", "gettext", "locale")
 
 STEPS = """
 import json, sys
@@ -82,3 +86,7 @@ def test_each_step_loads_only_what_its_config_kind_needs(loaded):
     assert loaded["load rabi"] == command_modules
     assert loaded["load dephasing"] == command_modules | {"bornlab.observer"}
     assert "bornlab.qrf" in loaded["load rtn"]
+
+
+def test_no_step_loads_argparse_gettext_or_locale(loaded):
+    assert [names & {"argparse", "gettext", "locale"} for names in loaded.values()] == [set()] * 8
