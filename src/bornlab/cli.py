@@ -46,17 +46,11 @@ def _analysis_source(cfg: ScenarioConfig):
     return cfg.source.sys if cfg.kind == "joint" else cfg.source
 
 
-def _clustering_active(cfg: ScenarioConfig, source):
-    sd = source.F_a if cfg.kind == "qrf" else source.F
-    return bool(sd.clustered)
-
-
 def _sf_gate(cfg: ScenarioConfig, source, grid):
     """SF check of the measured observable at the config-capped order."""
     gate_grid = grid.prefix(cfg.n_max)
     table = biprob_table(source, gate_grid, cfg.table_cap)
-    report = consistency.check_sf(table, cfg.tolerances.consistency)
-    return report.record("SF"), gate_grid
+    return consistency.check_sf(table, cfg.tolerances.consistency), gate_grid
 
 
 def cmd_analyze(cfg: ScenarioConfig, out_path):
@@ -65,7 +59,7 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
     for name, grid in cfg.grids.items():
         for n in range(1, grid.prefix(cfg.n_max).n + 1):
             sub = grid.prefix(n)
-            report, born, bip = consistency.analyze(
+            records, born, bip = consistency.analyze(
                 source, sub, cfg.tolerances.consistency, cfg.table_cap
             )
             analyses.append({
@@ -74,12 +68,12 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
                 "times": [float(t) for t in sub.times],
                 "born": reporting.born_table_json(born, cfg.report_max_entries),
                 "bi_probability": reporting.biprob_table_json(bip, cfg.report_max_entries),
-                "consistency": reporting.consistency_json(report),
+                "consistency": reporting.consistency_json(records),
             })
 
     payload = reporting.envelope("analyze", cfg)
     payload["analyses"] = analyses
-    payload["clustering_active"] = _clustering_active(cfg, source)
+    payload["clustering_active"] = source.dynamics.F.clustered
     _write_text(out_path, reporting.dump(payload))
     for entry in analyses:
         for rec in entry["consistency"]:
@@ -146,7 +140,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
     payload["sf_gate"]["gated_times"] = [float(t) for t in gate_grid.times]
     payload["forced"] = forced
     payload["comparisons"] = comparisons
-    payload["clustering_active"] = _clustering_active(cfg, js.sys)
+    payload["clustering_active"] = js.sys.dynamics.F.clustered
     _write_text(out_path, reporting.dump(payload))
     for c in comparisons:
         print(
@@ -182,15 +176,14 @@ def _warn_if_inconsistent(cfg, source, grid):
     if checked.n < 2:
         return
     try:
-        report = consistency.check_kc(source, checked, cfg.tolerances.consistency, cfg.table_cap)
+        kc, _ = consistency.check_kc(source, checked, cfg.tolerances.consistency, cfg.table_cap)
     except TableTooLarge as exc:
         print(f"[sample] note: KC not checked at n={checked.n}: {exc}", file=sys.stderr)
         return
-    if not report.record("KC").passed:
+    if not kc.passed:
         print(
             "[sample] WARNING: Born distributions violate Kolmogorov consistency "
-            f"at n={checked.n} (max violation "
-            f"{report.record('KC').max_abs_violation:.3e}); trajectories are "
+            f"at n={checked.n} (max violation {kc.max_abs_violation:.3e}); trajectories are "
             "measurement-contextual, not samples of an objective process",
             file=sys.stderr,
         )
@@ -209,14 +202,14 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
     for name, grid in cfg.grids.items():
         sub = grid.prefix(cfg.n_max)
         table = biprob_table(model, sub, cfg.table_cap)
-        cm = consistency.check_cm(table, cfg.tolerances.consistency).record("CM")
+        cm, _ = consistency.check_cm(table, cfg.tolerances.consistency)
         sf = consistency.check_sf(table, cfg.tolerances.consistency)
         pairs = qrf.grid_pairs(sub)
         entry = {
             "grid": name,
             "times": [float(t) for t in sub.times],
             "cm": reporting.record_json(cm),
-            "sf": reporting.record_json(sf.record("SF")),
+            "sf": reporting.record_json(sf),
         }
         if pairs:
             ncgd = qrf.check_ncgd(model, pairs, cfg.tolerances.consistency)
@@ -241,7 +234,7 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
         "label_residuals": structure.label_residuals,
     }
     payload["grids"] = grids_out
-    payload["clustering_active"] = _clustering_active(cfg, model)
+    payload["clustering_active"] = model.dynamics.F.clustered
     _write_text(out_path, reporting.dump(payload))
     print(
         f"[qrf] lower={structure.lower} upper={structure.upper} "
@@ -363,6 +356,8 @@ def main(argv=None):
             print(f"{USAGE}\n\n{OPTIONS}")
             return 0
         command, config, out, seed, force = args
+        if out == "":
+            raise UsageError("--out needs a non-empty path")
         out = out or _default_out(config, command)
         cfg = load_config(config)
         if command == "analyze":

@@ -16,7 +16,6 @@ refuses them. Either way a config reads as ``yaml.safe_load`` reads it.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import math
 import sys
@@ -71,10 +70,18 @@ def parse_matrix(value, where):
     return np.array(rows, dtype=complex)
 
 
-def _section(data, name):
+def _known(sec, keys, where=None, label=""):
+    """Refuse the keys of ``sec`` outside ``keys``, sorted by ``str`` as YAML keys may mix types."""
+    unknown = set(sec) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {label}keys {sorted(unknown, key=str)}", where)
+
+
+def _section(data, name, keys):
     sec = data.get(name)
     if not isinstance(sec, dict):
         raise ConfigError("missing or malformed section", name)
+    _known(sec, keys, name)
     return sec
 
 
@@ -141,20 +148,17 @@ class ScenarioConfig:
         self.simulate = simulate
         self.report_max_entries = report_max_entries
         self.raw = raw
+        # the kind's top object, built here so malformed matrices fail at load with field names
+        self.source = {"unitary": self.build_system, "joint": self.build_joint,
+                       "qrf": self.build_qrf}[kind]()
 
     def grid(self, name):
         if name not in self.grids:
             raise ConfigError(f"unknown grid {name!r}", "grids")
         return self.grids[name]
 
-    @functools.cached_property
-    def source(self):
-        """The kind's top object, built once: a QuantumSystem, JointScenario or QRFModel."""
-        return {"unitary": self.build_system, "joint": self.build_joint,
-                "qrf": self.build_qrf}[self.kind]()
-
     def build_system(self) -> QuantumSystem:
-        sec = _section(self.raw, "system")
+        sec = _section(self.raw, "system", ("H", "F", "rho"))
         with _as_config_error("system"):
             return QuantumSystem.from_operators(
                 parse_matrix(_get(sec, "H", "system"), "system.H"),
@@ -168,7 +172,7 @@ class ScenarioConfig:
         from .observer import JointScenario, ObserverSystem
 
         sys = self.build_system()
-        sec = _section(self.raw, "observer")
+        sec = _section(self.raw, "observer", ("H_o", "G_o", "rho_o", "coupling"))
         with _as_config_error("observer"):
             obs = ObserverSystem.from_operators(
                 parse_matrix(_get(sec, "H_o", "observer"), "observer.H_o"),
@@ -183,7 +187,7 @@ class ScenarioConfig:
         """The QRFModel of a ``kind: qrf`` config; only this kind loads ``qrf``."""
         from .qrf import QRFModel, build_gkls, generator_from_matrix
 
-        sec = _section(self.raw, "qrf")
+        sec = _section(self.raw, "qrf", ("F_a", "rho_a", "generator", "H_a", "rates", "G_a", "mu"))
         with _as_config_error("qrf"):
             F_a = spectral_decompose(
                 parse_matrix(_get(sec, "F_a", "qrf"), "qrf.F_a"),
@@ -206,6 +210,7 @@ class ScenarioConfig:
                 for k, entry in enumerate(rates_raw):
                     if not isinstance(entry, dict) or "omega" not in entry or "gamma" not in entry:
                         raise ConfigError("each rate needs omega and gamma", f"qrf.rates[{k}]")
+                    _known(entry, ("omega", "gamma"), f"qrf.rates[{k}]")
                     rates.append((
                         require_number(entry["omega"], f"qrf.rates[{k}].omega"),
                         parse_complex(entry["gamma"], f"qrf.rates[{k}].gamma"),
@@ -225,9 +230,7 @@ class ScenarioConfig:
 def _parse_tolerances(sec):
     if not isinstance(sec, dict):
         raise ConfigError("tolerances must be a mapping", "tolerances")
-    unknown = set(sec) - set(Tolerances._fields)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys {sorted(unknown)}", "tolerances")
+    _known(sec, Tolerances._fields, "tolerances", "tolerance ")
     return Tolerances(**{k: None if k == "cluster" and v is None else
                          require_number(v, f"tolerances.{k}", 0.0, exclusive=k == "cluster")
                          for k, v in sec.items()})
@@ -260,9 +263,7 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
 
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
+    _known(data, _TOP_LEVEL_KEYS, label="top-level ")
     if data.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"expected schema {SCHEMA_VERSION}, got {data.get('schema')!r}", "schema")
     kind = data.get("kind")
@@ -287,6 +288,7 @@ def load_config(path) -> ScenarioConfig:
     caps = data.get("caps") or {}
     if not isinstance(caps, dict):
         raise ConfigError("caps must be a mapping", "caps")
+    _known(caps, ("table_entries", "joint_dim"), "caps")
     table_cap = require_integer(caps.get("table_entries", DEFAULT_TABLE_CAP),
                                 "caps.table_entries")
     joint_cap = require_integer(caps.get("joint_dim", DEFAULT_JOINT_DIM_CAP), "caps.joint_dim")
@@ -297,6 +299,7 @@ def load_config(path) -> ScenarioConfig:
         sec = data["sampling"]
         if not isinstance(sec, dict):
             raise ConfigError("sampling must be a mapping", "sampling")
+        _known(sec, ("N", "seed", "grid"), "sampling")
         grid_name = str(sec.get("grid", next(iter(grids))))
         if grid_name not in grids:
             raise ConfigError(f"unknown grid {grid_name!r}", "sampling.grid")
@@ -309,6 +312,7 @@ def load_config(path) -> ScenarioConfig:
         sec = data["simulate"]
         if not isinstance(sec, dict):
             raise ConfigError("simulate must be a mapping", "simulate")
+        _known(sec, ("grid", "probe_times"), "simulate")
         grid_name = str(sec.get("grid", next(iter(grids))))
         if grid_name not in grids:
             raise ConfigError(f"unknown grid {grid_name!r}", "simulate.grid")
@@ -328,10 +332,11 @@ def load_config(path) -> ScenarioConfig:
     report_sec = data.get("report") or {}
     if not isinstance(report_sec, dict):
         raise ConfigError("report must be a mapping", "report")
+    _known(report_sec, ("max_table_entries",), "report")
     report_max = require_integer(report_sec.get("max_table_entries", 4096),
                                  "report.max_table_entries")
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         path=str(path),
         sha256=hashlib.sha256(blob).hexdigest(),
         kind=kind,
@@ -345,5 +350,3 @@ def load_config(path) -> ScenarioConfig:
         report_max_entries=report_max,
         raw=data,
     )
-    cfg.source  # built at load time, so malformed matrices fail here with field names
-    return cfg

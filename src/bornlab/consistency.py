@@ -49,16 +49,6 @@ class ConditionRecord(NamedTuple):
     coverage: dict
 
 
-class ConsistencyReport(NamedTuple):
-    records: tuple[ConditionRecord, ...]
-
-    def record(self, condition):
-        for r in self.records:
-            if r.condition == condition:
-                return r
-        raise KeyError(condition)
-
-
 def _record(condition, violation, witness, threshold, coverage):
     violation = float(violation)
     return ConditionRecord(
@@ -162,10 +152,10 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     """Kolmogorov consistency over every single-deletion of the given grid.
 
     Also reports the causality record (deletion of the last index), which is
-    an identity for Born families.
+    an identity for Born families. Returns the records ``(KC, causality)``.
     """
     _, defects = _deletions(born_table, source, grid, cap)
-    return ConsistencyReport(_kc_records(grid, list(defects), epsilon))
+    return _kc_records(grid, list(defects), epsilon)
 
 
 def _context_sums(table: BiProbTable):
@@ -188,25 +178,25 @@ def check_cm(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
 
     The complex-sum form is the verdict; the 2·Re Σ_{f_i > f_-i} form is
     recomputed independently and their agreement is reported as a separate
-    identity record ("CM-real-form").
+    identity record: the records are ``(CM, CM-real-form)``.
     """
-    return ConsistencyReport(_cm_records(table.grid, _context_sums(table), epsilon))
+    return _cm_records(table.grid, _context_sums(table), epsilon)
 
 
 def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
-    """Surrogate-field condition: every off-diagonal entry of Q_n vanishes."""
+    """The SF record: every off-diagonal entry of Q_n vanishes."""
     off = np.abs(table.dist)
     _pair_diagonal(off)[...] = 0.0
     mag, witness = _worst([(None, off)], lambda _, idx: {
         "outcomes": idx[0::2], "outcomes_minus": idx[1::2]})
     coverage = {"n": table.n, "times": list(table.grid.times)}
-    return ConsistencyReport((_record("SF", mag, witness, epsilon, coverage),))
+    return _record("SF", mag, witness, epsilon, coverage)
 
 
 def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Pair-marginalization identity of bi-probabilities (always holds)."""
+    """The record of the pair-marginalization identity of bi-probabilities (always holds)."""
     _, defects = _deletions(biprob_table, source, grid, cap)
-    return ConsistencyReport((_bi_consistency_record(grid, defects),))
+    return _bi_consistency_record(grid, defects)
 
 
 def _relation_residual(born_defects, sums):
@@ -230,17 +220,17 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
-    """Full per-grid report and the two full tables it was read from.
+    """Full per-grid records and the two full tables they were read from.
 
-    Returns ``(report, born, bi_probability)``. The report holds causality,
-    KC, CM, SF, bi-consistency and the generalized relation; each of the
-    2 + 2n tables (full and reduced, per kind) is built once. A one-time grid
-    has no deletions, so its report is the SF record alone. CM and the
-    generalized relation read the same diagonal-context sums of Q_n.
+    Returns ``(records, born, bi_probability)``. The records are KC,
+    causality, CM, CM-real-form, SF, bi-consistency and the generalized
+    relation; each of the 2 + 2n tables (full and reduced, per kind) is built
+    once. A one-time grid has no deletions, so its records are SF alone. CM
+    and the generalized relation read the same diagonal-context sums of Q_n.
     """
     if grid.n == 1:
         born, bip = born_table(source, grid, cap), biprob_table(source, grid, cap)
-        return check_sf(bip, epsilon), born, bip
+        return (check_sf(bip, epsilon),), born, bip
     born, born_defects = _deletions(born_table, source, grid, cap)
     born_defects = list(born_defects)
     bip, bip_defects = _deletions(biprob_table, source, grid, cap)
@@ -248,9 +238,9 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
     records = (
         _kc_records(grid, born_defects, epsilon)
         + _cm_records(grid, sums, epsilon)
-        + check_sf(bip, epsilon).records
-        + (_bi_consistency_record(grid, bip_defects),
+        + (check_sf(bip, epsilon),
+           _bi_consistency_record(grid, bip_defects),
            _record("generalized-relation", _relation_residual(born_defects, sums), None,
                    IDENTITY_TOL, _coverage(grid)))
     )
-    return ConsistencyReport(records), born, bip
+    return records, born, bip

@@ -16,15 +16,14 @@ outcome at t_{k+1}; a bi-probability table interleaves left/right axes as
 (f_1, f_-1, f_2, f_-2, ...).
 
 Every source (a :class:`QuantumSystem` here, a semigroup model in
-:mod:`bornlab.qrf`) is reduced by :func:`dynamics` to its initial state,
-observable and a Schrödinger-picture step; one kernel builds both table
-kinds from those, and the sampler's descent reuses the same step. A source
-caches its maps (U here, Λ in :mod:`bornlab.qrf`), so a command forms each once.
+:mod:`bornlab.qrf`) holds in ``dynamics`` its initial state, observable and a
+Schrödinger-picture step; one kernel builds both table kinds from those, and
+the sampler's descent reuses the same step. A source caches its maps (U here,
+Λ in :mod:`bornlab.qrf`), so a command forms each once.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -79,13 +78,31 @@ class TimeGrid:
         return TimeGrid(self.times[:n])
 
 
+class Dynamics(NamedTuple):
+    """What the table kernel and the sampler need of a source, built once with it.
+
+    ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
+    the Schrödinger picture, reading the map from the source's cache.
+    """
+
+    rho: np.ndarray
+    F: SpectralDecomposition
+    step: Callable
+
+
 class QuantumSystem:
     """Hamiltonian, decomposed observable, and initial state of one system."""
 
     def __init__(self, H, F: SpectralDecomposition, rho0):
         self.H, self.F, self.rho0 = H, F, rho0
         # U(gap) = exp(−i gap H), formed once per gap for every table and descent
-        self.propagator = map_cache(lambda gap: propagator(H, gap))
+        cache = self.propagator = map_cache(lambda gap: propagator(H, gap))
+
+        def step(X, gap):
+            U = cache(gap)
+            return U @ X @ U.conj().T
+
+        self.dynamics = Dynamics(rho0, F, step)
 
     @classmethod
     def from_operators(cls, H, F, rho0, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -103,9 +120,7 @@ class QuantumSystem:
         return self.F.dim
 
 
-class BornTable(NamedTuple):
-    """Joint distribution over outcome-index tuples, axes chronological."""
-
+class _Table(NamedTuple):
     grid: TimeGrid
     eigenvalues: np.ndarray
     dist: np.ndarray
@@ -117,26 +132,22 @@ class BornTable(NamedTuple):
     @property
     def n_outcomes(self):
         return len(self.eigenvalues)
+
+
+class BornTable(_Table):
+    """Joint distribution over outcome-index tuples, axes chronological."""
+
+    __slots__ = ()
 
     def clamped(self):
         """Copy with roundoff negatives zeroed (report/sampling boundary)."""
         return np.maximum(self.dist, 0.0)
 
 
-class BiProbTable(NamedTuple):
+class BiProbTable(_Table):
     """Two-sided complex table; axes interleaved (f_1, f_-1, f_2, f_-2, ...)."""
 
-    grid: TimeGrid
-    eigenvalues: np.ndarray
-    dist: np.ndarray
-
-    @property
-    def n(self):
-        return self.grid.n
-
-    @property
-    def n_outcomes(self):
-        return len(self.eigenvalues)
+    __slots__ = ()
 
     def diagonal(self):
         """The Born distribution sitting on the diagonal f_- = f."""
@@ -156,33 +167,6 @@ def _check_cap(entries, cap, what):
         )
 
 
-class Dynamics(NamedTuple):
-    """What the table kernel and the sampler need of a source.
-
-    ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
-    the Schrödinger picture, reading the map from the source's cache.
-    """
-
-    rho: np.ndarray
-    F: SpectralDecomposition
-    step: Callable
-
-
-@functools.singledispatch
-def dynamics(source):
-    """The one dispatch point from a table source to its :class:`Dynamics`."""
-    raise TypeError(f"no dynamics registered for {type(source).__name__}")
-
-
-@dynamics.register
-def _(sys: QuantumSystem):
-    def step(X, gap):
-        U = sys.propagator(gap)
-        return U @ X @ U.conj().T
-
-    return Dynamics(sys.rho0, sys.F, step)
-
-
 def readout(F: SpectralDecomposition):
     """(m, d²) rows with readout[a] @ X.ravel() = tr(P(a) X)."""
     P = F.projectors
@@ -197,7 +181,7 @@ def _table(source, grid: TimeGrid, cap, diagonal):
     holds one operator per outcome prefix. The last layer is contracted
     straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X).
     """
-    dyn = dynamics(source)
+    dyn = source.dynamics
     P, m, n = dyn.F.projectors, dyn.F.n_outcomes, grid.n
     what = "Born table" if diagonal else "bi-probability table"
     _check_cap(m ** (n if diagonal else 2 * n), cap, what)

@@ -8,7 +8,7 @@ projector-sandwich superoperators and semigroup maps,
 
 with 𝒫(f_+, f_-) : X ↦ P(f_+) X P(f_-), Λ(τ) = exp(τ ℒ_total), t_0 = 0.
 This module builds GKLS generators from rate tables, supplies Λ(τ) as the
-step of the shared table kernel and the sampler (``dynamics``), and
+step of the shared table kernel and the sampler (``QRFModel.dynamics``), and
 classifies generators (block-triangular structure, NCGD) against the
 consistency conditions. All of these read Λ(τ) from the generator's one cache.
 The block violations are max over f and f₊ ≠ f₋ of |𝒫(f,f)ℒ𝒫(f₊,f₋)| (lower)
@@ -46,8 +46,9 @@ from .linalg import (
     require_hermitian,
     vec,
 )
-from .process import (DEFAULT_TABLE_CAP, TRACE_TOL, Dynamics, TimeGrid, biprob_table, born_table,
-                      dynamics)
+from .process import TRACE_TOL, Dynamics, TimeGrid
+# nothing here calls these two aliases; they stay bound because perfbench/tracing.py wraps them
+from .process import biprob_table as qrf_bi_probability, born_table as qrf_born  # noqa: F401
 from .spectral import SpectralDecomposition, default_cluster_tol, spectral_decompose
 from .consistency import ConditionRecord, _record, _worst
 # perfbench/tracing.py wraps qrf.check_cm and qrf.check_sf
@@ -243,6 +244,15 @@ class QRFModel:
         if F_a.dim != generator.dim:
             raise DimensionMismatch(f"observable dim {F_a.dim} vs generator dim {generator.dim}")
         self.generator, self.F_a, self.rho_a = generator, F_a, rho_a
+        d = generator.dim
+        perm = np.arange(d * d).reshape(d, d).T.ravel()  # row-major ↔ column-stacking
+
+        def step(X, gap):
+            # ``semigroup`` is read from this module at each call: perfbench/tracing.py wraps it
+            L = semigroup(self, gap)[np.ix_(perm, perm)].T
+            return (X.reshape(-1, d * d) @ L).reshape(X.shape)
+
+        self.dynamics = Dynamics(rho_a, F_a, step)
 
     @property
     def dim(self):
@@ -264,29 +274,6 @@ def pair_superops(F_a: SpectralDecomposition):
 def dephasing_projector(F_a: SpectralDecomposition):
     """Δ = Σ_f 𝒫(f, f); projects onto the observable's block-diagonal sector."""
     return sum(np.kron(P.T, P) for P in F_a.projectors)
-
-
-@dynamics.register
-def _(model: QRFModel):
-    d = model.dim
-    perm = np.arange(d * d).reshape(d, d).T.ravel()  # row-major ↔ column-stacking
-
-    def step(X, gap):
-        L = semigroup(model, gap)[np.ix_(perm, perm)].T
-        return (X.reshape(-1, d * d) @ L).reshape(X.shape)
-
-    return Dynamics(model.rho_a, model.F_a, step)
-
-
-# nothing here calls these two aliases; they stay bound because perfbench/tracing.py wraps them
-def qrf_bi_probability(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Bi-probability table of a semigroup model on a grid."""
-    return biprob_table(model, grid, cap)
-
-
-def qrf_born(model: QRFModel, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
-    """Born table of a semigroup model on a grid."""
-    return born_table(model, grid, cap)
 
 
 def rtn_model(gamma, rho_a):

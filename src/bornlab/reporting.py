@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .consistency import ConditionRecord, ConsistencyReport
+from .consistency import ConditionRecord
 from .process import BiProbTable, BornTable
 from .sampler import RNG_ALGORITHM
 from .version import __version__
@@ -148,8 +148,8 @@ def record_json(record: ConditionRecord):
     }
 
 
-def consistency_json(report: ConsistencyReport):
-    return [record_json(r) for r in report.records]
+def consistency_json(records):
+    return [record_json(r) for r in records]
 
 
 def envelope(command, cfg, seed=None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalInvariantViolation, TimeOutOfRange
 from .linalg import propagator  # noqa: F401  (perfbench/tracing.py wraps sampler.propagator)
-from .process import BornTable, TimeGrid, dynamics, readout
+from .process import BornTable, TimeGrid, readout
 
 RNG_ALGORITHM = "numpy.random.PCG64(seed), trajectory j advanced by j*n draws"
 
@@ -97,7 +97,7 @@ def _descend(source, grid: TimeGrid, u):
     Roundoff negatives are clamped for the draw; the collapse renormalizes by
     the unclamped probability, so states do not underflow on long grids.
     """
-    dyn = dynamics(source)
+    dyn = source.dynamics
     P, m = dyn.F.projectors, dyn.F.n_outcomes
     rows = readout(dyn.F).T
     X, node = dyn.rho[None], np.zeros(len(u), dtype=np.intp)

@@ -70,7 +70,6 @@ import numpy as np
 from bornlab.consistency import (
     IDENTITY_TOL,
     TIE_TOL,
-    ConsistencyReport,
     _diag_context_sums,
     _record,
     check_cm,
@@ -87,7 +86,6 @@ from bornlab.process import (
     _check_cap,
     biprob_table,
     born_table,
-    dynamics,
     readout,
 )
 from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
@@ -218,7 +216,7 @@ class MeasurementChain:
     """
 
     def __init__(self, source):
-        dyn = dynamics(source)
+        dyn = source.dynamics
         self.eigenvalues = dyn.F.eigenvalues
         self._rho, self._step = dyn.rho, dyn.step
         self._readout = readout(dyn.F)
@@ -343,16 +341,14 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     i, idx, causality_worst = _first_near_peak(diffs[-1:])
     causality_witness = {"index": i, "outcomes": idx}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
-    return ConsistencyReport(
-        records=(
-            _record("KC", worst, witness, epsilon, coverage),
-            _record(
-                "causality",
-                causality_worst,
-                causality_witness,
-                IDENTITY_TOL,
-                {"n": grid.n, "times": list(grid.times), "indices": [grid.n]},
-            ),
+    return (
+        _record("KC", worst, witness, epsilon, coverage),
+        _record(
+            "causality",
+            causality_worst,
+            causality_witness,
+            IDENTITY_TOL,
+            {"n": grid.n, "times": list(grid.times), "indices": [grid.n]},
         ),
     )
 
@@ -370,9 +366,7 @@ def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEF
     i, idx, worst = _first_near_peak(diffs)
     witness = {"index": i, "outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
-    return ConsistencyReport(
-        records=(_record("bi-consistency", worst, witness, threshold, coverage),),
-    )
+    return _record("bi-consistency", worst, witness, threshold, coverage)
 
 
 def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
@@ -412,12 +406,11 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
     _, idx, peak = _first_near_peak([(None, off)])
     witness = {"outcomes": idx[0::2], "outcomes_minus": idx[1::2]}
     coverage = {"n": table.n, "times": list(table.grid.times)}
-    record = _record("SF", peak, witness, epsilon, coverage)
-    return ConsistencyReport((record,))
+    return _record("SF", peak, witness, epsilon, coverage)
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
-    """Full per-grid report: causality, KC, CM, SF, bi-consistency, identity."""
+    """Full per-grid records: KC, causality, CM, CM-real-form, SF, bi-consistency, identity."""
     kc = check_kc(source, grid, epsilon, cap)
     bip = biprob_table(source, grid, cap)
     cm = check_cm(bip, epsilon)
@@ -431,8 +424,7 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
         IDENTITY_TOL,
         {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))},
     )
-    records = kc.records + cm.records + sf.records + bic.records + (gen,)
-    return ConsistencyReport(records=records)
+    return kc + cm + (sf, bic, gen)
 
 
 def born_table_json(table: BornTable, max_entries=4096):

@@ -172,6 +172,28 @@ class TestConfigParsing:
         assert "probe" in str(err.value)
 
 
+RTN_YAML = (CONFIGS / "rtn.yaml").read_text(encoding="utf-8")
+
+# a config holding one unknown key, and the refusal naming its section and the key
+UNKNOWN_KEYS = {
+    "caps": (RABI_YAML + "caps: {table_entris: 2}\n", "caps: unknown keys ['table_entris']"),
+    "report": (RABI_YAML + "report: {max_table_entrys: 1}\n",
+               "report: unknown keys ['max_table_entrys']"),
+    "sampling": (RABI_YAML.replace("{N: 200, seed: 7}", "{N: 200, seed: 7, gird: main}"),
+                 "sampling: unknown keys ['gird']"),
+    "simulate": (DEPHASING_YAML + "simulate: {grid: main, probes: [0.5]}\n",
+                 "simulate: unknown keys ['probes']"),
+    "system": (RABI_YAML.replace("  rho:", "  rho0: 1\n  rho:"), "system: unknown keys ['rho0']"),
+    "observer": (DEPHASING_YAML.replace("  coupling:", "  lambda: 1\n  coupling:"),
+                 "observer: unknown keys ['lambda']"),
+    "qrf": (RTN_YAML.replace("  mu:", "  nu: 1\n  mu:"), "qrf: unknown keys ['nu']"),
+    "qrf.rates": (RTN_YAML.replace("gamma: 0.35}", "gamma: 0.35, gama: 0.35}"),
+                  "qrf.rates[0]: unknown keys ['gama']"),
+    "top-level keys of two types": (RABI_YAML + "1: x\nbogus: y\n",
+                                    "unknown top-level keys [1, 'bogus']"),
+}
+
+
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, RABI_YAML.replace("H: [[0, 0.5], [0.5, 0]]", "H: [[0, 1], [0, 0]]"))
@@ -265,6 +287,22 @@ class TestExitCodes:
             load_config(path)
         assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 2
         assert f"unknown tolerance keys ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", list(UNKNOWN_KEYS))
+    def test_an_unknown_key_in_any_section_is_refused(self, section, tmp_path, capsys):
+        text, message = UNKNOWN_KEYS[section]
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", [["--out="], ["--out", ""]], ids=["joined", "separate"])
+    def test_an_empty_out_is_a_usage_error(self, out, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", str(CONFIGS / "rabi.yaml"), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("bornlab: usage error: --out needs a non-empty path\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_zero_is_accepted(self, tmp_path):
         assert load_config(write(tmp_path, INTEGER_FIELDS["sampling.seed"](0))).sampling.seed == 0

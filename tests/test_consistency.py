@@ -56,55 +56,55 @@ def brute_force_kc_violation(sys, grid):
 
 class TestKC:
     def test_quasistatic_passes(self):
-        report = check_kc(quasistatic_system(), TimeGrid((0.3, 0.9, 1.4)))
-        assert report.record("KC").passed
-        assert report.record("KC").max_abs_violation <= 1e-12
+        kc, _ = check_kc(quasistatic_system(), TimeGrid((0.3, 0.9, 1.4)))
+        assert kc.passed
+        assert kc.max_abs_violation <= 1e-12
 
     def test_rabi_violation_matches_brute_force(self):
         t = np.pi / 4
         sys = rabi_system()
         grid = TimeGrid((t, 2 * t))
-        report = check_kc(sys, grid)
-        violation = report.record("KC").max_abs_violation
+        kc, _ = check_kc(sys, grid)
+        violation = kc.max_abs_violation
         assert violation > 0.05
         assert abs(violation - brute_force_kc_violation(sys, grid)) <= 1e-10
-        assert report.record("KC").witness["index"] == 1
+        assert kc.witness["index"] == 1
 
     def test_causality_always_passes(self, rng):
         for _ in range(5):
             sys = random_system(rng, 3)
-            report = check_kc(sys, random_grid(rng, 3))
-            assert report.record("causality").passed
+            _, causality = check_kc(sys, random_grid(rng, 3))
+            assert causality.passed
 
     def test_coverage_records_quantification(self):
-        report = check_kc(rabi_system(), TimeGrid((0.5, 1.0)))
-        cov = report.record("KC").coverage
+        kc, _ = check_kc(rabi_system(), TimeGrid((0.5, 1.0)))
+        cov = kc.coverage
         assert cov["n"] == 2 and cov["indices"] == [1, 2]
 
 
 class TestCM:
     def test_sf_passing_table_passes_cm(self):
         table = biprob_table(quasistatic_system(), TimeGrid((0.3, 0.9)))
-        assert check_cm(table).record("CM").passed
+        assert check_cm(table)[0].passed
 
     def test_rabi_cm_equals_kc_violation(self):
         t = np.pi / 4
         sys = rabi_system()
         grid = TimeGrid((t, 2 * t))
-        kc = check_kc(sys, grid).record("KC").max_abs_violation
-        cm = check_cm(biprob_table(sys, grid)).record("CM").max_abs_violation
+        kc = check_kc(sys, grid)[0].max_abs_violation
+        cm = check_cm(biprob_table(sys, grid))[0].max_abs_violation
         assert abs(kc - cm) <= 1e-10
 
     def test_real_form_agreement(self, rng):
         sys = random_system(rng, 3)
-        report = check_cm(biprob_table(sys, random_grid(rng, 3)))
-        assert report.record("CM-real-form").max_abs_violation <= 1e-12
+        _, real_form = check_cm(biprob_table(sys, random_grid(rng, 3)))
+        assert real_form.max_abs_violation <= 1e-12
 
     def test_single_time_trivially_passes(self, rng):
         table = biprob_table(random_system(rng, 3), TimeGrid((0.7,)))
-        report = check_cm(table)
-        assert report.record("CM").passed
-        assert report.record("CM").max_abs_violation <= 1e-12
+        cm, _ = check_cm(table)
+        assert cm.passed
+        assert cm.max_abs_violation <= 1e-12
 
 
 class TestSF:
@@ -112,12 +112,12 @@ class TestSF:
         for n in (1, 2, 3):
             grid = TimeGrid(tuple(0.4 * (k + 1) for k in range(n)))
             table = biprob_table(quasistatic_system(), grid)
-            assert check_sf(table).record("SF").max_abs_violation <= 1e-12
+            assert check_sf(table).max_abs_violation <= 1e-12
 
     def test_rabi_fails_with_offdiagonal_witness(self):
         t = np.pi / 4
         table = biprob_table(rabi_system(), TimeGrid((t, 2 * t)))
-        record = check_sf(table).record("SF")
+        record = check_sf(table)
         assert not record.passed
         assert abs(record.max_abs_violation - 0.125) <= 1e-10  # pinned oracle
         w = record.witness
@@ -134,13 +134,13 @@ class TestGeneralizedRelation:
         sys = quasistatic_system()
         grid = TimeGrid((0.3, 0.9))
         assert verify_generalized_relation(sys, grid) <= 1e-10
-        assert check_kc(sys, grid).record("KC").max_abs_violation <= 1e-12
+        assert check_kc(sys, grid)[0].max_abs_violation <= 1e-12
 
     def test_rabi_sides_large_but_residual_tiny(self):
         t = np.pi / 4
         sys = rabi_system()
         grid = TimeGrid((t, 2 * t))
-        assert check_kc(sys, grid).record("KC").max_abs_violation > 0.05
+        assert check_kc(sys, grid)[0].max_abs_violation > 0.05
         assert verify_generalized_relation(sys, grid) <= 1e-10
 
 
@@ -150,27 +150,40 @@ class TestImplicationChain:
         scenarios += [random_system(rng, 3) for _ in range(4)]
         grid = TimeGrid((0.4, 1.1))
         for sys in scenarios:
-            report, _, _ = analyze(sys, grid)
-            sf, cm, kc = (report.record(c).passed for c in ("SF", "CM", "KC"))
+            records, _, _ = analyze(sys, grid)
+            by_name = {r.condition: r for r in records}
+            sf, cm, kc = (by_name[c].passed for c in ("SF", "CM", "KC"))
             if sf:
                 assert cm
             if cm:
                 assert kc
 
     def test_full_report_contains_all_conditions(self, rng):
-        report, _, _ = analyze(random_system(rng, 2), TimeGrid((0.5, 1.0)))
-        names = {r.condition for r in report.records}
+        records, _, _ = analyze(random_system(rng, 2), TimeGrid((0.5, 1.0)))
+        by_name = {r.condition: r for r in records}
         assert {"KC", "causality", "CM", "CM-real-form", "SF",
-                "bi-consistency", "generalized-relation"} <= names
-        assert report.record("bi-consistency").passed
-        assert report.record("generalized-relation").passed
+                "bi-consistency", "generalized-relation"} <= set(by_name)
+        assert by_name["bi-consistency"].passed
+        assert by_name["generalized-relation"].passed
 
 
 def test_bi_consistency_random(rng):
     for _ in range(5):
         sys = random_system(rng, 3)
-        report = check_bi_consistency(sys, random_grid(rng, 3))
-        assert report.record("bi-consistency").max_abs_violation <= 1e-10
+        record = check_bi_consistency(sys, random_grid(rng, 3))
+        assert record.max_abs_violation <= 1e-10
+
+
+def test_each_check_returns_its_records_in_report_order(rng):
+    sys, grid = random_system(rng, 3), random_grid(rng, 3)
+    table = biprob_table(sys, grid)
+    assert [r.condition for r in check_kc(sys, grid)] == ["KC", "causality"]
+    assert [r.condition for r in check_cm(table)] == ["CM", "CM-real-form"]
+    assert check_sf(table).condition == "SF"
+    assert check_bi_consistency(sys, grid).condition == "bi-consistency"
+    records, _, _ = analyze(sys, grid)
+    assert [r.condition for r in records] == ["KC", "causality", "CM", "CM-real-form", "SF",
+                                              "bi-consistency", "generalized-relation"]
 
 
 ULP_STEPS = {"one ulp down": 0.0, "tied": 0.25, "one ulp up": 1.0}
@@ -194,7 +207,7 @@ def test_witness_is_the_first_of_entries_tied_to_one_ulp(toward):
 def test_sf_witness_is_stable_across_a_conjugate_pair(toward):
     near = float(np.nextafter(0.25, toward))
     dist = np.array([[0.5, 0.25j], [-near * 1j, 0.5]])
-    record = check_sf(BiProbTable(TimeGrid((1.0,)), np.array([-1.0, 1.0]), dist)).record("SF")
+    record = check_sf(BiProbTable(TimeGrid((1.0,)), np.array([-1.0, 1.0]), dist))
     assert record.max_abs_violation == max(0.25, near)
     assert record.witness == {"outcomes": [0], "outcomes_minus": [1]}
 
@@ -210,7 +223,7 @@ def test_sf_record_equals_the_mask_oracle_on_drawn_tables(seed, n, m, tied, scal
     draw = (lambda: rng.integers(-2, 3, shape) * 0.25) if tied else (lambda: rng.normal(size=shape))
     table = BiProbTable(random_grid(rng, n), np.arange(m, dtype=float),
                         scale * (draw() + 1j * draw()))
-    assert check_sf(table).records == oracles.check_sf(table).records
+    assert check_sf(table) == oracles.check_sf(table)
 
 
 def test_sf_check_makes_no_copy_of_the_complex_table():
@@ -220,12 +233,12 @@ def test_sf_check_makes_no_copy_of_the_complex_table():
                         rng.normal(size=shape) + 1j * rng.normal(size=shape))
     tracemalloc.start()
     try:
-        report = check_sf(table)
+        record = check_sf(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * table.dist.nbytes
-    assert report.records == oracles.check_sf(table).records
+    assert record == oracles.check_sf(table)
 
 
 def test_witness_is_within_the_tie_tolerance_of_the_overall_peak():

@@ -13,11 +13,11 @@ from bornlab import (
     born_table,
     build_gkls,
     rtn_model,
+    sample_ensemble,
     spectral_decompose,
 )
 from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
-from bornlab.process import dynamics
 from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
 from conftest import rabi_system, random_density, random_grid, random_hermitian, random_unitary
 import oracles
@@ -175,16 +175,17 @@ def test_cap_raises_at_the_same_entry_counts(source, kind, entries):
         assert build(source, grid, cap=entries).dist.size == entries
 
 
-def test_unknown_source_is_a_type_error():
-    with pytest.raises(TypeError):
-        born_table(object(), GRID3)
+def test_a_source_without_dynamics_is_an_attribute_error():
+    for use in (born_table, biprob_table, lambda source, grid: sample_ensemble(source, grid, 1, 0)):
+        with pytest.raises(AttributeError, match="dynamics"):
+            use(object(), GRID3)
 
 
 @pytest.mark.parametrize("source", [rabi_system(), rtn_model(0.7, np.eye(2) / 2)],
                          ids=["unitary", "semigroup"])
 def test_a_sources_map_cache_is_bounded_and_read_only(source):
     cache = source.generator.semigroup if isinstance(source, QRFModel) else source.propagator
-    step = dynamics(source).step
+    step = source.dynamics.step
     X = np.eye(2, dtype=complex)[None] / 2
     gaps = [0.01 * (k + 1) for k in range(MAP_CACHE_SIZE + 10)]
     first = step(X, gaps[0])

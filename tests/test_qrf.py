@@ -257,7 +257,7 @@ class TestQrfBiProbability:
     def test_rtn_off_diagonal_vanishes(self):
         model = rtn_model(0.7, I2 / 2)
         table = qrf_bi_probability(model, TimeGrid((0.4, 1.1)))
-        assert check_sf(table).record("SF").max_abs_violation <= 1e-12
+        assert check_sf(table).max_abs_violation <= 1e-12
 
     def test_rtn_two_time_autocorrelation_oracle(self):
         # independent oracle: hand-built double-commutator semigroup
@@ -325,7 +325,7 @@ class TestRtnModel:
         for n in (1, 2, 3):
             grid = TimeGrid(tuple(0.5 * (k + 1) for k in range(n)))
             table = qrf_bi_probability(model, grid)
-            assert check_sf(table).record("SF").max_abs_violation <= 1e-12
+            assert check_sf(table).max_abs_violation <= 1e-12
 
     def test_mixed_state_single_time_probabilities(self):
         model = rtn_model(1.0, I2 / 2)
@@ -388,7 +388,7 @@ class TestBlockStructure:
         assert out.lower
         for grid in (TimeGrid((0.4, 1.1)), TimeGrid((0.2, 0.9, 1.7))):
             table = qrf_bi_probability(model, grid)
-            assert check_sf(table).record("SF").max_abs_violation <= 1e-12
+            assert check_sf(table).max_abs_violation <= 1e-12
 
     def test_upper_only_with_block_diagonal_state_implies_sf(self):
         # coherences feed populations but not the reverse: column-built
@@ -408,13 +408,13 @@ class TestBlockStructure:
         assert out.labels == ("coherence non-generating",)
         for grid in (TimeGrid((0.4, 1.1)), TimeGrid((0.3, 0.8, 1.5))):
             table = qrf_bi_probability(model, grid)
-            assert check_sf(table).record("SF").max_abs_violation <= 1e-12
+            assert check_sf(table).max_abs_violation <= 1e-12
 
 
 def equivalence(model, grid):
     """The verdict of ``verify_ncgd_cm_equivalence`` and the NCGD and CM records it compared."""
     ncgd = check_ncgd(model, grid_pairs(grid))
-    cm = check_cm(qrf_bi_probability(model, grid)).record("CM")
+    cm, _ = check_cm(qrf_bi_probability(model, grid))
     return verify_ncgd_cm_equivalence(model, ncgd, cm), ncgd, cm
 
 
@@ -452,7 +452,7 @@ def test_generator_from_matrix_roundtrip():
 
 def test_cm_check_on_qrf_table_matches_rotation_expectation():
     table = qrf_bi_probability(rotation_model(), TimeGrid((0.4, 1.1)))
-    assert not check_cm(table).record("CM").passed
+    assert not check_cm(table)[0].passed
 
 
 STRUCTURES = ("gkls", "lower", "upper", "both")
