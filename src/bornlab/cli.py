@@ -71,33 +71,19 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
                 "consistency": reporting.consistency_json(records),
             })
 
-    payload = reporting.envelope("analyze", cfg)
-    payload["analyses"] = analyses
-    payload["clustering_active"] = source.dynamics.F.clustered
-    _write_text(out_path, reporting.dump(payload))
-    for entry in analyses:
-        for rec in entry["consistency"]:
-            print(
-                f"[analyze] grid={entry['grid']} n={entry['n']} "
-                f"{rec['condition']}: {rec['verdict']} "
-                f"(max violation {rec['max_abs_violation']:.3e})"
-            )
-    print(f"[analyze] report written to {out_path}")
-    return 0
+    lines = [f"grid={entry['grid']} n={entry['n']} {rec['condition']}: {rec['verdict']} "
+             f"(max violation {rec['max_abs_violation']:.3e})"
+             for entry in analyses for rec in entry["consistency"]]
+    return _report("analyze", cfg, source, out_path, {"analyses": analyses}, lines)
 
 
-def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
-    if cfg.kind != "joint":
-        raise ConfigError(f"the simulate command needs 'joint', got {cfg.kind!r}", "kind")
+def cmd_simulate(cfg: ScenarioConfig, out_path, seed, force):
     from . import observer  # only a joint config needs it; load_config has loaded it
-    if cfg.sampling is None:
-        raise ConfigError("simulate requires a sampling section", "sampling")
     js = cfg.source
     sim = cfg.simulate
     grid_name = sim.grid if sim else cfg.sampling.grid
     grid = cfg.grid(grid_name)
     probe_times = sim.probe_times if sim else grid.times
-    use_seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
 
     sf_record, gate_grid = _sf_gate(cfg, js.sys, grid)
     forced = False
@@ -116,7 +102,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
             file=sys.stderr,
         )
 
-    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, use_seed)
+    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, seed)
     comparisons = []
     for t in probe_times:
         exact = observer.exact_reduced_state(js, t)
@@ -133,36 +119,25 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed=None, force=False):
             }
         )
 
-    payload = reporting.envelope("simulate", cfg, seed=use_seed)
-    payload["sampling"] = {"N": cfg.sampling.size, "grid": grid_name,
-                           "times": [float(t) for t in grid.times]}
-    payload["sf_gate"] = reporting.record_json(sf_record)
-    payload["sf_gate"]["gated_times"] = [float(t) for t in gate_grid.times]
-    payload["forced"] = forced
-    payload["comparisons"] = comparisons
-    payload["clustering_active"] = js.sys.dynamics.F.clustered
-    _write_text(out_path, reporting.dump(payload))
-    for c in comparisons:
-        print(
-            f"[simulate] t={c['t']:g} trace_distance={c['trace_distance']:.4e}"
-        )
-    print(f"[simulate] report written to {out_path}")
-    return 0
+    body = {"sampling": {"N": cfg.sampling.size, "grid": grid_name,
+                         "times": [float(t) for t in grid.times]},
+            "sf_gate": {**reporting.record_json(sf_record),
+                        "gated_times": [float(t) for t in gate_grid.times]},
+            "forced": forced, "comparisons": comparisons}
+    lines = [f"t={c['t']:g} trace_distance={c['trace_distance']:.4e}" for c in comparisons]
+    return _report("simulate", cfg, js.sys, out_path, body, lines, seed)
 
 
-def cmd_sample(cfg: ScenarioConfig, out_path, seed=None):
-    if cfg.sampling is None:
-        raise ConfigError("sample requires a sampling section", "sampling")
+def cmd_sample(cfg: ScenarioConfig, out_path, seed):
     source = _analysis_source(cfg)
     grid = cfg.grid(cfg.sampling.grid)
-    use_seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
     _warn_if_inconsistent(cfg, source, grid)
-    ens = sampler.sample_ensemble(source, grid, cfg.sampling.size, use_seed)
+    ens = sampler.sample_ensemble(source, grid, cfg.sampling.size, seed)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         sampler.export_csv(ens, fh)
     print(
         f"[sample] {ens.size} trajectories on grid {cfg.sampling.grid} "
-        f"(seed {use_seed}) written to {out_path}"
+        f"(seed {seed}) written to {out_path}"
     )
     return 0
 
@@ -190,8 +165,6 @@ def _warn_if_inconsistent(cfg, source, grid):
 
 
 def cmd_qrf(cfg: ScenarioConfig, out_path):
-    if cfg.kind != "qrf":
-        raise ConfigError(f"the qrf command needs 'qrf', got {cfg.kind!r}", "kind")
     from . import qrf  # only a qrf config needs it; load_config has loaded it
     model = cfg.source
     first_grid = next(iter(cfg.grids.values()))
@@ -224,35 +197,30 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
                 entry["ncgd_cm_equivalence"] = {"hypothesis_violated": str(exc)}
         grids_out.append(entry)
 
-    payload = reporting.envelope("qrf", cfg)
-    payload["block_structure"] = {
+    body = {"grids": grids_out, "block_structure": {
         "lower_triangular": structure.lower,
         "upper_triangular": structure.upper,
         "labels": list(structure.labels),
         "lower_violation": structure.lower_violation,
         "upper_violation": structure.upper_violation,
         "label_residuals": structure.label_residuals,
-    }
-    payload["grids"] = grids_out
-    payload["clustering_active"] = model.dynamics.F.clustered
-    _write_text(out_path, reporting.dump(payload))
-    print(
-        f"[qrf] lower={structure.lower} upper={structure.upper} "
-        f"labels={list(structure.labels)}"
-    )
-    for entry in grids_out:
-        ncgd = entry.get("ncgd", {}).get("verdict", "n/a")
-        print(
-            f"[qrf] grid={entry['grid']} NCGD: {ncgd} CM: {entry['cm']['verdict']} "
-            f"SF: {entry['sf']['verdict']}"
-        )
-    print(f"[qrf] report written to {out_path}")
+    }}
+    lines = [f"lower={structure.lower} upper={structure.upper} labels={list(structure.labels)}"]
+    lines += [f"grid={entry['grid']} NCGD: {entry.get('ncgd', {}).get('verdict', 'n/a')} "
+              f"CM: {entry['cm']['verdict']} SF: {entry['sf']['verdict']}" for entry in grids_out]
+    return _report("qrf", cfg, model, out_path, body, lines)
+
+
+def _report(command, cfg, source, out_path, body, lines, seed=None):
+    """Write ``command``'s report, the envelope plus ``body``, then print its summary ``lines``."""
+    payload = {**reporting.envelope(command, cfg, seed=seed), **body,
+               "clustering_active": source.dynamics.F.clustered}
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(reporting.dump(payload))
+    for line in lines:
+        print(f"[{command}] {line}")
+    print(f"[{command}] report written to {out_path}")
     return 0
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _default_out(config_path, command):
@@ -264,9 +232,11 @@ def _default_out(config_path, command):
 # the usage block, printed before a usage error; -h prints the options after it too
 # (python -OO strips the docstring: the command line is then read the same, without the text)
 USAGE, OPTIONS = __doc__.split("\n\n")[1:3] if __doc__ else ("", "")
-# the options each command takes, besides -h and --help
-COMMANDS = {"analyze": ("--out",), "qrf": ("--out",), "sample": ("--out", "--seed"),
-            "simulate": ("--out", "--seed", "--force")}
+# each command's options besides -h and --help, the config kind it needs (None: any kind),
+# and whether it samples, so needs a sampling section and takes its seed
+COMMANDS = {"analyze": (("--out",), None, False), "qrf": (("--out",), "qrf", False),
+            "sample": (("--out", "--seed"), None, True),
+            "simulate": (("--out", "--seed", "--force"), "joint", True)}
 HELP = ("-h", "--help")
 # argparse's test for a negative number: a token that passes it is a value, not an option
 _NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
@@ -311,7 +281,7 @@ def parse_args(argv):
             if command is None:
                 if token not in COMMANDS:
                     raise UsageError(f"unknown command {token!r}")
-                command, known = token, (*HELP, *COMMANDS[token])
+                command, known = token, (*HELP, *COMMANDS[token][0])
             elif config is None:
                 config = token
             else:
@@ -360,12 +330,19 @@ def main(argv=None):
             raise UsageError("--out needs a non-empty path")
         out = out or _default_out(config, command)
         cfg = load_config(config)
+        _, kind, samples = COMMANDS[command]
+        if kind is not None and cfg.kind != kind:
+            raise ConfigError(f"the {command} command needs {kind!r}, got {cfg.kind!r}", "kind")
+        if samples:
+            if cfg.sampling is None:
+                raise ConfigError(f"{command} requires a sampling section", "sampling")
+            seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
         if command == "analyze":
             return cmd_analyze(cfg, out)
         if command == "simulate":
-            return cmd_simulate(cfg, out, seed=seed, force=force)
+            return cmd_simulate(cfg, out, seed, force)
         if command == "sample":
-            return cmd_sample(cfg, out, seed=seed)
+            return cmd_sample(cfg, out, seed)
         return cmd_qrf(cfg, out)
     except UsageError as exc:
         print(f"{USAGE}\nbornlab: usage error: {exc}", file=sys.stderr)

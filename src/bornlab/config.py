@@ -5,6 +5,11 @@ field. Matrices are nested arrays whose entries are numbers or two-element
 ``[re, im]`` arrays; grids are named lists of strictly increasing positive
 times. The schema is documented in the README.
 
+``_SECTIONS`` gives the keys of each mapping section, and ``_KINDS`` the
+model sections each kind reads. A config is refused if it holds a section
+its kind does not read, a section that is not a mapping or a key of neither
+table; a ``null`` section reads as absent.
+
 Configs are parsed by libyaml through PyYAML when PyYAML was built with it.
 PyYAML's pure-Python parser re-reads a config libyaml refuses, so the error
 text keeps its context snippet and caret. It alone reads a config holding a
@@ -25,7 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import BornlabError, ConfigError, DimensionCap, TableTooLarge
-from .linalg import Tolerances, require_density, require_hermitian
+from .linalg import Tolerances, require_density
 from .process import DEFAULT_JOINT_DIM_CAP, DEFAULT_TABLE_CAP, QuantumSystem, TimeGrid
 from .spectral import spectral_decompose
 
@@ -36,14 +41,23 @@ SCHEMA_VERSION = 1
 _LIBYAML_BYTES = (b"\n\r #\"'()*+,-./:=[]_{}~0123456789"
                   b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
-_TOP_LEVEL_KEYS = {
-    "schema", "kind", "tolerances", "caps", "system", "observer", "qrf",
-    "grids", "n_max", "sampling", "simulate", "report",
+# the keys of each mapping section; a config holds only these sections and the fields below
+_SECTIONS = {
+    "system": ("H", "F", "rho"),
+    "observer": ("H_o", "G_o", "rho_o", "coupling"),
+    "qrf": ("F_a", "rho_a", "generator", "H_a", "rates", "G_a", "mu"),
+    "sampling": ("N", "seed", "grid"),
+    "simulate": ("grid", "probe_times"),
+    "tolerances": Tolerances._fields,
+    "caps": ("table_entries", "joint_dim"),
+    "report": ("max_table_entries",),
 }
-_REQUIRED_SECTIONS = {
-    "unitary": ("system",),
-    "joint": ("system", "observer"),
-    "qrf": ("qrf",),
+_TOP_LEVEL_KEYS = {"schema", "kind", "grids", "n_max", *_SECTIONS}
+# the sections among system, observer, qrf and simulate that each kind reads, True if required
+_KINDS = {
+    "unitary": {"system": True},
+    "joint": {"system": True, "observer": True, "simulate": False},
+    "qrf": {"qrf": True},
 }
 
 
@@ -70,18 +84,21 @@ def parse_matrix(value, where):
     return np.array(rows, dtype=complex)
 
 
-def _known(sec, keys, where=None, label=""):
+def _known(sec, keys, where=None, refusal="unknown keys"):
     """Refuse the keys of ``sec`` outside ``keys``, sorted by ``str`` as YAML keys may mix types."""
     unknown = set(sec) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {label}keys {sorted(unknown, key=str)}", where)
+        raise ConfigError(f"{refusal} {sorted(unknown, key=str)}", where)
 
 
-def _section(data, name, keys):
+def _section(data, name):
+    """The mapping ``data[name]`` holding only keys of ``_SECTIONS[name]``; absent or null is {}."""
     sec = data.get(name)
+    if sec is None:
+        return {}
     if not isinstance(sec, dict):
-        raise ConfigError("missing or malformed section", name)
-    _known(sec, keys, name)
+        raise ConfigError(f"expected a mapping, got {sec!r}", name)
+    _known(sec, _SECTIONS[name], name)
     return sec
 
 
@@ -158,7 +175,7 @@ class ScenarioConfig:
         return self.grids[name]
 
     def build_system(self) -> QuantumSystem:
-        sec = _section(self.raw, "system", ("H", "F", "rho"))
+        sec = _section(self.raw, "system")
         with _as_config_error("system"):
             return QuantumSystem.from_operators(
                 parse_matrix(_get(sec, "H", "system"), "system.H"),
@@ -172,7 +189,7 @@ class ScenarioConfig:
         from .observer import JointScenario, ObserverSystem
 
         sys = self.build_system()
-        sec = _section(self.raw, "observer", ("H_o", "G_o", "rho_o", "coupling"))
+        sec = _section(self.raw, "observer")
         with _as_config_error("observer"):
             obs = ObserverSystem.from_operators(
                 parse_matrix(_get(sec, "H_o", "observer"), "observer.H_o"),
@@ -187,7 +204,7 @@ class ScenarioConfig:
         """The QRFModel of a ``kind: qrf`` config; only this kind loads ``qrf``."""
         from .qrf import QRFModel, build_gkls, generator_from_matrix
 
-        sec = _section(self.raw, "qrf", ("F_a", "rho_a", "generator", "H_a", "rates", "G_a", "mu"))
+        sec = _section(self.raw, "qrf")
         with _as_config_error("qrf"):
             F_a = spectral_decompose(
                 parse_matrix(_get(sec, "F_a", "qrf"), "qrf.F_a"),
@@ -196,12 +213,8 @@ class ScenarioConfig:
             )
             rho_a = parse_matrix(_get(sec, "rho_a", "qrf"), "qrf.rho_a")
             if "generator" in sec:
-                matrix = parse_matrix(sec["generator"], "qrf.generator")
-                H_a = sec.get("H_a")
-                H_a = None if H_a is None else parse_matrix(H_a, "qrf.H_a")
-                gen = generator_from_matrix(matrix)
-                if H_a is not None:  # checked only: the raw generator already holds −i[H_a, ·]
-                    require_hermitian(H_a, self.tolerances.hermiticity, "H_a")
+                _known(sec, ("F_a", "rho_a", "generator"), "qrf", "the generator form reads no")
+                gen = generator_from_matrix(parse_matrix(sec["generator"], "qrf.generator"))
             else:
                 rates_raw = _get(sec, "rates", "qrf")
                 if not isinstance(rates_raw, list):
@@ -225,15 +238,6 @@ class ScenarioConfig:
                 )
             rho_a = require_density(rho_a, self.tolerances.density, "qrf.rho_a")
             return QRFModel(generator=gen, F_a=F_a, rho_a=rho_a)
-
-
-def _parse_tolerances(sec):
-    if not isinstance(sec, dict):
-        raise ConfigError("tolerances must be a mapping", "tolerances")
-    _known(sec, Tolerances._fields, "tolerances", "tolerance ")
-    return Tolerances(**{k: None if k == "cluster" and v is None else
-                         require_number(v, f"tolerances.{k}", 0.0, exclusive=k == "cluster")
-                         for k, v in sec.items()})
 
 
 def _parse_yaml(blob):
@@ -263,15 +267,18 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
 
-    _known(data, _TOP_LEVEL_KEYS, label="top-level ")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"expected schema {SCHEMA_VERSION}, got {data.get('schema')!r}", "schema")
-    kind = data.get("kind")
-    if kind not in _REQUIRED_SECTIONS:
-        raise ConfigError(f"kind must be one of {sorted(_REQUIRED_SECTIONS)}, got {kind!r}", "kind")
-    for required in _REQUIRED_SECTIONS[kind]:
-        if required not in data:
-            raise ConfigError(f"kind {kind!r} requires the {required!r} section", required)
+    _known(data, _TOP_LEVEL_KEYS, refusal="unknown top-level keys")
+    schema, kind = data.get("schema"), data.get("kind")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # a YAML true or 1.0 is not 1
+        raise ConfigError(f"expected schema {SCHEMA_VERSION}, got {schema!r}", "schema")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}", "kind")
+    for name in ("system", "observer", "qrf", "simulate"):
+        if data.get(name) is None:
+            if _KINDS[kind].get(name):
+                raise ConfigError(f"kind {kind!r} requires the {name!r} section", name)
+        elif name not in _KINDS[kind]:
+            raise ConfigError(f"kind {kind!r} reads no {name!r} section", name)
 
     grids_raw = data.get("grids")
     if not isinstance(grids_raw, dict) or not grids_raw:
@@ -285,21 +292,15 @@ def load_config(path) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), f"grids.{name}") from exc
 
-    caps = data.get("caps") or {}
-    if not isinstance(caps, dict):
-        raise ConfigError("caps must be a mapping", "caps")
-    _known(caps, ("table_entries", "joint_dim"), "caps")
+    caps = _section(data, "caps")
     table_cap = require_integer(caps.get("table_entries", DEFAULT_TABLE_CAP),
                                 "caps.table_entries")
     joint_cap = require_integer(caps.get("joint_dim", DEFAULT_JOINT_DIM_CAP), "caps.joint_dim")
     n_max = require_integer(data.get("n_max", 3), "n_max")
 
-    sampling = None
-    if "sampling" in data:
-        sec = data["sampling"]
-        if not isinstance(sec, dict):
-            raise ConfigError("sampling must be a mapping", "sampling")
-        _known(sec, ("N", "seed", "grid"), "sampling")
+    sampling = simulate = None
+    if data.get("sampling") is not None:
+        sec = _section(data, "sampling")
         grid_name = str(sec.get("grid", next(iter(grids))))
         if grid_name not in grids:
             raise ConfigError(f"unknown grid {grid_name!r}", "sampling.grid")
@@ -307,12 +308,8 @@ def load_config(path) -> ScenarioConfig:
         seed = require_integer(_get(sec, "seed", "sampling"), "sampling.seed", minimum=0)
         sampling = SamplingConfig(size=size, seed=seed, grid=grid_name)
 
-    simulate = None
-    if "simulate" in data:
-        sec = data["simulate"]
-        if not isinstance(sec, dict):
-            raise ConfigError("simulate must be a mapping", "simulate")
-        _known(sec, ("grid", "probe_times"), "simulate")
+    if data.get("simulate") is not None:
+        sec = _section(data, "simulate")
         grid_name = str(sec.get("grid", next(iter(grids))))
         if grid_name not in grids:
             raise ConfigError(f"unknown grid {grid_name!r}", "simulate.grid")
@@ -329,18 +326,18 @@ def load_config(path) -> ScenarioConfig:
                 )
         simulate = SimulateConfig(grid=grid_name, probe_times=probe_times)
 
-    report_sec = data.get("report") or {}
-    if not isinstance(report_sec, dict):
-        raise ConfigError("report must be a mapping", "report")
-    _known(report_sec, ("max_table_entries",), "report")
-    report_max = require_integer(report_sec.get("max_table_entries", 4096),
+    report_max = require_integer(_section(data, "report").get("max_table_entries", 4096),
                                  "report.max_table_entries")
+    tolerances = Tolerances(**{
+        k: None if k == "cluster" and v is None else
+        require_number(v, f"tolerances.{k}", 0.0, exclusive=k == "cluster")
+        for k, v in _section(data, "tolerances").items()})
 
     return ScenarioConfig(
         path=str(path),
         sha256=hashlib.sha256(blob).hexdigest(),
         kind=kind,
-        tolerances=_parse_tolerances(data.get("tolerances") or {}),
+        tolerances=tolerances,
         table_cap=table_cap,
         joint_dim_cap=joint_cap,
         grids=grids,

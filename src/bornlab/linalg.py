@@ -125,11 +125,6 @@ def map_cache(form):
     return cached
 
 
-def kron(A, B):
-    """Kronecker product, dims multiply."""
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
-
-
 def partial_trace(M, dims):
     """Trace out the second factor of a bipartite operator on C^{d1} ⊗ C^{d2}."""
     d1, d2 = dims

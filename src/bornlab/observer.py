@@ -21,7 +21,6 @@ from .errors import DimensionCap, DimensionMismatch
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    kron,
     partial_trace,
     propagator,
     require_density,
@@ -73,16 +72,16 @@ def joint_hamiltonian(js: JointScenario):
     d_o, d_s = js.dims
     F = js.sys.F.observable()
     return (
-        kron(js.obs.H_o, np.eye(d_s))
-        + kron(np.eye(d_o), js.sys.H)
-        + js.obs.coupling * kron(js.obs.G_o, F)
+        np.kron(js.obs.H_o, np.eye(d_s))
+        + np.kron(np.eye(d_o), js.sys.H)
+        + js.obs.coupling * np.kron(js.obs.G_o, F)
     )
 
 
 def joint_propagate(js: JointScenario, t):
     """exp(-i t H_os) (ρ_o ⊗ ρ) exp(+i t H_os)."""
     U = propagator(joint_hamiltonian(js), t)
-    rho = kron(js.obs.rho_o, js.sys.rho0)
+    rho = np.kron(js.obs.rho_o, js.sys.rho0)
     return U @ rho @ U.conj().T
 
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from bornlab import process, qrf
+from bornlab import config, process, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
@@ -86,7 +87,6 @@ schema: 1
 kind: qrf
 qrf:
   generator: [[0, 0, 0, 0], [0, -1.4, 1.4, 0], [0, 1.4, -1.4, 0], [0, 0, 0, 0]]
-  H_a: [[0, 0.5], [0.500000001, 0]]
   F_a: [[0.5, 0], [0, -0.5]]
   rho_a: [[0.5, 0], [0, 0.5]]
 grids:
@@ -100,7 +100,9 @@ WITHIN_TOLERANCE = {
     + "tolerances: {density: 1.0e-6}\n",
     "qrf-rho_a-trace": RTN_YAML.replace("rho_a: [[0.5, 0]", "rho_a: [[0.5000001, 0]")
     + "tolerances: {density: 1.0e-6}\n",
-    "raw-generator-H_a-hermiticity": RAW_GENERATOR_YAML + "tolerances: {hermiticity: 1.0e-6}\n",
+    "raw-generator-F_a-hermiticity": RAW_GENERATOR_YAML.replace("F_a: [[0.5, 0]",
+                                                                "F_a: [[0.5, 0.000000001]")
+    + "tolerances: {hermiticity: 1.0e-6}\n",
 }
 
 # a number must be finite and not a boolean; a tolerance ≥ 0, the cluster width > 0
@@ -193,6 +195,25 @@ UNKNOWN_KEYS = {
                                     "unknown top-level keys [1, 'bogus']"),
 }
 
+# each kind, a config of it and a section it does not read
+FOREIGN_SECTIONS = {
+    f"{kind}-{section}": (kind, text, section)
+    for kind, text, sections in [
+        ("unitary", RABI_YAML, ("observer", "qrf", "simulate")),
+        ("joint", DEPHASING_YAML, ("qrf",)),
+        ("qrf", RTN_YAML, ("system", "observer", "simulate")),
+    ]
+    for section in sections
+}
+# a well-formed body of each such section
+SECTION_BODIES = {
+    "system": "{H: [[0]], F: [[1]], rho: [[1]]}",
+    "observer": "{H_o: [[0]], G_o: [[1]], rho_o: [[1]], coupling: 0.25}",
+    "qrf": "{generator: [[0]], F_a: [[1]], rho_a: [[1]]}",
+    "simulate": "{grid: main}",
+}
+JOINT_WITHOUT_SAMPLING = DEPHASING_YAML.replace("sampling: {N: 400, seed: 11}\n", "")
+
 
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):
@@ -262,7 +283,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_tolerances_must_be_a_mapping(self, tmp_path):
-        with pytest.raises(ConfigError, match="tolerances must be a mapping"):
+        with pytest.raises(ConfigError, match="tolerances: expected a mapping"):
             load_config(write(tmp_path, RABI_YAML + "tolerances: [1.0e-8]\n"))
 
     def test_zero_tolerance_and_null_cluster_are_accepted(self, tmp_path):
@@ -273,7 +294,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,command", [
         ("unitary-H-hermiticity", "analyze"), ("unitary-H-hermiticity", "sample"),
         ("unitary-rho-trace", "analyze"), ("qrf-rho_a-trace", "qrf"),
-        ("raw-generator-H_a-hermiticity", "qrf"),
+        ("raw-generator-F_a-hermiticity", "qrf"),
     ])
     def test_an_input_within_the_config_tolerance_runs(self, name, command, tmp_path):
         out = tmp_path / "out"
@@ -286,7 +307,7 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 2
-        assert f"unknown tolerance keys ['{key}']" in capsys.readouterr().err
+        assert f"tolerances: unknown keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", list(UNKNOWN_KEYS))
     def test_an_unknown_key_in_any_section_is_refused(self, section, tmp_path, capsys):
@@ -294,6 +315,83 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert main(["analyze", write(tmp_path, text), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", list(FOREIGN_SECTIONS))
+    def test_a_section_the_kind_does_not_read_is_refused(self, section, tmp_path, capsys):
+        kind, text, name = FOREIGN_SECTIONS[section]
+        out = tmp_path / "r.json"
+        path = write(tmp_path, text + f"{name}: {SECTION_BODIES[name]}\n")
+        assert main(["analyze", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"bornlab: config error: {name}: kind {kind!r} reads no {name!r} section\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,shown", [("[]", "[]"), ("0", "0"), ("false", "False"),
+                                             ("''", "''")], ids=["list", "zero", "false", "empty"])
+    @pytest.mark.parametrize("section", ["caps", "report", "tolerances", "sampling", "simulate"])
+    def test_a_section_that_is_not_a_mapping_is_refused(self, section, value, shown, tmp_path,
+                                                        capsys):
+        text = JOINT_WITHOUT_SAMPLING + f"{section}: {value}\n"
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"bornlab: config error: {section}: expected a mapping, got {shown}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["caps", "report", "tolerances", "sampling", "simulate"])
+    def test_a_null_section_reads_as_absent(self, section, tmp_path):
+        absent = load_config(write(tmp_path, JOINT_WITHOUT_SAMPLING, "absent.yaml"))
+        path = write(tmp_path, JOINT_WITHOUT_SAMPLING + f"{section}: null\n")
+        null = load_config(path)
+        assert (null.tolerances, null.table_cap, null.joint_dim_cap, null.report_max_entries,
+                null.sampling, null.simulate) == (
+            absent.tolerances, absent.table_cap, absent.joint_dim_cap,
+            absent.report_max_entries, absent.sampling, absent.simulate)
+        out = tmp_path / "r.json"
+        assert main(["analyze", path, "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("section", list(FOREIGN_SECTIONS))
+    def test_a_null_foreign_section_reads_as_absent(self, section, tmp_path):
+        _, text, name = FOREIGN_SECTIONS[section]
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, text + f"{name}: null\n"), "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("section", ["system", "observer"])
+    def test_a_null_required_section_is_missing(self, section, tmp_path, capsys):
+        text = re.sub(f"\n{section}:\n(  .*\n)+", f"\n{section}: null\n", DEPHASING_YAML)
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"bornlab: config error: {section}: kind 'joint' requires the {section!r} section\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["H_a", "G_a", "rates", "mu"])
+    def test_the_generator_form_refuses_the_rate_form_keys(self, key, tmp_path, capsys):
+        value = {"H_a": "[[0, 0], [0, 0]]", "G_a": "[[0, 1], [1, 0]]",
+                 "rates": "[{omega: 0.0, gamma: 0.35}]", "mu": "1.0"}[key]
+        text = RAW_GENERATOR_YAML.replace("  F_a:", f"  {key}: {value}\n  F_a:")
+        out = tmp_path / "r.json"
+        assert main(["qrf", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"bornlab: config error: qrf: the generator form reads no ['{key}']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,old,new,message", [
+        ("schema", "schema: 1", "schema: true", "expected schema 1, got True"),
+        ("schema", "schema: 1", "schema: 1.0", "expected schema 1, got 1.0"),
+        ("kind", "kind: unitary", "kind: [unitary]",
+         "kind must be one of ['joint', 'qrf', 'unitary'], got ['unitary']"),
+        ("kind", "kind: unitary", "kind: {a: 1}",
+         "kind must be one of ['joint', 'qrf', 'unitary'], got {'a': 1}"),
+    ], ids=["schema-true", "schema-float", "kind-list", "kind-mapping"])
+    def test_schema_and_kind_are_read_strictly(self, field, old, new, message, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, RABI_YAML.replace(old, new)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bornlab: config error: {field}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("out", [["--out="], ["--out", ""]], ids=["joined", "separate"])
@@ -559,6 +657,16 @@ n_max: 2
         err = capsys.readouterr().err
         assert "config error: qrf: generator does not preserve " + broken in err
         assert not out.exists()
+
+
+def test_the_readme_schema_block_lists_every_section_and_key():
+    schema = (ROOT / "README.md").read_text(encoding="utf-8").split("## Config schema", 1)[1]
+    block = schema.split("```yaml\n", 1)[1].split("```", 1)[0]
+    # the block writes qrf's generator form as a comment beside the rate form
+    listed = yaml.safe_load(block.replace("# generator:", "generator:"))
+    assert set(listed) == config._TOP_LEVEL_KEYS
+    assert {name: set(listed[name]) for name in config._SECTIONS} == {
+        name: set(keys) for name, keys in config._SECTIONS.items()}
 
 
 def test_shipped_configs_load():

@@ -7,7 +7,6 @@ from bornlab import spectral_decompose
 from bornlab.linalg import (
     commutator_superop,
     hermitian_eig,
-    kron,
     partial_trace,
     propagator,
     trace_distance,
@@ -95,28 +94,10 @@ class TestPropagator:
         assert np.max(np.abs(lhs - propagator(H, t + s))) <= 1e-10
 
 
-class TestKron:
-    def test_sigma_z_first(self):
-        assert np.allclose(kron(SZ, I2), np.diag([1, 1, -1, -1]))
-
-    def test_sigma_z_second(self):
-        assert np.allclose(kron(I2, SZ), np.diag([1, -1, 1, -1]))
-
-    def test_mixed_product_rule(self, rng):
-        A, B, C, D = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        assert np.allclose(kron(A, B) @ kron(C, D), kron(A @ C, B @ D))
-
-    def test_preserves_density_structure(self, rng):
-        rho, sigma = random_density(rng, 2), random_density(rng, 3)
-        prod = kron(rho, sigma)
-        assert np.max(np.abs(prod - prod.conj().T)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(prod)) >= -1e-12
-
-
 class TestPartialTrace:
     def test_trace_out_second(self, rng):
         rho, sigma = random_density(rng, 2), random_density(rng, 3)
-        out = partial_trace(kron(rho, sigma), (2, 3))
+        out = partial_trace(np.kron(rho, sigma), (2, 3))
         assert np.allclose(out, rho * np.trace(sigma))
 
     def test_preserves_trace_index_sum_oracle(self, rng):

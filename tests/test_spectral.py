@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bornlab import spectral_decompose
-from bornlab.linalg import kron, propagator
+from bornlab.linalg import propagator
 from bornlab.spectral import heisenberg_projectors
 from bornlab.errors import AmbiguousClustering, DimensionMismatch
 from conftest import I2, SX, SZ, random_hermitian, random_unitary
@@ -18,7 +18,7 @@ def test_sigma_z_decomposition():
 
 
 def test_degenerate_observable_clusters():
-    sd = spectral_decompose(kron(SZ, I2))
+    sd = spectral_decompose(np.kron(SZ, I2))
     assert np.allclose(sd.eigenvalues, [-1.0, 1.0])
     assert sd.multiplicities == (2, 2)
     assert sd.clustered
