@@ -170,8 +170,6 @@ class ScenarioConfig:
                        "qrf": self.build_qrf}[kind]()
 
     def grid(self, name):
-        if name not in self.grids:
-            raise ConfigError(f"unknown grid {name!r}", "grids")
         return self.grids[name]
 
     def build_system(self) -> QuantumSystem:

@@ -4,13 +4,16 @@ Conventions fixed here and relied on everywhere else:
 
 * Vectorization is column-stacking: ``vec(X) = X.flatten(order="F")``, so
   ``vec(L @ X @ R) = kron(R.T, L) @ vec(X)``.
-* Unitary propagators of Hermitian generators are built from the
-  eigendecomposition, exact to roundoff: ``U(t) = V exp(-i t diag(w)) V†``.
-* A matrix accepted as Hermitian is kept as its Hermitian part ½(M + M†),
-  so every later eigensolve and propagator sees an exactly Hermitian input.
-* Default tolerances: hermiticity 1e-12, density-matrix trace/positivity
-  slack 1e-10. A config overrides them through :class:`Tolerances` where its
-  inputs enter; nothing downstream checks them again.
+* Unitary propagators are built from the eigendecomposition of the Hermitian
+  part ½(H + H†), exact to roundoff: ``U(t) = V exp(-i t diag(w)) V†``. A
+  Hamiltonian the library forms from checked matrices, such as the joint one,
+  can be off Hermitian by roundoff, which this keeps out of U.
+* A matrix is checked once, where it enters the library, by
+  :func:`require_hermitian` or :func:`require_density` against the run's
+  :class:`Tolerances`, and kept as its Hermitian part. Nothing downstream
+  checks it again: the functions here that take matrices the library formed
+  check nothing. Default tolerances: hermiticity 1e-12, density-matrix
+  trace/positivity slack 1e-10.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ class Tolerances(NamedTuple):
     """The tolerances a run applies, each to the inputs or verdicts named here.
 
     ``hermiticity`` bounds max |M − M†| of H, F and the observer and QRF
-    operators; ``density`` is the Hermiticity, trace and positivity slack of
-    the initial states; ``cluster`` merges eigenvalues of F and matches rate
-    frequencies to Bohr frequencies (``None`` selects the spectral default
-    ``1e-9 * max(1, spectral range)`` per decomposition); ``consistency`` is
-    the verdict threshold ε.
+    operators where they enter, and nothing else; ``density`` is the
+    Hermiticity, trace and positivity slack of the initial states; ``cluster``
+    merges eigenvalues of F and matches rate frequencies to Bohr frequencies
+    (``None`` selects the spectral default
+    ``max(1e-9 · max(1, spectral range), 1e-12 · max |λ|)`` per
+    decomposition); ``consistency`` is the verdict threshold ε.
     """
 
     hermiticity: float = 1e-12
@@ -58,21 +62,12 @@ def as_complex_matrix(A, name="matrix"):
     return M
 
 
-def require_square(M, name="matrix"):
+def require_hermitian(A, tol=DEFAULT_TOLERANCES.hermiticity, name="matrix"):
+    """The Hermitian part ½(M + M†) of a square matrix whose max |M − M†| is at most ``tol``."""
+    M = as_complex_matrix(A, name)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name}: expected square, got shape {M.shape}")
-    return M
-
-
-def hermiticity_defect(A):
-    """max |A - A†| entrywise."""
-    return float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-
-
-def require_hermitian(A, tol=DEFAULT_TOLERANCES.hermiticity, name="matrix"):
-    """The Hermitian part ½(M + M†) of a matrix whose hermiticity defect is at most ``tol``."""
-    M = require_square(as_complex_matrix(A, name), name)
-    defect = hermiticity_defect(M)
+    defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     if defect > tol:
         raise NonHermitianInput(
             f"{name}: hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -94,19 +89,9 @@ def require_density(rho, tol=DEFAULT_TOLERANCES.density, name="density matrix"):
     return M
 
 
-def hermitian_eig(A, tol=DEFAULT_TOLERANCES.hermiticity, name="matrix"):
-    """Eigendecomposition A = V diag(w) V† of a Hermitian matrix.
-
-    Returns ``(w, V)`` with ``w`` ascending and ``V`` unitary. The solve
-    uses the Hermitian part of ``A``, so inputs Hermitian only within ``tol``
-    are treated evenhandedly.
-    """
-    return np.linalg.eigh(require_hermitian(A, tol, name))
-
-
 def propagator(H, t):
-    """Unitary exp(-i t H) for Hermitian H (hbar = 1)."""
-    w, V = hermitian_eig(H, name="Hamiltonian")
+    """Unitary exp(-i t H) (hbar = 1) of the Hermitian part of H."""
+    w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
     return (V * np.exp(-1j * t * w)) @ V.conj().T
 
 
@@ -128,13 +113,7 @@ def map_cache(form):
 def partial_trace(M, dims):
     """Trace out the second factor of a bipartite operator on C^{d1} ⊗ C^{d2}."""
     d1, d2 = dims
-    A = as_complex_matrix(M, "bipartite operator")
-    require_square(A, "bipartite operator")
-    if A.shape[0] != d1 * d2:
-        raise DimensionMismatch(
-            f"operator side {A.shape[0]} does not equal d1*d2 = {d1 * d2}"
-        )
-    return np.einsum("isjs->ij", A.reshape(d1, d2, d1, d2))
+    return np.einsum("isjs->ij", M.reshape(d1, d2, d1, d2))
 
 
 def vec(X):
@@ -142,30 +121,21 @@ def vec(X):
     return np.asarray(X, dtype=complex).flatten(order="F")
 
 
-class Superoperator:
+class Superoperator(NamedTuple):
     """A linear map on operators, stored as a d² × d² matrix acting on vec(X)."""
 
-    def __init__(self, dim, matrix):
-        m = require_square(as_complex_matrix(matrix, "superoperator"), "superoperator")
-        if m.shape[0] != dim**2:
-            raise DimensionMismatch(
-                f"superoperator side {m.shape[0]} does not equal dim² = {dim**2}")
-        self.dim, self.matrix = dim, matrix
+    dim: int
+    matrix: np.ndarray
 
 
 def commutator_superop(A):
     """The d² × d² matrix of X ↦ [A, X] acting on vec(X)."""
-    Am = require_square(as_complex_matrix(A, "commutator generator"), "commutator generator")
-    eye = np.eye(Am.shape[0], dtype=complex)
-    return np.kron(eye, Am) - np.kron(Am.T, eye)
+    eye = np.eye(A.shape[0], dtype=complex)
+    return np.kron(eye, A) - np.kron(A.T, eye)
 
 
 def trace_distance(rho, sigma):
-    """½‖ρ − σ‖₁ via the eigenvalues of the Hermitian difference."""
-    A = as_complex_matrix(rho, "rho")
-    B = as_complex_matrix(sigma, "sigma")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"trace_distance: shapes {A.shape} vs {B.shape}")
-    diff = A - B
+    """½‖ρ − σ‖₁ via the eigenvalues of the Hermitian part of ρ − σ."""
+    diff = rho - sigma
     w = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return 0.5 * float(np.sum(np.abs(w)))

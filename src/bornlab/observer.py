@@ -21,6 +21,7 @@ from .errors import DimensionCap, DimensionMismatch
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    as_complex_matrix,
     partial_trace,
     propagator,
     require_density,
@@ -146,7 +147,7 @@ def compare(exact, mc: SurrogateAverage):
     have vanishing standard error and would otherwise divide roundoff by
     roundoff); a larger deviation with zero standard error gives z = inf.
     """
-    exact = np.asarray(exact, dtype=complex)
+    exact = as_complex_matrix(exact, "exact")
     if exact.shape != mc.mean.shape:
         raise DimensionMismatch(f"compare: shapes {exact.shape} vs {mc.mean.shape}")
     dev = np.abs(exact - mc.mean)

@@ -56,12 +56,6 @@ class TimeGrid:
             raise ValueError(f"grid times must satisfy 0 < t_1 < ... < t_n, got {ts}")
         self.times = ts
 
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and self.times == other.times
-
-    def __hash__(self):
-        return hash(self.times)
-
     @property
     def n(self):
         return len(self.times)

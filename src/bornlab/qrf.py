@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     Superoperator,
+    as_complex_matrix,
     commutator_superop,
     map_cache,
     require_density,
@@ -182,8 +183,9 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
                hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
     """Assemble a GKLS generator from a coupling operator and a rate table.
 
-    ``rates`` maps Bohr frequencies ω of H_a to complex rates γ_ω with
-    Re γ_ω ≥ 0. Each frequency component of the coupling operator is
+    ``rates`` is a sequence of ``(ω, γ_ω)`` pairs: a Bohr frequency ω of H_a
+    and a complex rate with Re γ_ω ≥ 0; pairs with equal ω add their rates.
+    Each frequency component of the coupling operator is
 
         G_ω = Σ_{α,α'} δ(ω − ε_α + ε_{α'}) |α⟩⟨α| G_a |α'⟩⟨α'|
 
@@ -203,7 +205,7 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
     dissipator = np.zeros((d * d, d * d), dtype=complex)
     lamb_shift = np.zeros((d, d), dtype=complex)
     eye = np.eye(d, dtype=complex)
-    for omega, gamma in (rates.items() if hasattr(rates, "items") else rates):
+    for omega, gamma in rates:
         omega = float(omega)
         gamma = complex(gamma)
         if gamma.real < 0:
@@ -228,7 +230,7 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
 
 def generator_from_matrix(matrix):
     """Wrap a raw d²×d² generator matrix; validates preservation invariants."""
-    M = np.asarray(matrix, dtype=complex)
+    M = as_complex_matrix(matrix, "generator")
     d2 = M.shape[0]
     d = int(round(np.sqrt(d2)))
     if M.shape != (d2, d2) or d * d != d2:
@@ -290,7 +292,7 @@ def rtn_model(gamma, rho_a):
     gen = build_gkls(
         H_a=np.zeros((2, 2), dtype=complex),
         G_a=_SIGMA_X,
-        rates={0.0: gamma / 2.0},
+        rates=[(0.0, gamma / 2.0)],
         mu=1.0,
     )
     return QRFModel(generator=gen, F_a=spectral_decompose(0.5 * _SIGMA_Z), rho_a=rho)

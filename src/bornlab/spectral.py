@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AmbiguousClustering, DimensionMismatch
-from .linalg import DEFAULT_TOLERANCES, hermitian_eig, propagator
+from .linalg import DEFAULT_TOLERANCES, propagator, require_hermitian
 
 
 class SpectralDecomposition(NamedTuple):
@@ -42,9 +42,13 @@ class SpectralDecomposition(NamedTuple):
 
 
 def default_cluster_tol(eigenvalues):
-    """1e-9 · max(1, spectral range)."""
+    """max(1e-9 · max(1, spectral range), 1e-12 · max |λ|) of ascending eigenvalues.
+
+    The second term follows the eigensolver's roundoff, which scales with the
+    largest |λ|, so a shift F + c·1 keeps degenerate outcomes merged.
+    """
     rng = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) > 1 else 0.0
-    return 1e-9 * max(1.0, rng)
+    return max(1e-9 * max(1.0, rng), 1e-12 * float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
@@ -55,7 +59,7 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
     ambiguous (its members are farther apart than the tolerance that merged
     them) and raises :class:`AmbiguousClustering`.
     """
-    w, V = hermitian_eig(F, hermiticity_tol, "observable")
+    w, V = np.linalg.eigh(require_hermitian(F, hermiticity_tol, "observable"))
     tol = default_cluster_tol(w) if cluster_tol is None else float(cluster_tol)
     if not tol > 0:
         raise ValueError("cluster_tol must be positive")

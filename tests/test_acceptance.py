@@ -219,7 +219,7 @@ def test_criterion_4_rtn_suite():
         from bornlab import QRFModel, build_gkls
 
         rotation = QRFModel(
-            generator=build_gkls(SX, np.zeros((2, 2)), {}, mu=0.0),
+            generator=build_gkls(SX, np.zeros((2, 2)), [], mu=0.0),
             F_a=spectral_decompose(0.5 * SZ),
             rho_a=np.diag([1.0, 0.0]).astype(complex),
         )

@@ -56,6 +56,31 @@ n_max: 2
 sampling: {N: 400, seed: 11}
 """
 
+# a joint config whose F = Q diag(−1e5, 1e5, 1e5) Q† is exactly Hermitian, while the
+# joint Hamiltonian formed from its projectors is off Hermitian by 1e-12 from roundoff
+LARGE_F_JOINT_YAML = """
+schema: 1
+kind: joint
+system:
+  H: [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+  F: [[-13443.412437339213, [10390.014495808853, 44810.474790306325],
+       [-62820.685286904874, 61293.59762624026]],
+      [[10390.014495808853, -44810.474790306325], 81348.13642595123,
+       [-18457.54932334034, -30428.087696164625]],
+      [[-62820.685286904874, -61293.59762624026], [-18457.54932334034, 30428.087696164625],
+       32095.276011387978]]
+  rho: [[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]
+observer:
+  H_o: [[0, 0], [0, 0]]
+  G_o: [[1, 0], [0, -1]]
+  rho_o: [[0.5, 0.5], [0.5, 0.5]]
+  coupling: 0.25
+grids:
+  main: [0.5, 1.0]
+n_max: 2
+sampling: {N: 200, seed: 11}
+"""
+
 # each integer field of RABI_YAML, set to a given YAML scalar
 INTEGER_FIELDS = {
     "n_max": lambda v: RABI_YAML.replace("n_max: 2", f"n_max: {v}"),
@@ -542,6 +567,12 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--out", b]) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    def test_a_joint_hamiltonian_off_hermitian_by_roundoff_runs(self, tmp_path):
+        out = tmp_path / "joint.json"
+        assert main(["simulate", write(tmp_path, LARGE_F_JOINT_YAML), "--out", str(out),
+                     "--force"]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["comparisons"]
+
     def test_requires_joint_kind(self, tmp_path):
         assert main(["simulate", write(tmp_path, RABI_YAML),
                      "--out", str(tmp_path / "x.json")]) == 2
@@ -583,6 +614,15 @@ class TestQrfCommand:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["bornlab: Λ(τ) is not finite at τ = 0.4"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_generator_that_overflows_exits_1_at_the_map_gate(self, tmp_path, capsys):
+        # 2γ overflows, so ℒ holds NaN: it is formed by the library, so the gate on τℒ refuses it
+        text = RTN_YAML.replace("gamma: 0.35", "gamma: 1.0e+308")
+        out = tmp_path / "rtn.json"
+        assert main(["qrf", write(tmp_path, text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "bornlab: τℒ is not finite at τ = 0.4"
         assert not out.exists()
 
     def test_a_map_that_moves_the_trace_exits_1_naming_tau(self, tmp_path, capsys):
@@ -718,3 +758,30 @@ def test_a_command_forms_each_map_once(command, name, module, attr, monkeypatch,
     out = tmp_path / f"{name}.{command}.json"
     assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert formed and len(formed) == len(set(formed))
+
+
+@pytest.mark.parametrize("command,name,checked", [
+    ("simulate", "dephasing", ["H", "observable", "rho0", "H_o", "G_o", "rho_o"]),
+    ("qrf", "rtn", ["observable", "H_a", "G_a", "qrf.rho_a"]),
+])
+def test_a_command_checks_each_input_matrix_once(command, name, checked, monkeypatch, tmp_path,
+                                                 capsys):
+    # a matrix is checked where it enters; what the library forms from it is not checked again
+    from bornlab import linalg, observer  # noqa: F401  (observer binds require_hermitian)
+    names, check = [], linalg.require_hermitian
+
+    def counted(A, tol=linalg.DEFAULT_TOLERANCES.hermiticity, name="matrix"):
+        names.append(name)
+        return check(A, tol, name)
+
+    bindings = [module for module_name, module in sorted(sys.modules.items())
+                if module_name.startswith("bornlab")
+                and getattr(module, "require_hermitian", None) is check]
+    for module in bindings:
+        monkeypatch.setattr(module, "require_hermitian", counted)
+    assert {module.__name__ for module in bindings} >= {
+        "bornlab.linalg", "bornlab.observer", "bornlab.process", "bornlab.qrf",
+        "bornlab.spectral"}
+    out = tmp_path / f"{name}.{command}.json"
+    assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    assert sorted(names) == sorted(checked)

@@ -70,7 +70,7 @@ def gkls_3level(rng):
     gen = build_gkls(
         np.diag([0.0, 1.0, 2.5]),
         random_hermitian(rng, 3),
-        {0.0: 0.3, 1.0: 0.5 + 0.1j, -1.0: 0.2, 1.5: 0.4, 2.5: 0.1},
+        [(0.0, 0.3), (1.0, 0.5 + 0.1j), (-1.0, 0.2), (1.5, 0.4), (2.5, 0.1)],
     )
     model = QRFModel(
         generator=gen,
@@ -108,8 +108,8 @@ def drawn_case(seed, d, n, degenerate, semigroup):
     H, rho = random_hermitian(rng, d), random_density(rng, d)
     if semigroup:
         w = np.linalg.eigvalsh(H)
-        rates = {omega: rng.uniform(0.0, 1.0) + 0.3j * rng.normal()
-                 for omega in (0.0, float(w[1] - w[0]), float(w[0] - w[1]))}
+        rates = [(omega, rng.uniform(0.0, 1.0) + 0.3j * rng.normal())
+                 for omega in (0.0, float(w[1] - w[0]), float(w[0] - w[1]))]
         source = QRFModel(build_gkls(H, random_hermitian(rng, d), rates),
                           spectral_decompose(F), rho)
     else:

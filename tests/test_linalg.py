@@ -6,45 +6,38 @@ from hypothesis import strategies as st
 from bornlab import spectral_decompose
 from bornlab.linalg import (
     commutator_superop,
-    hermitian_eig,
     partial_trace,
     propagator,
     trace_distance,
     vec,
 )
 from bornlab.qrf import pair_superops
-from bornlab.errors import DimensionMismatch, NonFinite, NonHermitianInput
+from bornlab.errors import NonFinite, NonHermitianInput
 from bornlab.linalg import require_density, require_hermitian
 from conftest import I2, KET0, KET1, SX, SZ, random_density, random_hermitian
 from oracles import unvec
 
 
 class TestHermitianEig:
+    """The eigendecomposition ``spectral_decompose`` takes of a Hermitian observable."""
+
     def test_pauli_x_spectrum(self):
-        w, V = hermitian_eig(SX)
-        assert np.allclose(w, [-1.0, 1.0])
-        assert np.allclose(V @ V.conj().T, I2)
+        sd = spectral_decompose(SX)
+        assert np.allclose(sd.eigenvalues, [-1.0, 1.0])
+        assert np.allclose(sd.projectors[1], (I2 + SX) / 2)
+        assert np.allclose(sd.projectors.sum(axis=0), I2)
 
     def test_identity(self):
-        w, V = hermitian_eig(np.eye(3, dtype=complex))
-        assert np.allclose(w, np.ones(3))
-        assert np.allclose(V @ V.conj().T, np.eye(3), atol=1e-12)
+        sd = spectral_decompose(np.eye(3, dtype=complex))
+        assert np.allclose(sd.eigenvalues, [1.0]) and sd.multiplicities == (3,)
+        assert np.allclose(sd.projectors[0], np.eye(3), atol=1e-12)
 
     def test_reconstruction_random(self, rng):
         A = random_hermitian(rng, 6)
-        w, V = hermitian_eig(A)
+        sd = spectral_decompose(A)
         norm = np.linalg.norm(A)
-        assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-10 * norm
-        assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        with pytest.raises(NonFinite):
-            hermitian_eig(bad)
+        assert np.max(np.abs(sd.observable() - A)) <= 1e-10 * norm
+        assert np.all(np.diff(sd.eigenvalues) > 0)
 
 
 class TestRequireHermitian:
@@ -61,6 +54,15 @@ class TestRequireHermitian:
         rho[0, 1] += 1e-13
         out = require_density(rho)
         assert np.array_equal(out, out.conj().T)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitianInput):
+            require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_nan(self):
+        bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(NonFinite):
+            require_hermitian(bad)
 
 
 class TestPropagator:
@@ -111,10 +113,6 @@ class TestPartialTrace:
                     oracle[i, j] += M[2 * i + s, 2 * j + s]
         assert np.allclose(out, oracle)
         assert abs(np.trace(out) - np.trace(M)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(5), (2, 2))
 
 
 class TestSuperoperators:

@@ -4,13 +4,14 @@ import pytest
 from bornlab import (
     JointScenario,
     ObserverSystem,
+    QuantumSystem,
     TimeGrid,
     compare,
     exact_reduced_state,
     sample_ensemble,
     surrogate_average,
 )
-from bornlab.errors import DimensionCap, DimensionMismatch
+from bornlab.errors import DimensionCap, DimensionMismatch, NonFinite
 from bornlab.linalg import trace_distance
 from bornlab.observer import SurrogateAverage, joint_propagate
 from bornlab.sampler import Ensemble
@@ -24,6 +25,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_system,
+    random_unitary,
 )
 import oracles
 
@@ -91,6 +93,23 @@ class TestExactReducedState:
             oracle = full.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
             assert np.max(np.abs(state - oracle)) <= 1e-12
             assert abs(state[0, 1] - 0.5 * np.cos(2 * lam * t)) <= 1e-10
+
+    def test_a_joint_hamiltonian_off_hermitian_by_roundoff_propagates(self):
+        # F = Q diag(−1e5, 1e5, 1e5) Q† is exactly Hermitian; the joint Hamiltonian formed from
+        # its projectors is off by up to ~1e-12. With H = 0 the coherence is
+        # ½ Σ_f p(f) exp(−2iλft), p(f) = tr P(f) ρ, the exact oracle for every draw.
+        lam, t, rng = 0.25, 1.0, np.random.default_rng(3)
+        obs = ObserverSystem.from_operators(np.zeros((2, 2)), SZ, PLUS, lam)
+        for _ in range(100):
+            Q = random_unitary(rng, 3)
+            F = (Q * [-1e5, 1e5, 1e5]) @ Q.conj().T
+            system = QuantumSystem.from_operators(np.zeros((3, 3)), 0.5 * (F + F.conj().T),
+                                                  np.eye(3) / 3)
+            state = exact_reduced_state(JointScenario(obs=obs, sys=system), t)
+            p = np.array([1 / 3, 2 / 3])
+            oracle = 0.5 * np.sum(p * np.exp(-2j * lam * t * system.F.eigenvalues))
+            assert abs(state[0, 1] - oracle) <= 1e-9
+            assert abs(np.trace(state) - 1.0) <= 1e-12
 
 
 def one_trajectory_state(obs, grid, indices, eigenvalues, t):
@@ -206,6 +225,12 @@ class TestCompare:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             compare(random_density(rng, 2), settled(random_density(rng, 3)))
+
+    def test_a_non_finite_exact_state_is_refused(self, rng):
+        exact = random_density(rng, 2)
+        exact[0, 1] = np.nan
+        with pytest.raises(NonFinite, match="exact: contains NaN"):
+            compare(exact, settled(random_density(rng, 2)))
 
 
 def test_surrogate_equals_exact_under_sf():

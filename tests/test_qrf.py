@@ -23,6 +23,7 @@ from bornlab import (
 from bornlab.errors import (
     NegativeRate,
     NonBlockDiagonalState,
+    NonFinite,
     NonPositiveRate,
     NumericalInvariantViolation,
     UnmatchedFrequency,
@@ -64,7 +65,7 @@ def comm_super(A):
 
 def rotation_model(rho_a=None):
     """H_a = σ_x, no dissipation, F = σ_z/2: generates and detects coherence."""
-    gen = build_gkls(SX, np.zeros((2, 2)), {}, mu=0.0)
+    gen = build_gkls(SX, np.zeros((2, 2)), [], mu=0.0)
     return QRFModel(
         generator=gen,
         F_a=spectral_decompose(HALF_SZ),
@@ -95,7 +96,7 @@ def superop(action, dim):
 
 
 def frozen_model(rho_a=None):
-    gen = build_gkls(np.zeros((2, 2)), np.zeros((2, 2)), {}, mu=0.0)
+    gen = build_gkls(np.zeros((2, 2)), np.zeros((2, 2)), [], mu=0.0)
     return QRFModel(
         generator=gen,
         F_a=spectral_decompose(HALF_SZ),
@@ -107,19 +108,19 @@ class TestBuildGkls:
     def test_dephasing_double_commutator_identity(self):
         # mu² L = 2 mu² gamma (sx · sx − ·) must equal −(gamma'/2)[sx,[sx,·]]
         gamma, mu = 0.35, 1.3
-        gen = build_gkls(np.zeros((2, 2)), SX, {0.0: gamma}, mu)
+        gen = build_gkls(np.zeros((2, 2)), SX, [(0.0, gamma)], mu)
         gamma_prime = 2.0 * mu**2 * gamma
         oracle = -0.5 * gamma_prime * (comm_super(SX) @ comm_super(SX))
         assert np.max(np.abs(gen.total.matrix - oracle)) <= 1e-12
 
     def test_zero_rates_pure_commutator(self, rng):
         H = random_hermitian(rng, 3)
-        gen = build_gkls(H, random_hermitian(rng, 3), {}, mu=1.0)
+        gen = build_gkls(H, random_hermitian(rng, 3), [], mu=1.0)
         assert np.max(np.abs(gen.total.matrix - (-1j) * comm_super(H))) <= 1e-12
 
     def test_trace_preservation_random_basis(self, rng):
         H = random_hermitian(rng, 3)
-        rates = {0.0: 0.2 + 0.1j}
+        rates = [(0.0, 0.2 + 0.1j)]
         gen = build_gkls(H, random_hermitian(rng, 3), rates, mu=0.8)
         for _ in range(10):
             X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -128,29 +129,42 @@ class TestBuildGkls:
 
     def test_hermiticity_preservation(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
-                         {0.0: 0.4}, mu=1.0)
+                         [(0.0, 0.4)], mu=1.0)
         X = random_hermitian(rng, 2)
         out = unvec(gen.total.matrix @ vec(X), 2)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
     def test_negative_rate_rejected(self):
         with pytest.raises(NegativeRate):
-            build_gkls(np.zeros((2, 2)), SX, {0.0: -0.1}, 1.0)
+            build_gkls(np.zeros((2, 2)), SX, [(0.0, -0.1)], 1.0)
 
     def test_unmatched_frequency_rejected(self):
         with pytest.raises(UnmatchedFrequency):
-            build_gkls(SZ, SX, {0.37: 0.1}, 1.0)
+            build_gkls(SZ, SX, [(0.37, 0.1)], 1.0)
+
+    def test_a_shifted_hamiltonian_keeps_its_bohr_frequencies(self):
+        # H_a + c·1 has the Bohr frequencies of H_a; at c = 1e7 the eigensolver's roundoff
+        # exceeds 1e-9 · max(1, spectral range), so the match tolerance must follow max |λ|
+        rng, c = np.random.default_rng(2202), 1e7
+        rates = [(1.0, 0.3), (-1.0, 0.1), (0.0, 0.2)]
+        for _ in range(20):
+            Q = random_unitary(rng, 2)
+            H = (Q * [0.0, 1.0]) @ Q.conj().T
+            H = 0.5 * (H + H.conj().T)
+            G = random_hermitian(rng, 2)
+            shifted = build_gkls(H + c * I2, G, rates).total.matrix
+            assert np.max(np.abs(shifted - build_gkls(H, G, rates).total.matrix)) <= 1e-6
 
     def test_bohr_frequency_splitting(self):
         # H_a = σ_z has Bohr frequencies {−2, 0, 2}; G_x splits into the ladders
         # |0⟩⟨1| at ω = 2 (it raises energy by 2) and |1⟩⟨0| at ω = −2
-        rates = {2.0: 0.3, -2.0: 0.1}
+        rates = [(2.0, 0.3), (-2.0, 0.1)]
         ladders = {2.0: np.array([[0, 1], [0, 0]], dtype=complex),
                    -2.0: np.array([[0, 0], [1, 0]], dtype=complex)}
 
         def action(X):
             out = -1j * (SZ @ X - X @ SZ)
-            for omega, gamma in rates.items():
+            for omega, gamma in rates:
                 G = ladders[omega]
                 GdG = G.conj().T @ G
                 out = out + 2 * gamma * (G @ X @ G.conj().T - 0.5 * (GdG @ X + X @ GdG))
@@ -168,7 +182,7 @@ class TestSemigroup:
 
     def test_series_oracle_small_time(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
-                         {0.0: 0.5}, mu=1.0)
+                         [(0.0, 0.5)], mu=1.0)
         tau = 0.05
         L = gen.total.matrix
         series = np.eye(4, dtype=complex)
@@ -192,7 +206,7 @@ class TestSemigroup:
                     <= 1e-13 * np.linalg.norm(expected, 1))
 
     def test_expm_of_zero_is_the_identity(self, rng):
-        L = build_gkls(random_hermitian(rng, 3), random_hermitian(rng, 3), {0.0: 0.5}).total.matrix
+        L = build_gkls(random_hermitian(rng, 3), random_hermitian(rng, 3), [(0.0, 0.5)]).total.matrix
         assert np.array_equal(qrf.expm(L, 0.0), np.eye(9))
 
     @pytest.mark.parametrize("scale,tau", [(1e10, 1e300), (1e308, 1.0), (1.0, np.inf)],
@@ -229,7 +243,7 @@ class TestSemigroup:
 
     def test_choi_positivity_spot_check(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
-                         {0.0: 0.3 + 0.2j}, mu=1.1)
+                         [(0.0, 0.3 + 0.2j)], mu=1.1)
         for t in (0.2, 0.9, 2.0):
             C = choi(gen.semigroup(t), 2)
             assert np.min(np.linalg.eigvalsh(0.5 * (C + C.conj().T))) >= -1e-10
@@ -284,7 +298,7 @@ class TestQrfBiProbability:
     def test_bi_consistency_and_structure_random_models(self, rng):
         for _ in range(5):
             H = random_hermitian(rng, 2)
-            rates = {0.0: rng.uniform(0.1, 0.5) + 1j * rng.uniform(-0.2, 0.2)}
+            rates = [(0.0, rng.uniform(0.1, 0.5) + 1j * rng.uniform(-0.2, 0.2))]
             gen = build_gkls(H, random_hermitian(rng, 2), rates, mu=1.0)
             model = QRFModel(
                 generator=gen,
@@ -438,6 +452,14 @@ class TestNcgdCmEquivalence:
             equivalence(rotation_model(plus), TimeGrid((0.4, 1.1)))
 
 
+def test_a_non_finite_raw_generator_is_refused_where_it_enters():
+    # the preservation checks compare False on NaN, so the entry check is what refuses it
+    L = -0.35 * (comm_super(SX) @ comm_super(SX))
+    L[1, 2] = np.nan
+    with pytest.raises(NonFinite, match="generator: contains NaN or Inf entries"):
+        generator_from_matrix(L)
+
+
 def test_generator_from_matrix_roundtrip():
     gamma = 0.6
     L = -0.5 * gamma * (comm_super(SX) @ comm_super(SX))
@@ -475,7 +497,7 @@ def drawn_block_model(seed, d, m, rotated, structure):
     H = random_hermitian(rng, d)
     w = np.linalg.eigvalsh(H)
     omegas = {0.0} if d == 1 else {0.0, float(w[1] - w[0]), float(w[0] - w[1])}
-    rates = {omega: rng.uniform(0.0, 1.0) + 0.3j * rng.normal() for omega in omegas}
+    rates = [(omega, rng.uniform(0.0, 1.0) + 0.3j * rng.normal()) for omega in omegas]
     L = build_gkls(H, random_hermitian(rng, d), rates).total.matrix
     K = pair_superops(F_a).reshape(m, m, d * d, d * d)
     off = [(a, b) for a in range(m) for b in range(m) if a != b]

@@ -117,3 +117,17 @@ def test_representative_value_is_cluster_mean():
     sd = spectral_decompose(F, cluster_tol=1e-9)
     assert sd.multiplicities == (2, 1)
     assert abs(sd.eigenvalues[0] - np.mean(vals[:2])) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e6, 1e7, 1e8, 1e10])
+def test_a_constant_shift_keeps_the_outcomes(c):
+    # the default cluster tolerance follows the eigensolver's roundoff, which grows with
+    # max |λ|: F + c·1 keeps F's two doubly degenerate outcomes, 1 apart, and their projectors
+    rng = np.random.default_rng(2201)
+    for _ in range(20):
+        Q = random_unitary(rng, 4)
+        M = (Q * (c + np.array([0.0, 0.0, 1.0, 1.0]))) @ Q.conj().T
+        sd = spectral_decompose(0.5 * (M + M.conj().T))
+        assert sd.multiplicities == (2, 2)
+        assert np.max(np.abs(sd.eigenvalues - [c, c + 1])) <= 1e-12 * c
+        assert np.max(np.abs(sd.projectors[0] - Q[:, :2] @ Q[:, :2].conj().T)) <= 1e-14 * c
