@@ -197,15 +197,9 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
                 entry["ncgd_cm_equivalence"] = {"hypothesis_violated": str(exc)}
         grids_out.append(entry)
 
-    body = {"grids": grids_out, "block_structure": {
-        "lower_triangular": structure.lower,
-        "upper_triangular": structure.upper,
-        "labels": list(structure.labels),
-        "lower_violation": structure.lower_violation,
-        "upper_violation": structure.upper_violation,
-        "label_residuals": structure.label_residuals,
-    }}
-    lines = [f"lower={structure.lower} upper={structure.upper} labels={list(structure.labels)}"]
+    body = {"grids": grids_out, "block_structure": structure._asdict()}
+    lines = [f"lower={structure.lower_triangular} upper={structure.upper_triangular} "
+             f"labels={list(structure.labels)}"]
     lines += [f"grid={entry['grid']} NCGD: {entry.get('ncgd', {}).get('verdict', 'n/a')} "
               f"CM: {entry['cm']['verdict']} SF: {entry['sf']['verdict']}" for entry in grids_out]
     return _report("qrf", cfg, model, out_path, body, lines)

@@ -285,6 +285,8 @@ def load_config(path) -> ScenarioConfig:
     for name, times in grids_raw.items():
         if not isinstance(times, list) or not times:
             raise ConfigError("grid must be a non-empty list of times", f"grids.{name}")
+        if str(name) in grids:
+            raise ConfigError(f"two grids are named {str(name)!r}", "grids")
         try:
             grids[str(name)] = TimeGrid(tuple(require_number(t, f"grids.{name}") for t in times))
         except ValueError as exc:

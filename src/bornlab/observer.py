@@ -1,11 +1,12 @@
 """A quantum system coupled to the measured observable, and its surrogate.
 
-The joint model is H_os = H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F. The exact reduced
-state of the coupled system (interaction picture) is computed by a full
-joint matrix exponential followed by a partial trace and a frame rotation —
-never by a perturbative series. When the observable admits a surrogate
-field, the same reduced state is reproduced by averaging the propagation
-under the stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
+The joint model is H_os = H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F, formed once by
+``JointScenario`` as its ``H``. The exact reduced state of the coupled
+system (interaction picture) is computed by a full joint matrix exponential
+of ``H`` followed by a partial trace and a frame rotation — never by a
+perturbative series. When the observable admits a surrogate field, the
+same reduced state is reproduced by averaging the propagation under the
+stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
 each piecewise-constant segment contributes one exact matrix exponential.
 The average propagates each distinct outcome prefix on [0, t] once, for
 every trajectory that shares it.
@@ -55,40 +56,25 @@ class ObserverSystem(NamedTuple):
 
 
 class JointScenario:
-    """An observer coupled to a measured system, within the dimension cap."""
+    """An observer coupled to a measured system, within the dimension cap.
+
+    ``H`` is the joint Hamiltonian H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F, formed once.
+    """
 
     def __init__(self, obs: ObserverSystem, sys: QuantumSystem, dim_cap=DEFAULT_JOINT_DIM_CAP):
         joint = obs.dim * sys.dim
         if joint > dim_cap:
             raise DimensionCap(f"joint dimension {joint} exceeds cap {dim_cap}")
         self.obs, self.sys = obs, sys
-
-    @property
-    def dims(self):
-        return (self.obs.dim, self.sys.dim)
-
-
-def joint_hamiltonian(js: JointScenario):
-    """H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F."""
-    d_o, d_s = js.dims
-    F = js.sys.F.observable()
-    return (
-        np.kron(js.obs.H_o, np.eye(d_s))
-        + np.kron(np.eye(d_o), js.sys.H)
-        + js.obs.coupling * np.kron(js.obs.G_o, F)
-    )
-
-
-def joint_propagate(js: JointScenario, t):
-    """exp(-i t H_os) (ρ_o ⊗ ρ) exp(+i t H_os)."""
-    U = propagator(joint_hamiltonian(js), t)
-    rho = np.kron(js.obs.rho_o, js.sys.rho0)
-    return U @ rho @ U.conj().T
+        self.H = (np.kron(obs.H_o, np.eye(sys.dim)) + np.kron(np.eye(obs.dim), sys.H)
+                  + obs.coupling * np.kron(obs.G_o, sys.F.observable()))
 
 
 def exact_reduced_state(js: JointScenario, t):
-    """Interaction-picture reduced state U_o†(t) tr_s[ρ_os(t)] U_o(t)."""
-    reduced = partial_trace(joint_propagate(js, t), js.dims)
+    """Interaction-picture reduced state U_o†(t) tr_s[ρ_os(t)] U_o(t), ρ_os evolved by ``js.H``."""
+    U = propagator(js.H, t)
+    joint = U @ np.kron(js.obs.rho_o, js.sys.rho0) @ U.conj().T
+    reduced = partial_trace(joint, (js.obs.dim, js.sys.dim))
     U_o = propagator(js.obs.H_o, t)
     return U_o.conj().T @ reduced @ U_o
 

@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     NegativeRate,
     NonBlockDiagonalState,
+    NonFinite,
     NonPositiveRate,
     NumericalInvariantViolation,
     UnmatchedFrequency,
@@ -179,6 +180,7 @@ def _validate_generator(matrix, dim):
         raise NumericalInvariantViolation("generator does not preserve Hermiticity on the basis")
 
 
+@np.errstate(all="ignore")  # a generator that overflows is refused below, not warned of
 def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
                hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
     """Assemble a GKLS generator from a coupling operator and a rate table.
@@ -222,8 +224,9 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
         anti = 0.5 * (np.kron(eye, GdG) + np.kron(GdG.T, eye))
         dissipator += 2.0 * gamma.real * (jump - anti)
     dissipator += -1j * commutator_superop(lamb_shift)
-
-    total = commutator_superop(Hm) * (-1j) + (mu**2) * dissipator
+    total = commutator_superop(Hm) * (-1j) + np.float64(mu) ** 2 * dissipator
+    if not np.isfinite(total).all():
+        raise NonFinite("the generator formed from the rates and mu is not finite")
     _validate_generator(total, d)
     return GKLSGenerator(dim=d, total=Superoperator(d, total))
 
@@ -318,8 +321,10 @@ def check_ncgd(model: QRFModel, time_pairs, epsilon=DEFAULT_TOLERANCES.consisten
 
 
 class BlockStructure(NamedTuple):
-    lower: bool
-    upper: bool
+    """The ``block_structure`` of the ``qrf`` report, field for key."""
+
+    lower_triangular: bool
+    upper_triangular: bool
     labels: tuple[str, ...]
     lower_violation: float
     upper_violation: float
@@ -330,9 +335,9 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
                              sample_times=(0.5, 1.0)):
     """Block-triangular structure of the generator w.r.t. the eigen-sectors.
 
-    lower ⟺ 𝒫(f,f) ℒ_total 𝒫(f_+,f_-) = 0 for all f and f_+ ≠ f_-
+    lower_triangular ⟺ 𝒫(f,f) ℒ_total 𝒫(f_+,f_-) = 0 for all f and f_+ ≠ f_-
     (coherence non-activating: ΔΛ(t)Δ = ΔΛ(t));
-    upper ⟺ the mirrored condition (coherence non-generating:
+    upper_triangular ⟺ the mirrored condition (coherence non-generating:
     ΔΛ(t)Δ = Λ(t)Δ). Labels are verified directly on ``sample_times``.
     """
     m = model.F_a.n_outcomes

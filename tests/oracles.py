@@ -76,7 +76,7 @@ from bornlab.consistency import (
 )
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.linalg import DEFAULT_TOLERANCES, propagator, vec
-from bornlab.observer import JointScenario, ObserverSystem, SurrogateAverage, joint_hamiltonian
+from bornlab.observer import JointScenario, ObserverSystem, SurrogateAverage
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
@@ -189,7 +189,7 @@ def conditional_state(sys: QuantumSystem, outcomes, times, t_next):
 
 def observer_observable_biprob(js: JointScenario, X_o, grid: TimeGrid):
     """Q_n of the observer observable X_o ⊗ 1 in the joint system H_o ⊗ 1 + 1 ⊗ H + λ G_o ⊗ F."""
-    joint = QuantumSystem.from_operators(joint_hamiltonian(js),
+    joint = QuantumSystem.from_operators(js.H,
                                          np.kron(X_o.observable(), np.eye(js.sys.dim)),
                                          np.kron(js.obs.rho_o, js.sys.rho0))
     return biprob_table(joint, grid)
@@ -579,8 +579,8 @@ def classify_block_structure(model: QRFModel, epsilon=DEFAULT_TOLERANCES.consist
         if r <= epsilon:
             labels.append("coherence non-generating")
     return BlockStructure(
-        lower=lower,
-        upper=upper,
+        lower_triangular=lower,
+        upper_triangular=upper,
         labels=tuple(labels),
         lower_violation=lower_v,
         upper_violation=upper_v,

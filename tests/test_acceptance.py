@@ -201,7 +201,7 @@ def test_criterion_4_rtn_suite():
         # NCGD, CM, SF, both block flags, and the equivalence, all pass
         grid = TimeGrid((t1, t2))
         structure = classify_block_structure(model, sample_times=grid.times)
-        assert structure.lower and structure.upper
+        assert structure.lower_triangular and structure.upper_triangular
         assert set(structure.labels) == {
             "coherence non-activating",
             "coherence non-generating",

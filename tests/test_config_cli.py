@@ -14,6 +14,7 @@ from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
 from bornlab.process import QuantumSystem
+from bornlab.spectral import SpectralDecomposition
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -192,6 +193,11 @@ class TestConfigParsing:
             load_config(write(tmp_path, "schema: 1\nkind: [unclosed"))
         assert "line" in str(err.value)
 
+    def test_two_grids_whose_names_read_as_one_are_refused(self, tmp_path):
+        # YAML reads 1 and "1" as two keys; a run would keep only the last grid under "1"
+        with pytest.raises(ConfigError, match=r"^grids: two grids are named '1'$"):
+            load_config(write(tmp_path, DUPLICATE_GRIDS_YAML))
+
     def test_probe_times_must_lie_in_grid_span(self, tmp_path):
         text = DEPHASING_YAML + "simulate:\n  grid: main\n  probe_times: [9.0]\n"
         with pytest.raises(ConfigError) as err:
@@ -200,6 +206,10 @@ class TestConfigParsing:
 
 
 RTN_YAML = (CONFIGS / "rtn.yaml").read_text(encoding="utf-8")
+
+DUPLICATE_GRIDS_YAML = RABI_YAML.replace(
+    "grids:\n  main: [0.7853981633974483, 1.5707963267948966]",
+    'grids: {1: [0.5, 1.0], "1": [0.7]}')
 
 # a config holding one unknown key, and the refusal naming its section and the key
 UNKNOWN_KEYS = {
@@ -267,6 +277,13 @@ class TestExitCodes:
         report = json.loads(Path(out).read_text())
         assert report["forced"] is True
         assert report["sf_gate"]["verdict"] == "fail"
+
+    def test_two_grids_with_one_name_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, DUPLICATE_GRIDS_YAML), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "bornlab: config error: grids: two grids are named '1'"]
+        assert not out.exists()
 
     def test_io_error_exits_5(self, tmp_path):
         path = write(tmp_path, RABI_YAML)
@@ -592,6 +609,16 @@ class TestQrfCommand:
         assert entry["sf"]["verdict"] == "pass"
         assert entry["ncgd_cm_equivalence"]["agree"] is True
 
+    @pytest.mark.parametrize("name", ["rtn", "rotation"])
+    def test_block_structure_is_the_classification_as_written(self, name, tmp_path):
+        out = tmp_path / f"{name}.json"
+        assert main(["qrf", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        structure = qrf.classify_block_structure(cfg.source, cfg.tolerances.consistency,
+                                                 sample_times=next(iter(cfg.grids.values())).times)
+        assert json.loads(out.read_text())["block_structure"] == json.loads(
+            json.dumps(structure._asdict()))
+
     def test_rotation_report(self, tmp_path):
         out = str(tmp_path / "rot.json")
         assert main(["qrf", str(CONFIGS / "rotation.yaml"), "--out", out]) == 0
@@ -616,13 +643,17 @@ class TestQrfCommand:
         assert proc.stderr.splitlines() == ["bornlab: Λ(τ) is not finite at τ = 0.4"]
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_a_generator_that_overflows_exits_1_at_the_map_gate(self, tmp_path, capsys):
-        # 2γ overflows, so ℒ holds NaN: it is formed by the library, so the gate on τℒ refuses it
-        text = RTN_YAML.replace("gamma: 0.35", "gamma: 1.0e+308")
-        out = tmp_path / "rtn.json"
-        assert main(["qrf", write(tmp_path, text), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == "bornlab: τℒ is not finite at τ = 0.4"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "qrf", "sample"])
+    @pytest.mark.parametrize("old,new", [("gamma: 0.35", "gamma: 1.0e+308"),
+                                         ("mu: 1.0", "mu: 1.0e+200")], ids=["gamma", "mu"])
+    def test_a_generator_that_overflows_exits_2_at_load(self, command, old, new, tmp_path,
+                                                        capsys):
+        # 2γ, or μ², overflows, so ℒ would hold NaN or inf: it is refused where it is formed
+        out = tmp_path / "rtn.out"
+        assert main([command, write(tmp_path, RTN_YAML.replace(old, new)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "bornlab: config error: qrf: the generator formed from the rates and mu is not finite"]
         assert not out.exists()
 
     def test_a_map_that_moves_the_trace_exits_1_naming_tau(self, tmp_path, capsys):
@@ -739,6 +770,17 @@ def test_a_command_builds_its_source_once_after_loading(command, name, systems, 
     out = tmp_path / f"{name}.{command}.json"
     assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert calls == {"systems": systems, "generators": generators}
+
+
+def test_simulate_forms_the_joint_hamiltonian_once(monkeypatch, tmp_path, capsys):
+    # F enters the joint Hamiltonian once, not once per probe time
+    calls, observable = [], SpectralDecomposition.observable
+    monkeypatch.setattr(SpectralDecomposition, "observable",
+                        lambda sd: calls.append(sd) or observable(sd))
+    out = tmp_path / "dephasing.simulate.json"
+    assert main(["simulate", str(CONFIGS / "dephasing.yaml"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(json.loads(out.read_text())["comparisons"]) == 5
 
 
 @pytest.mark.parametrize("command,name,module,attr", [

@@ -12,8 +12,8 @@ from bornlab import (
     surrogate_average,
 )
 from bornlab.errors import DimensionCap, DimensionMismatch, NonFinite
-from bornlab.linalg import trace_distance
-from bornlab.observer import SurrogateAverage, joint_propagate
+from bornlab.linalg import propagator, trace_distance
+from bornlab.observer import SurrogateAverage
 from bornlab.sampler import Ensemble
 from conftest import (
     I2,
@@ -38,7 +38,21 @@ def random_scenario(rng, d_o=2, d_s=2, coupling=0.4):
     return JointScenario(obs=obs, sys=random_system(rng, d_s))
 
 
+def joint_propagate(js, t):
+    """exp(-i t H) (ρ_o ⊗ ρ) exp(+i t H) of the scenario's joint Hamiltonian H."""
+    U = propagator(js.H, t)
+    return U @ np.kron(js.obs.rho_o, js.sys.rho0) @ U.conj().T
+
+
 class TestJointPropagate:
+    def test_joint_hamiltonian_is_the_kronecker_sum(self, rng):
+        js = random_scenario(rng, d_o=2, d_s=3, coupling=0.7)
+        F = js.sys.F.observable()
+        expected = (np.kron(js.obs.H_o, np.eye(3)) + np.kron(np.eye(2), js.sys.H)
+                    + 0.7 * np.kron(js.obs.G_o, F))
+        assert js.H.shape == (6, 6)
+        assert np.max(np.abs(js.H - expected)) <= 1e-14
+
     def test_zero_coupling_factorizes(self, rng):
         js = random_scenario(rng, coupling=0.0)
         t = 0.9

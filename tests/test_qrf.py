@@ -142,6 +142,15 @@ class TestBuildGkls:
         with pytest.raises(UnmatchedFrequency):
             build_gkls(SZ, SX, [(0.37, 0.1)], 1.0)
 
+    @pytest.mark.parametrize("rates,mu", [([(0.0, 1e308)], 1.0), ([(0.0, 1e200)], 1e200),
+                                          ([(0.0, 1e308j), (0.0, 1e308j)], 1.0)],
+                             ids=["rate-overflows", "mu-overflows", "lamb-shift-overflows"])
+    def test_a_generator_that_overflows_is_refused_without_a_warning(self, rates, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="generator formed from the rates and mu"):
+                build_gkls(np.zeros((2, 2)), SX, rates, mu)
+
     def test_a_shifted_hamiltonian_keeps_its_bohr_frequencies(self):
         # H_a + c·1 has the Bohr frequencies of H_a; at c = 1e7 the eigensolver's roundoff
         # exceeds 1e-9 · max(1, spectral range), so the match tolerance must follow max |λ|
@@ -354,6 +363,13 @@ class TestRtnModel:
         table = qrf_born(model, TimeGrid((t,)))
         assert abs(table.dist[1] - 0.5 * (1 + np.exp(-2 * gamma * t))) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_a_rate_that_is_not_finite_is_refused(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                rtn_model(gamma, I2 / 2)
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(NonPositiveRate):
             rtn_model(0.0, I2 / 2)
@@ -384,22 +400,22 @@ class TestNcgd:
 class TestBlockStructure:
     def test_rtn_is_both_triangular(self):
         out = classify_block_structure(rtn_model(0.7, I2 / 2), sample_times=(0.4, 1.1))
-        assert out.lower and out.upper
+        assert out.lower_triangular and out.upper_triangular
         assert set(out.labels) == {"coherence non-activating", "coherence non-generating"}
 
     def test_rotation_is_neither(self):
         out = classify_block_structure(rotation_model(), sample_times=(0.4, 1.1))
-        assert not out.lower and not out.upper
+        assert not out.lower_triangular and not out.upper_triangular
         assert out.labels == ()
 
     def test_frozen_is_both(self):
         out = classify_block_structure(frozen_model(), sample_times=(0.5,))
-        assert out.lower and out.upper
+        assert out.lower_triangular and out.upper_triangular
 
     def test_lower_implies_sf_on_grids(self):
         model = rtn_model(1.3, KET0)
         out = classify_block_structure(model, sample_times=(0.5, 1.0))
-        assert out.lower
+        assert out.lower_triangular
         for grid in (TimeGrid((0.4, 1.1)), TimeGrid((0.2, 0.9, 1.7))):
             table = qrf_bi_probability(model, grid)
             assert check_sf(table).max_abs_violation <= 1e-12
@@ -418,7 +434,7 @@ class TestBlockStructure:
             rho_a=np.diag([0.7, 0.3]).astype(complex),
         )
         out = classify_block_structure(model, sample_times=(0.5, 1.0))
-        assert out.upper and not out.lower
+        assert out.upper_triangular and not out.lower_triangular
         assert out.labels == ("coherence non-generating",)
         for grid in (TimeGrid((0.4, 1.1)), TimeGrid((0.3, 0.8, 1.5))):
             table = qrf_bi_probability(model, grid)
