@@ -65,10 +65,10 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
             analyses.append({
                 "grid": name,
                 "n": n,
-                "times": [float(t) for t in sub.times],
+                "times": sub.times,
                 "born": reporting.born_table_json(born, cfg.report_max_entries),
                 "bi_probability": reporting.biprob_table_json(bip, cfg.report_max_entries),
-                "consistency": reporting.consistency_json(records),
+                "consistency": [record._asdict() for record in records],
             })
 
     lines = [f"grid={entry['grid']} n={entry['n']} {rec['condition']}: {rec['verdict']} "
@@ -108,21 +108,12 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed, force):
         exact = observer.exact_reduced_state(js, t)
         avg = observer.surrogate_average(js.obs, ens, t)
         cmp_ = observer.compare(exact, avg)
-        comparisons.append(
-            {
-                "t": float(t),
-                "exact": reporting.matrix_json(exact),
-                "mc_mean": reporting.matrix_json(avg.mean),
-                "mc_stderr": [[float(v) for v in row] for row in avg.stderr],
-                "trace_distance": float(cmp_.trace_distance),
-                "max_z": cmp_.max_z if math.isfinite(cmp_.max_z) else None,
-            }
-        )
+        comparisons.append({"t": t, "exact": exact, "mc_mean": avg.mean, "mc_stderr": avg.stderr,
+                            "trace_distance": cmp_.trace_distance,
+                            "max_z": cmp_.max_z if math.isfinite(cmp_.max_z) else None})
 
-    body = {"sampling": {"N": cfg.sampling.size, "grid": grid_name,
-                         "times": [float(t) for t in grid.times]},
-            "sf_gate": {**reporting.record_json(sf_record),
-                        "gated_times": [float(t) for t in gate_grid.times]},
+    body = {"sampling": {"N": cfg.sampling.size, "grid": grid_name, "times": grid.times},
+            "sf_gate": {**sf_record._asdict(), "gated_times": gate_grid.times},
             "forced": forced, "comparisons": comparisons}
     lines = [f"t={c['t']:g} trace_distance={c['trace_distance']:.4e}" for c in comparisons]
     return _report("simulate", cfg, js.sys, out_path, body, lines, seed)
@@ -180,13 +171,13 @@ def cmd_qrf(cfg: ScenarioConfig, out_path):
         pairs = qrf.grid_pairs(sub)
         entry = {
             "grid": name,
-            "times": [float(t) for t in sub.times],
-            "cm": reporting.record_json(cm),
-            "sf": reporting.record_json(sf),
+            "times": sub.times,
+            "cm": cm._asdict(),
+            "sf": sf._asdict(),
         }
         if pairs:
             ncgd = qrf.check_ncgd(model, pairs, cfg.tolerances.consistency)
-            entry["ncgd"] = reporting.record_json(ncgd)
+            entry["ncgd"] = ncgd._asdict()
             try:
                 agree = qrf.verify_ncgd_cm_equivalence(model, ncgd, cm,
                                                        cfg.tolerances.consistency)
@@ -226,11 +217,10 @@ def _default_out(config_path, command):
 # the usage block, printed before a usage error; -h prints the options after it too
 # (python -OO strips the docstring: the command line is then read the same, without the text)
 USAGE, OPTIONS = __doc__.split("\n\n")[1:3] if __doc__ else ("", "")
-# each command's options besides -h and --help, the config kind it needs (None: any kind),
-# and whether it samples, so needs a sampling section and takes its seed
-COMMANDS = {"analyze": (("--out",), None, False), "qrf": (("--out",), "qrf", False),
-            "sample": (("--out", "--seed"), None, True),
-            "simulate": (("--out", "--seed", "--force"), "joint", True)}
+# each command's options besides -h and --help; a command samples if and only if it takes
+# --seed (what each command needs of its config is config._COMMANDS)
+COMMANDS = {"analyze": ("--out",), "qrf": ("--out",), "sample": ("--out", "--seed"),
+            "simulate": ("--out", "--seed", "--force")}
 HELP = ("-h", "--help")
 # argparse's test for a negative number: a token that passes it is a value, not an option
 _NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
@@ -275,7 +265,7 @@ def parse_args(argv):
             if command is None:
                 if token not in COMMANDS:
                     raise UsageError(f"unknown command {token!r}")
-                command, known = token, (*HELP, *COMMANDS[token][0])
+                command, known = token, (*HELP, *COMMANDS[token])
             elif config is None:
                 config = token
             else:
@@ -323,13 +313,8 @@ def main(argv=None):
         if out == "":
             raise UsageError("--out needs a non-empty path")
         out = out or _default_out(config, command)
-        cfg = load_config(config)
-        _, kind, samples = COMMANDS[command]
-        if kind is not None and cfg.kind != kind:
-            raise ConfigError(f"the {command} command needs {kind!r}, got {cfg.kind!r}", "kind")
-        if samples:
-            if cfg.sampling is None:
-                raise ConfigError(f"{command} requires a sampling section", "sampling")
+        cfg = load_config(config, command)
+        if "--seed" in COMMANDS[command]:
             seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
         if command == "analyze":
             return cmd_analyze(cfg, out)

@@ -5,10 +5,13 @@ field. Matrices are nested arrays whose entries are numbers or two-element
 ``[re, im]`` arrays; grids are named lists of strictly increasing positive
 times. The schema is documented in the README.
 
-``_SECTIONS`` gives the keys of each mapping section, and ``_KINDS`` the
-model sections each kind reads. A config is refused if it holds a section
+``_SECTIONS`` gives the keys of each mapping section, ``_KINDS`` the
+model sections each kind reads, and ``_COMMANDS`` the kind each command
+needs and whether it samples. A config is refused if it holds a section
 its kind does not read, a section that is not a mapping or a key of neither
-table; a ``null`` section reads as absent.
+table; a ``null`` section reads as absent. A config loaded for a command is
+refused if it is of another kind than the command needs, or lacks the
+``sampling`` section of a command that samples, before its model is built.
 
 Configs are parsed by libyaml through PyYAML when PyYAML was built with it.
 PyYAML's pure-Python parser re-reads a config libyaml refuses, so the error
@@ -59,6 +62,9 @@ _KINDS = {
     "joint": {"system": True, "observer": True, "simulate": False},
     "qrf": {"qrf": True},
 }
+# the kind each command needs (None: any kind), and whether it samples, so needs a sampling section
+_COMMANDS = {"analyze": (None, False), "qrf": ("qrf", False),
+             "sample": (None, True), "simulate": ("joint", True)}
 
 
 def parse_complex(value, where):
@@ -248,7 +254,8 @@ def _parse_yaml(blob):
     return yaml.safe_load(blob)
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, command=None) -> ScenarioConfig:
+    """The config at ``path``, its model built; checked against ``command``'s needs if given."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -332,6 +339,13 @@ def load_config(path) -> ScenarioConfig:
         k: None if k == "cluster" and v is None else
         require_number(v, f"tolerances.{k}", 0.0, exclusive=k == "cluster")
         for k, v in _section(data, "tolerances").items()})
+
+    if command is not None:
+        needs, samples = _COMMANDS[command]
+        if needs is not None and kind != needs:
+            raise ConfigError(f"the {command} command needs {needs!r}, got {kind!r}", "kind")
+        if samples and sampling is None:
+            raise ConfigError(f"{command} requires a sampling section", "sampling")
 
     return ScenarioConfig(
         path=str(path),

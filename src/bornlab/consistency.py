@@ -41,12 +41,18 @@ TIE_TOL = 1e-12
 
 
 class ConditionRecord(NamedTuple):
+    """One condition's verdict, field for key as the reports write it."""
+
     condition: str
     max_abs_violation: float
     witness: dict | None
     threshold: float
-    passed: bool
+    verdict: str
     coverage: dict
+
+    @property
+    def passed(self):
+        return self.verdict == "pass"
 
 
 def _record(condition, violation, witness, threshold, coverage):
@@ -56,7 +62,7 @@ def _record(condition, violation, witness, threshold, coverage):
         max_abs_violation=violation,
         witness=witness if violation > 0 else None,
         threshold=float(threshold),
-        passed=violation <= threshold,
+        verdict="pass" if violation <= threshold else "fail",
         coverage=coverage,
     )
 

@@ -159,13 +159,11 @@ class GKLSGenerator:
 def _validate_generator(matrix, dim):
     """Trace and Hermiticity preservation on the matrix-unit basis, to 1e-12 relative.
 
-    out[k, l] = ℒE_kl is column k + l·d of the matrix, unstacked. As in the product
-    ℒ vec(E_kl), a row of ℒ holding a NaN or an inf reads as NaN in every column.
-    The error names the first (k, l) in row-major order that fails either check.
+    out[k, l] = ℒE_kl is column k + l·d of the matrix, unstacked. The error names
+    the first (k, l) in row-major order that fails either check.
     """
     tol = 1e-12 * max(1.0, float(np.max(np.abs(matrix))))
-    cols = np.where(np.isfinite(matrix).all(axis=1, keepdims=True), matrix, np.nan)
-    out = cols.T.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2)
+    out = matrix.T.reshape(dim, dim, dim, dim).transpose(1, 0, 3, 2)
     # summed along a contiguous last axis, the traces keep np.trace's bits
     trace = np.abs(np.ascontiguousarray(out.diagonal(axis1=2, axis2=3)).sum(axis=-1))
     # ℒE_kl† = ℒE_lk for a Hermiticity-preserving ℒ

@@ -2,7 +2,8 @@
 
 Reports are JSON with sorted keys and two-space indentation; floats use the
 shortest round-trip decimal. For a fixed (config, seed) the serialized bytes
-are identical across runs. Complex numbers are two-element [re, im] arrays.
+are identical across runs. ``dump`` writes numpy arrays as nested lists,
+each complex entry as a two-element [re, im] array.
 Roundoff-negative probabilities are clamped to zero at this boundary only.
 Table entries stay arrays until ``dump`` writes them column by column, in the
 bytes ``json.dumps`` would give: each distinct float bit pattern of a table
@@ -16,21 +17,11 @@ import json
 
 import numpy as np
 
-from .consistency import ConditionRecord
 from .process import BiProbTable, BornTable
 from .sampler import RNG_ALGORITHM
 from .version import __version__
 
 _PLACEHOLDER = "\0table entries\0"  # no report string holds a NUL
-
-
-def complex_json(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_json(M):
-    return [[complex_json(v) for v in row] for row in np.asarray(M, dtype=complex)]
 
 
 class TableEntries:
@@ -108,8 +99,8 @@ def born_table_json(table: BornTable, max_entries=4096):
     clamped = table.clamped()
     keep, truncated = _kept(clamped, max_entries)
     return {
-        "times": [float(t) for t in table.grid.times],
-        "eigenvalues": [float(v) for v in table.eigenvalues],
+        "times": table.grid.times,
+        "eigenvalues": table.eigenvalues,
         "entries": TableEntries(
             {"outcomes": ["%d"] * table.n, "p": "%r"},
             [*np.unravel_index(keep, clamped.shape), clamped.ravel()[keep]],
@@ -126,8 +117,8 @@ def biprob_table_json(table: BiProbTable, max_entries=4096):
     outcomes = np.unravel_index(keep, dist.shape)
     value = dist.ravel()[keep]
     return {
-        "times": [float(t) for t in table.grid.times],
-        "eigenvalues": [float(v) for v in table.eigenvalues],
+        "times": table.grid.times,
+        "eigenvalues": table.eigenvalues,
         "entries": TableEntries(
             {"outcomes": ["%d"] * table.n, "outcomes_minus": ["%d"] * table.n,
              "value": ["%r", "%r"]},
@@ -135,21 +126,6 @@ def biprob_table_json(table: BiProbTable, max_entries=4096):
         ),
         "truncated": truncated,
     }
-
-
-def record_json(record: ConditionRecord):
-    return {
-        "condition": record.condition,
-        "max_abs_violation": float(record.max_abs_violation),
-        "witness": record.witness,
-        "threshold": float(record.threshold),
-        "verdict": "pass" if record.passed else "fail",
-        "coverage": record.coverage,
-    }
-
-
-def consistency_json(records):
-    return [record_json(r) for r in records]
 
 
 def envelope(command, cfg, seed=None):
@@ -175,6 +151,7 @@ def envelope(command, cfg, seed=None):
 def dump(payload):
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` plus a newline.
 
+    A numpy array is written as its nested list, a complex entry as [re, im].
     Each ``TableEntries`` is written as the list of entry objects it holds:
     ``json.dumps`` leaves a placeholder string there, and the rendered list
     replaces it at the indentation of its line. The text is one join over the
@@ -183,6 +160,8 @@ def dump(payload):
     blocks = []
 
     def defer(obj):
+        if isinstance(obj, np.ndarray):
+            return (np.stack((obj.real, obj.imag), -1) if obj.dtype.kind == "c" else obj).tolist()
         if not isinstance(obj, TableEntries):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
         blocks.append(obj)

@@ -41,7 +41,10 @@ when truncating, and ``json.dumps(indent=2)``. ``TableEntries`` and
 ``_kept`` are the array renderer and truncation as they were before entries
 were written column by column, kept verbatim: one ``%``-template per row
 (one ``%d`` per outcome, one ``%r`` per float), and a stable sort of the
-whole score array.
+whole score array. ``complex_json``, ``matrix_json`` and ``record_json``
+are the per-value converters the reports were written through before
+``dump`` wrote numpy arrays and the records carried the report's keys, kept
+verbatim.
 
 ``validate_generator`` and ``classify_block_structure`` are the semigroup
 checks as they were before they read the generator as arrays, kept verbatim:
@@ -89,7 +92,6 @@ from bornlab.process import (
     readout,
 )
 from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
-from bornlab.reporting import complex_json
 from bornlab.sampler import Ensemble, Trajectory, _descend, _slot, _uniforms
 from bornlab.spectral import heisenberg_projectors
 
@@ -425,6 +427,26 @@ def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=
         {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))},
     )
     return kc + cm + (sf, bic, gen)
+
+
+def complex_json(z):
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def matrix_json(M):
+    return [[complex_json(v) for v in row] for row in np.asarray(M, dtype=complex)]
+
+
+def record_json(record):
+    return {
+        "condition": record.condition,
+        "max_abs_violation": float(record.max_abs_violation),
+        "witness": record.witness,
+        "threshold": float(record.threshold),
+        "verdict": "pass" if record.passed else "fail",
+        "coverage": record.coverage,
+    }
 
 
 def born_table_json(table: BornTable, max_entries=4096):

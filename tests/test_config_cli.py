@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from bornlab import config, process, qrf
+from bornlab import cli, config, consistency, process, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
 from bornlab.process import QuantumSystem
 from bornlab.spectral import SpectralDecomposition
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -692,6 +693,42 @@ class TestQrfCommand:
             f"got {given_kind!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, refusal, model_error", [
+        ("simulate", RTN_YAML.replace("gamma: 0.35", "gamma: 1.0e+308"),
+         "kind: the simulate command needs 'joint', got 'qrf'",
+         "qrf: the generator formed from the rates and mu is not finite"),
+        ("sample", RABI_YAML.replace("sampling: {N: 200, seed: 7}\n", "").replace(
+            "H: [[0, 0.5]", "H: [[0, 0.6]"),
+         "sampling: sample requires a sampling section",
+         "system: H: hermiticity defect 1.000e-01 exceeds tolerance 1.000e-12"),
+    ], ids=["kind", "sampling"])
+    def test_a_command_refuses_a_config_it_cannot_run_before_building_the_model(
+            self, command, text, refusal, model_error, tmp_path, capsys):
+        # the model would be refused too, but the command's needs are checked first
+        path, out = write(tmp_path, text), tmp_path / "out"
+        assert main([command, path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bornlab: config error: {refusal}\n"
+        assert not out.exists()
+        with pytest.raises(ConfigError) as refused:  # loaded for no command, the model is built
+            load_config(path)
+        assert str(refused.value) == model_error
+
+    def test_a_command_refused_for_its_kind_builds_no_model(self, monkeypatch, tmp_path,
+                                                           capsys):
+        calls, build_gkls = [], qrf.build_gkls
+        monkeypatch.setattr(qrf, "build_gkls",
+                            lambda *args: calls.append(args) or build_gkls(*args))
+        out = tmp_path / "rtn.json"
+        assert main(["simulate", str(CONFIGS / "rtn.yaml"), "--out", str(out)]) == 2
+        assert calls == []
+        load_config(CONFIGS / "rtn.yaml")
+        assert len(calls) == 1
+
+    def test_a_command_samples_if_and_only_if_it_takes_a_seed(self):
+        assert cli.COMMANDS.keys() == config._COMMANDS.keys()
+        assert {command for command, options in cli.COMMANDS.items() if "--seed" in options} == {
+            command for command, (_, samples) in config._COMMANDS.items() if samples}
+
     def test_raw_generator_config(self, tmp_path):
         text = """
 schema: 1
@@ -728,6 +765,50 @@ n_max: 2
         err = capsys.readouterr().err
         assert "config error: qrf: generator does not preserve " + broken in err
         assert not out.exists()
+
+
+def _returned(monkeypatch, module, name):
+    """The values ``module.name`` returns from now on, in call order."""
+    returned, call = [], getattr(module, name)
+
+    def recording(*args):
+        returned.append(call(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return returned
+
+
+def _as_written(record):
+    return json.loads(json.dumps(record._asdict()))
+
+
+@pytest.mark.parametrize("command,name", [
+    ("analyze", "rabi"), ("analyze", "quasistatic"), ("qrf", "rtn"), ("qrf", "rotation"),
+    ("simulate", "dephasing"),
+])
+def test_each_written_record_is_the_record_the_library_returns(command, name, monkeypatch,
+                                                               tmp_path, capsys):
+    returned = {attr: _returned(monkeypatch, module, attr) for module, attr in (
+        (consistency, "analyze"), (consistency, "check_cm"), (consistency, "check_sf"),
+        (qrf, "check_ncgd"))}
+    out = tmp_path / f"{name}.{command}.json"
+    assert main([command, str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    if command == "analyze":
+        written = [entry["consistency"] for entry in report["analyses"]]
+        records = [list(records) for records, _, _ in returned["analyze"]]
+    elif command == "qrf":
+        written = [[entry["cm"], entry["sf"], entry["ncgd"], entry["ncgd_cm_equivalence"]["cm"],
+                    entry["ncgd_cm_equivalence"]["ncgd"]] for entry in report["grids"]]
+        records = [[cm, sf, ncgd, cm, ncgd] for (cm, _), sf, ncgd in zip(
+            returned["check_cm"], returned["check_sf"], returned["check_ncgd"], strict=True)]
+    else:
+        gate = {key: value for key, value in report["sf_gate"].items() if key != "gated_times"}
+        written, records = [[gate]], [returned["check_sf"]]
+    assert written and written == [[_as_written(r) for r in group] for group in records]
+    # the record's fields are the keys the reports wrote through the old converter
+    assert all(r._asdict() == oracles.record_json(r) for group in records for r in group)
 
 
 def test_the_readme_schema_block_lists_every_section_and_key():

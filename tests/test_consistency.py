@@ -81,6 +81,12 @@ class TestKC:
         cov = kc.coverage
         assert cov["n"] == 2 and cov["indices"] == [1, 2]
 
+    def test_passed_is_the_verdict_read_as_a_bool(self):
+        records = analyze(rabi_system(), TimeGrid((np.pi / 4, np.pi / 2)))[0]
+        assert {r.verdict for r in records} == {"pass", "fail"}
+        for record in records:
+            assert record.passed is (record.verdict == "pass")
+
 
 class TestCM:
     def test_sf_passing_table_passes_cm(self):

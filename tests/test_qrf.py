@@ -567,7 +567,7 @@ class TestAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
            hits=st.lists(st.tuples(st.integers(0, 255), st.sampled_from(
-               [1e-13, 1e-11, -3e-9j, 1e-3, 1.0 - 2j, np.nan, np.inf, complex(0, -np.inf)])),
+               [1e-13, 1e-11, -3e-9j, 1e-3, 1.0 - 2j])),
                max_size=3))
     def test_generator_validation_matches_the_loop(self, seed, d, hits):
         L = drawn_block_model(seed, d, 2, True, "gkls").generator.total.matrix.copy()
@@ -582,14 +582,9 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("dim, entries, expected", [
         (2, {(0, 0): 1e-3}, "trace: |tr ℒE_00| = 1.000e-03"),
         (2, {(1, 0): 1e-3}, "Hermiticity on the basis"),
-        # a NaN in row 1 makes entry (1, 0) of every ℒE_kl NaN, which hides the
-        # Hermiticity defect at entry (0, 1) of ℒE_00
-        (2, {(2, 0): 1e-3, (1, 3): np.nan}, None),
-        (2, {(0, 0): 1e-3, (1, 3): np.nan}, "trace: |tr ℒE_00| = 1.000e-03"),
         (4, {(5, 0): 1.5, (10, 0): -1.5, (15, 0): DELTA}, None),
         (4, {(5, 0): DELTA, (10, 0): -1.5, (15, 0): 1.5}, "trace: |tr ℒE_00| = 1.500e-12"),
-    ], ids=["trace", "hermiticity", "nan-row-hides-hermiticity", "nan-row-keeps-trace",
-            "trace-rounded-below", "trace-exact-above"])
+    ], ids=["trace", "hermiticity", "trace-rounded-below", "trace-exact-above"])
     def test_generator_validation_errors(self, dim, entries, expected):
         L = np.zeros((dim * dim, dim * dim), dtype=complex)
         for index, entry in entries.items():

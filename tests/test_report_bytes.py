@@ -177,3 +177,39 @@ def test_non_finite_values_raise(bad, where):
         payload, _ = payloads(module, *tables(2, 2, born_dist, bip_dist), 4096)
         with pytest.raises(ValueError, match="Out of range float values"):
             module.dump(payload)
+
+
+# a complex and a real array holding -0.0, a subnormal and 1e308, as a simulate report holds them
+SPECIAL_ARRAYS = (
+    np.array([[complex(-0.0, 5e-324), complex(1e308, -0.0)],
+              [0.1 - 2.5j, complex(-5e-324, 1e-310)]]),
+    np.array([[-0.0, 5e-324], [1e308, 2.2250738585072014e-308 / 3]]),
+)
+
+
+def old_comparison(exact, stderr):
+    return {"exact": oracles.matrix_json(exact), "mc_mean": oracles.matrix_json(exact),
+            "mc_stderr": [[float(v) for v in row] for row in stderr], "t": 0.5}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_dump_writes_arrays_in_the_bytes_of_the_old_converters(seed):
+    exact, stderr = SPECIAL_ARRAYS
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        exact = drawn_values(rng, (d, d), 0) + 1j * drawn_values(rng, (d, d), 3)
+        stderr = drawn_values(rng, (d, d), 1)
+    new = {"exact": exact, "mc_mean": exact, "mc_stderr": stderr, "t": 0.5}
+    assert reporting.dump({"comparisons": [new]}) == oracles.dump(
+        {"comparisons": [old_comparison(exact, stderr)]})
+    assert reporting.dump(new) == oracles.dump(old_comparison(exact, stderr))
+
+
+def test_dump_refuses_what_it_cannot_write():
+    for value in (object(), {1, 2}, 1j):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            reporting.dump({"value": value})
+    for array in (np.array([[0.5, np.nan]]), np.array([[0.5 + 1j * np.inf]])):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            reporting.dump({"exact": array})
