@@ -13,12 +13,18 @@ table; a ``null`` section reads as absent. A config loaded for a command is
 refused if it is of another kind than the command needs, or lacks the
 ``sampling`` section of a command that samples, before its model is built.
 
-Configs are parsed by libyaml through PyYAML when PyYAML was built with it.
-PyYAML's pure-Python parser re-reads a config libyaml refuses, so the error
-text keeps its context snippet and caret. It alone reads a config holding a
-byte outside ``_LIBYAML_BYTES``: libyaml accepts tabs, ``?``, ``!`` tags,
-``|``/``>`` block scalars and an inner byte-order mark where the pure parser
-refuses them. Either way a config reads as ``yaml.safe_load`` reads it.
+Configs are read in three steps, and each gives what ``yaml.safe_load``
+gives. ``_read_subset`` reads the part of YAML 1.1 that configs use without
+PyYAML: block mappings, block sequences of one-line flow items, one-line
+flow collections, comments, and plain ints, floats with a dot, words and
+``null``. It defers everything else, so any other config, and every
+malformed one, is read by PyYAML, imported only then. libyaml reads it
+through PyYAML when PyYAML was built with it. PyYAML's pure-Python parser
+re-reads a config libyaml refuses, so the error text keeps its context
+snippet and caret. It alone reads a config holding a byte outside
+``_LIBYAML_BYTES``: libyaml accepts tabs, ``?``, ``!`` tags, ``|``/``>``
+block scalars and an inner byte-order mark where the pure parser refuses
+them.
 """
 
 from __future__ import annotations
@@ -26,11 +32,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import re
 import sys
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .errors import BornlabError, ConfigError, DimensionCap, TableTooLarge
 from .linalg import Tolerances, require_density
@@ -43,6 +49,19 @@ SCHEMA_VERSION = 1
 # is made of them, and libyaml and the pure parser agree on text made of them
 _LIBYAML_BYTES = (b"\n\r #\"'()*+,-./:=[]_{}~0123456789"
                   b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+# the tokens of ``_read_subset``'s flow text: a colon right after its key or flow punctuation,
+# and the plain scalars whose YAML 1.1 types it reads (https://yaml.org/type/): an int of at
+# most 601 digits, which ``int`` reads at any digit limit, a float with a dot, or a word; a
+# scalar ends where a space, a colon or a closing bracket starts
+_TOKEN = re.compile(r"""
+    (:(?=\ |$) | \ *[\[\]{},])
+  | \ *(?: (-?(?:0|[1-9][0-9]{0,600})) | (-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)
+          | ([A-Za-z_][A-Za-z0-9_]*) ) (?![^ \]},:])""", re.X)
+# the words YAML 1.1 reads as booleans or null in some capitalisation; only null,
+# Null and NULL are read (as None), the rest defer to PyYAML
+_RESERVED = {"yes", "no", "true", "false", "on", "off", "null"}
+# characters PyYAML's reader refuses, or reads as a line break or byte-order mark, and the tab
+_UNREAD = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
 
 # the keys of each mapping section; a config holds only these sections and the fields below
 _SECTIONS = {
@@ -244,8 +263,129 @@ class ScenarioConfig:
             return QRFModel(generator=gen, F_a=F_a, rho_a=rho_a)
 
 
+class _Defer(Exception):
+    """Raised inside ``_read_subset`` where the text leaves the subset it reads."""
+
+
+def _tokens(text):
+    """The flow tokens of one line's content, as (kind, value) pairs ending in ("$", None)."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise _Defer
+        punct, integer, real, word = match.groups()
+        if punct:
+            tokens.append((punct.lstrip(" "), None))
+        elif integer or real:
+            tokens.append(("s", int(integer) if integer else float(real)))
+        elif word in ("null", "Null", "NULL"):
+            tokens.append(("s", None))
+        elif word.lower() in _RESERVED:
+            raise _Defer
+        else:
+            tokens.append(("s", word))
+        pos = match.end()
+    tokens.append(("$", None))
+    return tokens
+
+
+def _key(tokens, i):
+    """The word key at ``tokens[i]`` and the index after its colon."""
+    kind, key = tokens[i]
+    # PyYAML refuses a simple key longer than 1024 characters
+    if kind != "s" or type(key) is not str or len(key) > 1000 or tokens[i + 1][0] != ":":
+        raise _Defer
+    return key, i + 2
+
+
+def _flow(tokens, i, whole=False):
+    """The flow node at ``tokens[i]`` and the index after it; if ``whole``, it must end the line."""
+    kind, node = tokens[i]
+    i += 1
+    if kind in ("[", "{"):
+        close, node = ("]", []) if kind == "[" else ("}", {})
+        while tokens[i][0] != close:
+            if close == "]":
+                item, i = _flow(tokens, i)
+                node.append(item)
+            else:
+                key, i = _key(tokens, i)
+                node[key], i = _flow(tokens, i)
+            if tokens[i][0] == ",":
+                i += 1
+            elif tokens[i][0] != close:
+                raise _Defer
+        i += 1
+    elif kind != "s":
+        raise _Defer
+    if whole and tokens[i][0] != "$":
+        raise _Defer
+    return node, i
+
+
+def _block(lines, i, indent):
+    """The block mapping whose keys are the lines from ``i`` at ``indent``, and the index after it."""
+    node = {}
+    while i < len(lines) and lines[i][:2] == (indent, False):
+        tokens = lines[i][2]
+        key, j = _key(tokens, 0)
+        i += 1
+        if tokens[j][0] != "$":
+            node[key] = _flow(tokens, j, whole=True)[0]
+        elif i < len(lines) and lines[i][1] and lines[i][0] >= indent:
+            node[key], i = _sequence(lines, i, lines[i][0])
+        elif i < len(lines) and lines[i][0] > indent:
+            node[key], i = _block(lines, i, lines[i][0])
+        else:
+            node[key] = None
+    return node, i
+
+
+def _sequence(lines, i, indent):
+    """The block sequence whose ``- `` items are the lines from ``i`` at ``indent``, and the index after it."""
+    items = []
+    while i < len(lines) and lines[i][:2] == (indent, True):
+        items.append(_flow(lines[i][2], 0, whole=True)[0])
+        i += 1
+    return items, i
+
+
+def _read_subset(blob):
+    """The mapping in ``blob`` as ``yaml.safe_load`` reads it, or None where PyYAML must read it.
+
+    Non-ASCII text is read only in comments, as the tokens are ASCII. A character PyYAML's
+    reader refuses or reads as a line break or byte-order mark, a tab, an empty document and
+    any syntax outside the subset defer to PyYAML, as does nesting deeper than the
+    interpreter's recursion limit.
+    """
+    try:
+        text = blob.decode("utf-8")
+        if _UNREAD.search(text):
+            return None
+        lines = []
+        for line in text.split("\n"):
+            body = line.lstrip(" ")
+            if not body or body[0] == "#":
+                continue
+            content = body.split(" #", 1)[0].rstrip(" ")
+            dash = content.startswith("- ")
+            lines.append((len(line) - len(body), dash, _tokens(content[2:] if dash else content)))
+        if not lines:
+            return None
+        data, i = _block(lines, 0, lines[0][0])
+        return data if i == len(lines) else None
+    except (_Defer, UnicodeDecodeError, RecursionError):
+        return None
+
+
 def _parse_yaml(blob):
-    """The YAML document in ``blob`` as ``yaml.safe_load`` reads it, read by libyaml where it can be."""
+    """The YAML document in ``blob`` as ``yaml.safe_load`` reads it, read without PyYAML where it can be."""
+    data = _read_subset(blob)
+    if data is not None:
+        return data
+    import yaml
+
     if yaml.__with_libyaml__ and not blob.translate(None, _LIBYAML_BYTES):
         try:
             return yaml.load(blob, Loader=yaml.CSafeLoader)
@@ -263,7 +403,8 @@ def load_config(path, command=None) -> ScenarioConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         data = _parse_yaml(blob)
-    except yaml.YAMLError as exc:
+    # only PyYAML raises a YAMLError, so yaml is loaded when this clause is evaluated
+    except getattr(sys.modules.get("yaml"), "YAMLError", ()) as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"YAML parse error{loc}: {exc}") from exc

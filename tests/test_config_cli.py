@@ -206,8 +206,6 @@ class TestConfigParsing:
         assert "probe" in str(err.value)
 
 
-RTN_YAML = (CONFIGS / "rtn.yaml").read_text(encoding="utf-8")
-
 DUPLICATE_GRIDS_YAML = RABI_YAML.replace(
     "grids:\n  main: [0.7853981633974483, 1.5707963267948966]",
     'grids: {1: [0.5, 1.0], "1": [0.7]}')

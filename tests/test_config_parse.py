@@ -1,10 +1,13 @@
 """How config bytes become a YAML document.
 
-``config.load_config`` reads configs with libyaml (``yaml.CSafeLoader``) and
-hands what libyaml refuses, or what holds a byte the two parsers read
-differently, to PyYAML's pure-Python ``yaml.safe_load``. These tests hold the
-result to the pure parser's: the same objects for every shipped and generated
-config, and byte for byte the same error for malformed ones.
+``config.load_config`` reads configs with ``config._read_subset``, which
+reads the part of YAML that configs use without PyYAML, and defers the rest
+to libyaml (``yaml.CSafeLoader``). What libyaml refuses, or what holds a
+byte the two parsers read differently, goes to PyYAML's pure-Python
+``yaml.safe_load``. These tests hold the result to the pure parser's: the
+same objects for every shipped and generated config, read without PyYAML,
+the same objects or the same error for documents at the subset's edges, and
+byte for byte the same error for malformed configs.
 """
 
 import importlib.util
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab import config
@@ -69,11 +72,23 @@ def test_shipped_configs_parse_alike(path):
     assert same(yaml.load(blob, Loader=yaml.CSafeLoader), yaml.load(blob, Loader=yaml.SafeLoader))
 
 
+def _without_pyyaml(monkeypatch):
+    """Make any call that parses through PyYAML fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML was used")
+    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(yaml, "safe_load", refuse)
+
+
 @needs_libyaml
-def test_generated_configs_parse_alike():
+def test_generated_configs_parse_alike(monkeypatch):
+    expected = []
     for seed, name, blob in GENERATED:
         fast = yaml.load(blob, Loader=yaml.CSafeLoader)
         assert same(fast, yaml.load(blob, Loader=yaml.SafeLoader)), (seed, name)
+        expected.append(fast)
+    _without_pyyaml(monkeypatch)
+    for (seed, name, blob), fast in zip(GENERATED, expected):
         assert same(config._parse_yaml(blob), fast), (seed, name)
 
 
@@ -88,6 +103,24 @@ def test_valid_configs_never_reach_the_pure_parser(path, monkeypatch):
     load_config(path)
     for _, _, blob in GENERATED[:7]:
         config._parse_yaml(blob)
+
+
+def test_non_ascii_comments_are_read_without_pyyaml(monkeypatch):
+    text = (ROOT / "configs" / "rabi.yaml").read_text(encoding="utf-8")
+    blob = text.replace("schema: 1", "# γ — ε\nschema: 1  # → ≥").encode("utf-8")
+    expected = yaml.safe_load(blob)
+    _without_pyyaml(monkeypatch)
+    assert same(config._parse_yaml(blob), expected)
+
+
+def test_the_readme_schema_example_is_read_without_pyyaml(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```yaml\nschema: 1") + len("```yaml\n")
+    blob = readme[start:readme.index("```", start)].encode("utf-8")
+    expected = yaml.safe_load(blob)
+    assert expected["tolerances"]["cluster"] is None and expected["qrf"]["rates"]
+    _without_pyyaml(monkeypatch)
+    assert same(config._parse_yaml(blob), expected)
 
 
 # Malformed configs and the error text ``load_config`` gave for each before
@@ -191,6 +224,12 @@ def _outcome(parse, blob):
         return type(exc).__name__, str(exc)
 
 
+def _parse_alike(blob):
+    fast, pure = _outcome(config._parse_yaml, blob), _outcome(yaml.safe_load, blob)
+    assert fast[0] == pure[0]
+    assert fast[1] == pure[1] if fast[0] == "error" else same(fast[1], pure[1])
+
+
 # pieces that exercise YAML syntax, including every character class the two
 # parsers were seen to read differently
 PIECES = list(" \t\n\r:,[]{}-#?!|>&*%@`'\"\\~.0e") + [
@@ -210,10 +249,7 @@ def test_edited_configs_parse_as_the_pure_parser_reads_them(base, edits):
         i = int(where * len(blob))
         piece = piece.encode("utf-8")
         blob[i:i + (0 if op == "insert" else 1 if op == "replace" else 3)] = b"" if op == "delete" else piece
-    blob = bytes(blob)
-    fast, pure = _outcome(config._parse_yaml, blob), _outcome(yaml.safe_load, blob)
-    assert fast[0] == pure[0]
-    assert fast[1] == pure[1] if fast[0] == "error" else same(fast[1], pure[1])
+    _parse_alike(bytes(blob))
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
@@ -233,3 +269,62 @@ def test_impossible_timestamp_is_a_config_error(tmp_path, capsys, monkeypatch, l
     capsys.readouterr()
     assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr() == ("", f"bornlab: config error: YAML parse error: {problem}\n")
+
+
+# plain scalars inside and at the edges of what ``config._read_subset``
+# reads: YAML 1.1 booleans and nulls in several capitalisations, and numbers
+# YAML reads as ints, floats or strings, each drawn as a key and as a value
+SUBSET_SCALARS = ["a", "b_1", "0", "-0", "12", "1.", "-0.0", "2.5", "1.0e+5", "1.0E-5", "Null",
+                  "[1, 2]", "[1,2,]", "[]", "{a: 1}", "{b: [x, {c: null}]}"]
+EDGE_SCALARS = ["yes", "No", "ON", "nULL", "~", "010", "+1", ".5", "1e5", "1.0e5", "1_0", "1:30",
+                "0x1F", "{a:1}", "[a, No]", "{ON: 1}", "- 1", "a b", "x#y"]
+SUBSET_COMMENTS = ["", " # c", "  # γ — ε"]
+# comments YAML reads otherwise than as one line's comment, or not at all
+EDGE_COMMENTS = ["#c", "\t# c", " # c\t", " # c\rd: 1", " # c\x85d: 1", " # c\u2028d: 1", " # \x07",
+                 " # \ufeff"]
+
+
+@st.composite
+def edge_documents(draw):
+    """A block mapping, its values inline, empty, block sequences at the key's indent or
+    deeper, or nested mappings at 1 to 4 more spaces. A quarter of the documents stay inside
+    the subset; each other one leaves it in one way: it holds one edge scalar, as a key or a
+    value, or one edge comment, or it ends its lines with another line break or starts with
+    a BOM."""
+    edge = draw(st.sampled_from(["none", "scalar", "comment", "break"]))
+    scalars = SUBSET_SCALARS + [draw(st.sampled_from(EDGE_SCALARS))] * 4 * (edge == "scalar")
+    scalar = st.sampled_from(scalars)
+    word = st.sampled_from(["a", "b_1", "x", *scalars[len(SUBSET_SCALARS):]])
+    comments = st.sampled_from(SUBSET_COMMENTS + [draw(st.sampled_from(EDGE_COMMENTS))] * (edge == "comment"))
+    lines = []
+    for key in draw(st.lists(word, min_size=1, max_size=4)):
+        form = draw(st.sampled_from(["inline", "empty", "same", "deeper", "nested"]))
+        comment = draw(comments)
+        lines.append(f"{key}: {draw(scalar)}{comment}" if form == "inline" else f"{key}:{comment}")
+        indent = " " * draw(st.integers(1, 4))
+        for _ in range(draw(st.integers(0, 3)) if form in ("same", "deeper", "nested") else 0):
+            item = f"{draw(word)}:" + draw(st.sampled_from(["", " " + draw(scalar)])) if form == "nested" \
+                else "- " + draw(scalar)
+            lines.append(("" if form == "same" else indent) + item + draw(comments))
+    end = draw(st.sampled_from(["\n", "\r\n", "\x85", "\u2028"] if edge == "break" else ["\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"] if edge == "break" else [""]))
+    return (bom + end.join(lines) + draw(st.sampled_from([end, ""]))).encode("utf-8")
+
+
+@pytest.mark.parametrize("scalar", SUBSET_SCALARS + EDGE_SCALARS)
+def test_each_edge_scalar_parses_as_the_pure_parser_reads_it(scalar):
+    for text in (f"a: {scalar}\n", f"{scalar}: 1\n", f"a: [{scalar}]\n", f"a: {{b: {scalar}}}\n",
+                 f"a: {{{scalar}: 1}}\n", f"a:\n- {scalar}\n", f"a:\n  {scalar}: 1\n"):
+        _parse_alike(text.encode("utf-8"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(blob=edge_documents())
+@example(blob=b"a: 1\nYes:\n")
+@example(blob=b"a:\n  b: 1.0e5\n")
+@example(blob=b"a: -0\nb: -0.0\nc: 1.\nd:")
+@example(blob=b"a:\n- [1]\n- {b: null}\nc:\n   - 2  # c\n")
+@example(blob=b"a:\n  b:\n- 1\n")
+@example(blob="a: 1  # c\u2028b: 2\n".encode("utf-8"))
+def test_documents_at_the_edges_of_the_subset_parse_as_the_pure_parser_reads_them(blob):
+    _parse_alike(blob)

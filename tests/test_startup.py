@@ -19,6 +19,11 @@ interest are recorded:
 * What every command needs (``consistency``, ``sampler``, ``reporting`` and
   ``json``) is loaded by ``import bornlab.cli``, so none of that import is
   paid inside ``main``, where the benchmark times a command.
+* ``yaml`` is loaded only by the last step, which loads a config outside the
+  part of YAML that ``config._read_subset`` reads (its ``kind`` is quoted).
+  ``import bornlab.cli`` does not load it, and neither does loading or
+  running a shipped config, nor loading one whose comment holds non-ASCII
+  text.
 """
 
 import json
@@ -33,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TRACKED = ("scipy.linalg", "scipy", "dataclasses", "bornlab.observer", "bornlab.qrf",
            "bornlab.consistency", "bornlab.sampler", "bornlab.reporting", "json",
-           "argparse", "gettext", "locale")
+           "argparse", "gettext", "locale", "yaml")
 
 STEPS = """
 import json, sys
@@ -50,12 +55,21 @@ record("import bornlab.cli")
 for name in ("rabi", "dephasing", "rtn"):
     load_config(f"{configs}/{name}.yaml")
     record(f"load {name}")
+rabi = open(f"{configs}/rabi.yaml", encoding="utf-8").read()
+with open(f"{out}/greek.yaml", "w", encoding="utf-8") as fh:
+    fh.write(rabi.replace("schema: 1", "# γ — ε\\nschema: 1"))
+load_config(f"{out}/greek.yaml")
+record("load non-ASCII comment")
 for argv in (["analyze", f"{configs}/rabi.yaml", "--out", f"{out}/rabi.json"],
              ["sample", f"{configs}/rabi.yaml", "--out", f"{out}/rabi.csv"],
              ["simulate", f"{configs}/dephasing.yaml", "--out", f"{out}/dephasing.json"],
              ["qrf", f"{configs}/rtn.yaml", "--out", f"{out}/rtn.json"]):
     assert main(argv) == 0
     record(" ".join(argv[:1]))
+with open(f"{out}/quoted.yaml", "w", encoding="utf-8") as fh:
+    fh.write(rabi.replace("kind: unitary", 'kind: "unitary"'))
+load_config(f"{out}/quoted.yaml")
+record("load quoted kind")
 print(json.dumps(loaded))
 """
 
@@ -73,14 +87,14 @@ def loaded(tmp_path_factory):
 
 def test_no_step_of_any_kind_imports_scipy_linalg(loaded):
     assert list(loaded) == [
-        "import bornlab.cli", "load rabi", "load dephasing", "load rtn", "analyze", "sample",
-        "simulate", "qrf"]
-    assert ["scipy.linalg" in names for names in loaded.values()] == [False] * 8
-    assert ["scipy" in names for names in loaded.values()] == [False] * 8
+        "import bornlab.cli", "load rabi", "load dephasing", "load rtn", "load non-ASCII comment",
+        "analyze", "sample", "simulate", "qrf", "load quoted kind"]
+    assert ["scipy.linalg" in names for names in loaded.values()] == [False] * 10
+    assert ["scipy" in names for names in loaded.values()] == [False] * 10
 
 
 def test_each_step_loads_only_what_its_config_kind_needs(loaded):
-    assert ["dataclasses" in names for names in loaded.values()] == [False] * 8
+    assert ["dataclasses" in names for names in loaded.values()] == [False] * 10
     command_modules = {"bornlab.consistency", "bornlab.sampler", "bornlab.reporting", "json"}
     assert loaded["import bornlab.cli"] == command_modules
     assert loaded["load rabi"] == command_modules
@@ -89,4 +103,8 @@ def test_each_step_loads_only_what_its_config_kind_needs(loaded):
 
 
 def test_no_step_loads_argparse_gettext_or_locale(loaded):
-    assert [names & {"argparse", "gettext", "locale"} for names in loaded.values()] == [set()] * 8
+    assert [names & {"argparse", "gettext", "locale"} for names in loaded.values()] == [set()] * 10
+
+
+def test_only_a_config_outside_the_subset_loads_yaml(loaded):
+    assert ["yaml" in names for names in loaded.values()] == [False] * 9 + [True]
