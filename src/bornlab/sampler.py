@@ -7,6 +7,8 @@ measurement distribution — for any system, consistent or not. The state
 depends only on the outcome prefix, so the ensemble descends at once with one
 operator per visited prefix: at most min(N, m^k) at t_k, a working set of
 min(N, m^k)·d²·16 bytes per layer. No table is built and no table cap applies.
+Prefixes are ranked with no sort, here and wherever histories are ranked: one
+pass over the N keys and a mask of prefixes·m per layer.
 
 Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
 ``s`` takes draws j·n … j·n+n−1 of ``Generator(PCG64(s))`` as its n uniforms,
@@ -111,10 +113,12 @@ def _descend(source, grid: TimeGrid, u):
         if not np.all(np.isfinite(total) & (total > 0)):
             raise NumericalInvariantViolation(f"outcome total {total.min()} at t={t}; cannot draw")
         cdf = np.cumsum(w / total[:, None], axis=1)
-        a = (cdf[node] <= u[:, k, None]).sum(axis=1).clip(0, m - 1)
+        a = np.zeros(len(u), dtype=np.intp)
+        for column in cdf[:, :-1].T:  # a row never decreases, so the last column is the clip
+            a += column[node] <= u[:, k]
         indices[:, k] = a
         if k + 1 < grid.n:
-            pairs, node = np.unique(node * m + a, return_inverse=True)
+            pairs, node = _relabel(node * m + a, len(X) * m)
             parent, a = np.divmod(pairs, m)
             X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
         prev = t
@@ -128,19 +132,27 @@ def sample_ensemble(source, grid: TimeGrid, size, seed):
     return _descend(source, grid, _uniforms(seed, 0, size, grid.n))
 
 
+def _relabel(key, size):
+    """``np.unique(key, return_inverse=True)`` for keys in [0, size): a presence mask, no sort."""
+    present = np.zeros(size, dtype=bool)
+    present[key] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
+
+
 def rank_histories(indices, m):
     """Distinct rows of an (N, k) outcome-index array and each row's rank among them.
 
     Equal to ``np.unique(indices, axis=0, return_inverse=True)``: the distinct
     rows in lexicographic order and, for each row, the position of its
     distinct row. Indices must lie in [0, m). Rows are ranked one column at a
-    time, as the descent numbers its prefixes, so every sort is 1-D instead of
-    a sort of void rows.
+    time, as the descent numbers its prefixes: each column is one pass over
+    the N keys and a mask of (distinct prefixes)·m.
     """
-    rank = np.zeros(len(indices), dtype=np.intp)
+    rank, count = np.zeros(len(indices), dtype=np.intp), 1
     for column in indices.T:
-        _, rank = np.unique(rank * m + column, return_inverse=True)
-    first = np.empty(rank.max() + 1, dtype=np.intp)
+        prefixes, rank = _relabel(rank * m + column, count * m)
+        count = len(prefixes)
+    first = np.empty(count, dtype=np.intp)
     first[rank] = np.arange(len(indices))
     return indices[first], rank
 
@@ -163,6 +175,7 @@ def export_csv(ens: Ensemble, stream):
     labels = [repr(float(v)) for v in ens.eigenvalues]
     stream.write(",".join(f"t_{k + 1}" for k in range(ens.grid.n)) + "\n")
     histories, rank = rank_histories(ens.indices, len(labels))
-    lines = [",".join([labels[k] for k in row]) + "\n" for row in histories.tolist()]
-    stream.write("".join([lines[r] for r in rank.tolist()]))
+    lines = np.array([",".join([labels[k] for k in row]) + "\n" for row in histories.tolist()],
+                     dtype=object)
+    stream.write("".join(lines[rank].tolist()))
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,17 @@ from bornlab import (
     QuantumSystem,
     TimeGrid,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_generator():
+    """``perfbench/generate.py`` loaded from its file: the benchmark's seeded config writer."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", ROOT / "perfbench" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

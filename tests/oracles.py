@@ -9,7 +9,11 @@ agreement to roundoff checks both.
 
 ``sample_trajectory`` is the one-trajectory draw the library offered before
 only whole ensembles were sampled: row ``index`` of the seed's stream, through
-the same descent as ``bornlab.sampler.sample_ensemble``.
+the same descent as ``bornlab.sampler.sample_ensemble``. ``descend`` and
+``rank_histories`` are the sampler's descent and history ranking as they were
+before prefixes were ranked by a presence mask, kept verbatim: each layer's
+prefixes and each column's ranks come from a sort (``np.unique``), and the
+draw counts a 2-D compare of every cdf column and clips it to m − 1.
 
 ``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
 sampler used before its batched descent over outcome histories, kept
@@ -200,6 +204,53 @@ def observer_observable_biprob(js: JointScenario, X_o, grid: TimeGrid):
 def sample_trajectory(source, grid: TimeGrid, seed, index=0):
     """Draw one trajectory; deterministic in (source, grid, seed, index)."""
     return _descend(source, grid, _uniforms(seed, index, 1, grid.n)).trajectories[0]
+
+
+def descend(source, grid: TimeGrid, u):
+    """Ensemble whose trajectory j is drawn by inverse CDF with the uniforms u[j].
+
+    Roundoff negatives are clamped for the draw; the collapse renormalizes by
+    the unclamped probability, so states do not underflow on long grids.
+    """
+    dyn = source.dynamics
+    P, m = dyn.F.projectors, dyn.F.n_outcomes
+    rows = readout(dyn.F).T
+    X, node = dyn.rho[None], np.zeros(len(u), dtype=np.intp)
+    indices = np.empty(u.shape, dtype=np.intp)
+    prev = 0.0
+    for k, t in enumerate(grid.times):
+        X = dyn.step(X, t - prev)
+        p = (X.reshape(len(X), -1) @ rows).real  # (prefixes, m)
+        w = np.maximum(p, 0.0)
+        total = w.sum(axis=1)
+        if not np.all(np.isfinite(total) & (total > 0)):
+            raise NumericalInvariantViolation(f"outcome total {total.min()} at t={t}; cannot draw")
+        cdf = np.cumsum(w / total[:, None], axis=1)
+        a = (cdf[node] <= u[:, k, None]).sum(axis=1).clip(0, m - 1)
+        indices[:, k] = a
+        if k + 1 < grid.n:
+            pairs, node = np.unique(node * m + a, return_inverse=True)
+            parent, a = np.divmod(pairs, m)
+            X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
+        prev = t
+    return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float))
+
+
+def rank_histories(indices, m):
+    """Distinct rows of an (N, k) outcome-index array and each row's rank among them.
+
+    Equal to ``np.unique(indices, axis=0, return_inverse=True)``: the distinct
+    rows in lexicographic order and, for each row, the position of its
+    distinct row. Indices must lie in [0, m). Rows are ranked one column at a
+    time, as the descent numbers its prefixes, so every sort is 1-D instead of
+    a sort of void rows.
+    """
+    rank = np.zeros(len(indices), dtype=np.intp)
+    for column in indices.T:
+        _, rank = np.unique(rank * m + column, return_inverse=True)
+    first = np.empty(rank.max() + 1, dtype=np.intp)
+    first[rank] = np.arange(len(indices))
+    return indices[first], rank
 
 
 def trajectory_rng(seed, index, n):

@@ -10,7 +10,6 @@ the same objects or the same error for documents at the subset's edges, and
 byte for byte the same error for malformed configs.
 """
 
-import importlib.util
 import math
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from bornlab.cli import main
 from bornlab.config import load_config
 from bornlab.errors import ConfigError
 
+from conftest import perfbench_generator
 from test_config_cli import RABI_YAML, write
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,15 +32,8 @@ SHIPPED = sorted((ROOT / "configs").glob("*.yaml"))
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 
 
-def _generator():
-    spec = importlib.util.spec_from_file_location("perfbench_generate", ROOT / "perfbench" / "generate.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 GENERATED = [(seed, name, text.encode("utf-8"))
-             for seed in range(1, 21) for name, text in _generator().generate(seed).items()]
+             for seed in range(1, 21) for name, text in perfbench_generator().generate(seed).items()]
 
 
 def same(a, b):

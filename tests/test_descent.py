@@ -6,7 +6,11 @@ and GKLS sources. Trajectory j's uniforms on an n-time grid are draws
 j·n … j·n+n−1 of numpy's ``PCG64`` stream for the seed: the sampler's rows
 must equal generator objects jumped ahead by j·n for any seed and index in
 [0, 2**64), and one contiguous stream for a whole ensemble. Four pinned
-values tell which of the two moved if they ever part. ``surrogate_average``
+values tell which of the two moved if they ever part. The descent must also
+equal, bit for bit, the one that numbered its prefixes by a sort and drew
+through a clipped 2-D compare, on drawn sources whose skewed states let
+prefixes die out, and on uniforms at the edges of a cdf row: one above a last
+entry that rounds below 1, and ones equal to an entry. ``surrogate_average``
 must reduce to exactly the arrays of the old per-trajectory loop, on the
 shipped joint configs and on drawn scenarios, zero signs included.
 """
@@ -30,7 +34,8 @@ from bornlab import (
 from bornlab.config import load_config
 from bornlab.errors import NumericalInvariantViolation
 from bornlab.process import DEFAULT_TABLE_CAP
-from bornlab.sampler import _uniforms
+from bornlab.qrf import QRFModel
+from bornlab.sampler import _descend, _uniforms
 from conftest import (I2, SZ, rabi_system, random_density, random_grid, random_hermitian,
                       random_system)
 from test_kernel import (DRAWN_CASES, GRID3, clustered_d4_m2, drawn_case, gkls_3level,
@@ -86,6 +91,44 @@ def test_descent_draws_the_chains_outcomes(case, rng):
 @given(**DRAWN_CASES)
 def test_descent_draws_the_chains_outcomes_on_drawn_sources(seed, d, n, degenerate, semigroup):
     assert_descent_draws_the_chains_outcomes(*drawn_case(seed, d, n, degenerate, semigroup), 100)
+
+
+def assert_same_ensemble(ens, expected):
+    assert ens.indices.dtype == expected.indices.dtype
+    assert np.array_equal(ens.indices, expected.indices)
+    assert np.array_equal(ens.eigenvalues, expected.eigenvalues)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**DRAWN_CASES, "n": st.integers(1, 6)}, skew=st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0]),
+       size=st.integers(1, 2000))
+def test_descent_equals_the_sorting_descent_bit_for_bit(seed, d, n, degenerate, semigroup, skew,
+                                                        size):
+    # the state sits on F's first eigenspace up to a weight ``skew`` of a random one, so
+    # outcomes of small probability and the prefixes behind them drop out of the ensemble
+    source, grid = drawn_case(seed, d, n, degenerate, semigroup)
+    dyn = source.dynamics
+    rho = (1.0 - skew) * dyn.F.projectors[0] / np.trace(dyn.F.projectors[0]).real + skew * dyn.rho
+    if isinstance(source, QRFModel):
+        source = QRFModel(source.generator, source.F_a, rho)
+    else:
+        source = QuantumSystem(source.H, source.F, rho)
+    assert_same_ensemble(sample_ensemble(source, grid, size, seed),
+                         oracles.descend(source, grid, _uniforms(seed, 0, size, grid.n)))
+
+
+def test_uniforms_at_the_edges_of_a_cdf_row_draw_as_the_sorting_descent():
+    weights = np.array([0.56, 0.33, 0.11])
+    cdf = np.cumsum(weights / weights.sum())
+    assert cdf[-1] < 1.0  # 1 − 2⁻⁵³
+    sys = QuantumSystem.from_operators(np.zeros((3, 3)), np.diag([0.0, 1.0, 2.0]), np.diag(weights))
+    grid = TimeGrid((0.5, 1.0))
+    top = np.nextafter(1.0, 0.0)  # the largest uniform a draw can give; it lies above the cdf
+    # a uniform equal to a cdf entry draws the next outcome, so 0 never draws one of probability 0
+    u = np.array([[top, 0.2], [0.1, top], [0.7, 0.95], [top, top], [cdf[0], 0.0], [0.0, cdf[1]]])
+    ens = _descend(sys, grid, u)
+    assert_same_ensemble(ens, oracles.descend(sys, grid, u))
+    assert ens.indices.tolist() == [[2, 2], [0, 0], [1, 1], [2, 2], [1, 1], [0, 0]]
 
 
 def test_uniforms_filled_in_place_are_successive_draws():

@@ -9,7 +9,9 @@ from the written one only in those two fields.
 
 ``simulate`` is pinned on the two joint configs, with ``--force`` where the
 surrogate-field condition fails (rabi_joint), so the hash covers every bit of
-the sampled mean and its standard errors, the sign of each zero included.
+the sampled mean and its standard errors, the sign of each zero included. It
+is also pinned, with ``--force``, on the benchmark's generated ``wide`` (seed
+1), a joint config with up to 1024 histories.
 
 The shipped configs never truncate a table, so two of them are also run
 with ``report: {max_table_entries: 7}`` appended: their Born tables
@@ -25,6 +27,7 @@ import pytest
 
 from bornlab.cli import main
 from bornlab.reporting import dump
+from conftest import perfbench_generator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,3 +79,18 @@ def test_truncated_report_bytes_are_pinned(name, tmp_path):
     assert main(["analyze", str(config), "--out", str(out)]) == 0
     text = canonical_report(out.read_text(encoding="utf-8"), name)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TRUNCATED_DIGESTS[name]
+
+
+# perfbench/generate.py configs of seed 1, run with --force: name -> digest of the simulate report
+GENERATED_DIGESTS = {
+    "wide": "ac8dd05a0b4cf8612ab39d2a64be437de027d18faa38dc7f61ec65eca2a0c566",
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED_DIGESTS))
+def test_simulate_report_bytes_of_generated_configs_are_pinned(name, tmp_path):
+    config, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.simulate.json"
+    config.write_text(perfbench_generator().generate(1)[name], encoding="utf-8")
+    assert main(["simulate", str(config), "--out", str(out), "--force"]) == 0
+    text = canonical_report(out.read_text(encoding="utf-8"), name)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_DIGESTS[name]

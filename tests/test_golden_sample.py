@@ -5,7 +5,8 @@ uniforms as draws j·n … j·n+n−1 of the seed's PCG64 stream, the sampler's
 descent over outcome prefixes (one collapsed operator per visited prefix,
 drawn from with each trajectory's uniforms) for each source kind, and the
 CSV format. A change to any of them that moves a
-single draw changes a digest.
+single draw changes a digest. The benchmark's generated ``s4`` (seed 1), a
+d = 4, m = 2, n = 6 system with 64 possible histories, is pinned beside them.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bornlab.cli import main
+from conftest import perfbench_generator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,3 +34,17 @@ def test_sample_csv_bytes_are_pinned(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(["sample", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+# perfbench/generate.py configs of seed 1: name -> digest of their CSV
+GENERATED_DIGESTS = {
+    "s4": "1b6237c0f00228c4f4d5f2598449d76b05c1b1a6f7d68f128c8717e3b40b7593",
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED_DIGESTS))
+def test_sample_csv_bytes_of_generated_configs_are_pinned(name, tmp_path):
+    config, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.csv"
+    config.write_text(perfbench_generator().generate(1)[name], encoding="utf-8")
+    assert main(["sample", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATED_DIGESTS[name]

@@ -17,7 +17,7 @@ from bornlab import (
     surrogate_average,
 )
 from bornlab.errors import TimeOutOfRange
-from bornlab.sampler import Ensemble, Trajectory, _slot, export_csv, rank_histories
+from bornlab.sampler import Ensemble, Trajectory, _relabel, _slot, export_csv, rank_histories
 from conftest import I2, KET0, SZ, quasistatic_system, rabi_system
 import oracles
 
@@ -214,13 +214,29 @@ class TestCsvExport:
         assert buf.getvalue() == expected.getvalue()
 
 
+class TestRelabel:
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.lists(st.integers(0, 63), min_size=1, max_size=200), spare=st.integers(0, 64))
+    @example(key=[5] * 7, spare=0)  # a single repeated key
+    @example(key=[0, 9, 9, 3, 0], spare=20)  # gaps below, between and above the keys
+    @example(key=[63, 0, 63], spare=0)  # a key of size − 1
+    def test_equals_unique_with_inverse(self, key, spare):
+        key = np.array(key, dtype=np.intp)
+        values, rank = _relabel(key, int(key.max()) + 1 + spare)
+        expected_values, expected_rank = np.unique(key, return_inverse=True)
+        np.testing.assert_array_equal(values, expected_values)
+        np.testing.assert_array_equal(rank, expected_rank)
+
+
 class TestRankHistories:
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 6),
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 6),
            size=st.integers(1, 300), data=st.data())
     @example(seed=0, m=1, n=1, size=1, data=None)
     @example(seed=1, m=4, n=1, size=1, data=None)
     @example(seed=2, m=4, n=6, size=300, data=None)
+    @example(seed=3, m=8, n=6, size=300, data=None)
+    @example(seed=4, m=2, n=6, size=20000, data=None)  # the benchmark's N on s4's shape
     def test_equals_row_wise_unique(self, seed, m, n, size, data):
         # skewed draws give few distinct rows; a column prefix is the surrogate average's input
         rng = np.random.default_rng(seed)
@@ -230,6 +246,9 @@ class TestRankHistories:
         expected_rows, expected_rank = np.unique(indices[:, :k], axis=0, return_inverse=True)
         np.testing.assert_array_equal(rows, expected_rows)
         np.testing.assert_array_equal(rank, expected_rank.reshape(-1))
+        oracle_rows, oracle_rank = oracles.rank_histories(indices[:, :k], m)
+        np.testing.assert_array_equal(rows, oracle_rows)
+        np.testing.assert_array_equal(rank, oracle_rank)
 
 
 def test_rtn_switching_fraction():
