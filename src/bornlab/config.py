@@ -1,9 +1,9 @@
 """Scenario configuration files.
 
-Configs are YAML (JSON syntax is accepted too) with a versioned ``schema``
-field. Matrices are nested arrays whose entries are numbers or two-element
-``[re, im]`` arrays; grids are named lists of strictly increasing positive
-times. The schema is documented in the README.
+Configs are YAML or JSON mappings with a versioned ``schema`` field.
+Matrices are nested arrays whose entries are numbers or two-element ``[re,
+im]`` arrays; grids are named lists of strictly increasing positive times.
+The schema is documented in the README.
 
 ``_SECTIONS`` gives the keys of each mapping section, ``_KINDS`` the
 model sections each kind reads, and ``_COMMANDS`` the kind each command
@@ -13,24 +13,16 @@ table; a ``null`` section reads as absent. A config loaded for a command is
 refused if it is of another kind than the command needs, or lacks the
 ``sampling`` section of a command that samples, before its model is built.
 
-Configs are read in three steps, and each gives what ``yaml.safe_load``
-gives. ``_read_subset`` reads the part of YAML 1.1 that configs use without
-PyYAML: block mappings, block sequences of one-line flow items, one-line
-flow collections, comments, and plain ints, floats with a dot, words and
-``null``. It defers everything else, so any other config, and every
-malformed one, is read by PyYAML, imported only then. libyaml reads it
-through PyYAML when PyYAML was built with it. PyYAML's pure-Python parser
-re-reads a config libyaml refuses, so the error text keeps its context
-snippet and caret. It alone reads a config holding a byte outside
-``_LIBYAML_BYTES``: libyaml accepts tabs, ``?``, ``!`` tags, ``|``/``>``
-block scalars and an inner byte-order mark where the pure parser refuses
-them.
+A config whose first non-blank character is ``{`` is JSON, read by ``json.loads``; any
+other is read by ``_read_yaml``, which reads the part of YAML that configs use, as
+``yaml.safe_load`` reads it, and refuses everything else with its line and column.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import re
 import sys
@@ -45,21 +37,21 @@ from .spectral import spectral_decompose
 
 SCHEMA_VERSION = 1
 
-# the bytes of configs libyaml may read: every shipped and generated config
-# is made of them, and libyaml and the pure parser agree on text made of them
-_LIBYAML_BYTES = (b"\n\r #\"'()*+,-./:=[]_{}~0123456789"
-                  b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-# the tokens of ``_read_subset``'s flow text: a colon right after its key or flow punctuation,
-# and the plain scalars whose YAML 1.1 types it reads (https://yaml.org/type/): an int of at
-# most 601 digits, which ``int`` reads at any digit limit, a float with a dot, or a word; a
-# scalar ends where a space, a colon or a closing bracket starts
-_TOKEN = re.compile(r"""
-    (:(?=\ |$) | \ *[\[\]{},])
-  | \ *(?: (-?(?:0|[1-9][0-9]{0,600})) | (-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)
-          | ([A-Za-z_][A-Za-z0-9_]*) ) (?![^ \]},:])""", re.X)
-# the words YAML 1.1 reads as booleans or null in some capitalisation; only null,
-# Null and NULL are read (as None), the rest defer to PyYAML
-_RESERVED = {"yes", "no", "true", "false", "on", "off", "null"}
+# the tokens of ``_read_yaml``'s flow text after their spaces: a bracket or comma; a scalar, with
+# a key's colon if a space or the line's end follows, then a space, comma, closing bracket or the
+# end: a number in JSON's grammar or ending in a dot, a word or a quoted string (JSON's escapes bar
+# a surrogate's, which YAML decodes alone and JSON in pairs); or the end, a comment included
+_TOKEN = re.compile(r"""(\ *)(?:
+    ([\[\]{},])
+  | (?:(-?(?:0|[1-9][0-9]*))((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|\.) | ([A-Za-z_][A-Za-z0-9_]*)
+      | ("(?:[^"\\]|\\(?:["\\/bfnrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}))*"|'(?:[^']|'')*')
+    )(:(?=\ |$))?(?![^ \]},])
+  | ($|(?<=\ )\#.*))""", re.X)
+# a line holding more than a comment: its indent, the dash of a sequence item, and its content
+_LINE = re.compile(r"^( *)(?:(-) +)?([^ #\n].*)", re.M)
+_LITERALS = {"true": True, "false": False, "null": None}
+# the words YAML 1.1 reads as booleans or null in some capitalisation
+_RESERVED = {"yes", "no", "on", "off", *_LITERALS}
 # characters PyYAML's reader refuses, or reads as a line break or byte-order mark, and the tab
 _UNREAD = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
 
@@ -110,10 +102,9 @@ def parse_matrix(value, where):
 
 
 def _known(sec, keys, where=None, refusal="unknown keys"):
-    """Refuse the keys of ``sec`` outside ``keys``, sorted by ``str`` as YAML keys may mix types."""
-    unknown = set(sec) - set(keys)
-    if unknown:
-        raise ConfigError(f"{refusal} {sorted(unknown, key=str)}", where)
+    """Refuse the keys of ``sec`` outside ``keys``."""
+    if unknown := set(sec) - set(keys):
+        raise ConfigError(f"{refusal} {sorted(unknown)}", where)
 
 
 def _section(data, name):
@@ -263,45 +254,55 @@ class ScenarioConfig:
             return QRFModel(generator=gen, F_a=F_a, rho_a=rho_a)
 
 
-class _Defer(Exception):
-    """Raised inside ``_read_subset`` where the text leaves the subset it reads."""
+class _Refused(Exception):
+    """Raised inside the readers with the position of the text they refuse and why."""
 
 
-def _tokens(text):
-    """The flow tokens of one line's content, as (kind, value) pairs ending in ("$", None)."""
-    tokens, pos = [], 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
+def _refusal(text, pos, message):
+    """A ConfigError naming the line and column of ``text[pos]``."""
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return ConfigError(f"line {line}, column {column}: {message}")
+
+
+def _tokens(text, pos, end):
+    """The flow tokens of the line ``text[pos:end]`` as (kind, value, position): kind is a
+    bracket, a comma, "k" for a key and its colon, "s" for a scalar or "$" for the line's end."""
+    tokens = []
+    while True:
+        match = _TOKEN.match(text, pos, end)
         if match is None:
-            raise _Defer
-        punct, integer, real, word = match.groups()
-        if punct:
-            tokens.append((punct.lstrip(" "), None))
-        elif integer or real:
-            tokens.append(("s", int(integer) if integer else float(real)))
-        elif word in ("null", "Null", "NULL"):
-            tokens.append(("s", None))
-        elif word.lower() in _RESERVED:
-            raise _Defer
-        else:
-            tokens.append(("s", word))
+            # quote the text up to a space, a comma or a closing bracket
+            unread = re.compile(r" *(.[^ ,\]}]*)").match(text, pos, end)
+            raise _Refused(unread.start(1), f"cannot read {unread[1]!r}")
+        _, punct, integer, fraction, word, quoted, colon, stop = match.groups()
+        pos, value = match.end(1), None
+        if integer:
+            value = float(integer + fraction) if fraction else int(integer)
+        elif word:
+            if word.lower() in _RESERVED and word not in _LITERALS:
+                raise _Refused(pos, f"cannot read {word!r}; write true, false or null, or quote it")
+            value = _LITERALS.get(word, word)
+        elif quoted:
+            value = json.loads(quoted) if quoted[0] == '"' else quoted[1:-1].replace("''", "'")
+        tokens.append((punct or ("$" if stop is not None else "k" if colon else "s"), value, pos))
+        if stop is not None:
+            return tokens
         pos = match.end()
-    tokens.append(("$", None))
-    return tokens
 
 
-def _key(tokens, i):
-    """The word key at ``tokens[i]`` and the index after its colon."""
-    kind, key = tokens[i]
-    # PyYAML refuses a simple key longer than 1024 characters
-    if kind != "s" or type(key) is not str or len(key) > 1000 or tokens[i + 1][0] != ":":
-        raise _Defer
-    return key, i + 2
+def _key(node, token):
+    """The string key of ``token``, new to ``node``."""
+    kind, key, pos = token
+    if kind != "k" or type(key) is not str:
+        raise _Refused(pos, "expected a key: a word or a quoted string followed by a colon")
+    if key in node:
+        raise _Refused(pos, f"duplicate key {key!r}")
+    return key
 
 
 def _flow(tokens, i, whole=False):
     """The flow node at ``tokens[i]`` and the index after it; if ``whole``, it must end the line."""
-    kind, node = tokens[i]
+    kind, node, pos = tokens[i]
     i += 1
     if kind in ("[", "{"):
         close, node = ("]", []) if kind == "[" else ("}", {})
@@ -310,31 +311,35 @@ def _flow(tokens, i, whole=False):
                 item, i = _flow(tokens, i)
                 node.append(item)
             else:
-                key, i = _key(tokens, i)
-                node[key], i = _flow(tokens, i)
+                key = _key(node, tokens[i])
+                node[key], i = _flow(tokens, i + 1)
             if tokens[i][0] == ",":
                 i += 1
             elif tokens[i][0] != close:
-                raise _Defer
+                raise _Refused(tokens[i][2], f"expected ',' or '{close}'")
         i += 1
     elif kind != "s":
-        raise _Defer
+        raise _Refused(pos, "expected a value")
     if whole and tokens[i][0] != "$":
-        raise _Defer
+        raise _Refused(tokens[i][2], "expected the end of the line")
     return node, i
 
 
 def _block(lines, i, indent):
-    """The block mapping whose keys are the lines from ``i`` at ``indent``, and the index after it."""
+    """The block mapping whose keys are the lines from ``i`` at ``indent``, and the index after it;
+    a key's value is on its line, or is the block sequence or mapping of the lines below it."""
     node = {}
     while i < len(lines) and lines[i][:2] == (indent, False):
-        tokens = lines[i][2]
-        key, j = _key(tokens, 0)
+        tokens = lines[i][3]
+        key = _key(node, tokens[0])
         i += 1
-        if tokens[j][0] != "$":
-            node[key] = _flow(tokens, j, whole=True)[0]
+        if tokens[1][0] != "$":
+            node[key] = _flow(tokens, 1, whole=True)[0]
         elif i < len(lines) and lines[i][1] and lines[i][0] >= indent:
-            node[key], i = _sequence(lines, i, lines[i][0])
+            node[key], items = [], lines[i][0]
+            while i < len(lines) and lines[i][:2] == (items, True):
+                node[key].append(_flow(lines[i][3], 0, whole=True)[0])
+                i += 1
         elif i < len(lines) and lines[i][0] > indent:
             node[key], i = _block(lines, i, lines[i][0])
         else:
@@ -342,56 +347,60 @@ def _block(lines, i, indent):
     return node, i
 
 
-def _sequence(lines, i, indent):
-    """The block sequence whose ``- `` items are the lines from ``i`` at ``indent``, and the index after it."""
-    items = []
-    while i < len(lines) and lines[i][:2] == (indent, True):
-        items.append(_flow(lines[i][2], 0, whole=True)[0])
-        i += 1
-    return items, i
+def _read_yaml(text):
+    """The block mapping in ``text`` as ``yaml.safe_load`` reads it, refused if there is none; a
+    CRLF line end reads as LF."""
+    text = text.replace("\r\n", "\n")
+    try:
+        if unread := _UNREAD.search(text):
+            raise _Refused(unread.start(), f"cannot read the character {unread[0]!r}")
+        lines = [(len(line[1]), bool(line[2]), line.end(1), _tokens(text, line.start(3), line.end()))
+                 for line in _LINE.finditer(text)]
+        if not lines:
+            raise ConfigError("config must be a mapping")
+        data, i = _block(lines, 0, lines[0][0])
+        if i < len(lines):
+            raise _Refused(lines[i][2], f"unexpected {'sequence item' if lines[i][1] else 'indentation'}")
+        return data
+    except _Refused as exc:
+        raise _refusal(text, *exc.args) from None
 
 
-def _read_subset(blob):
-    """The mapping in ``blob`` as ``yaml.safe_load`` reads it, or None where PyYAML must read it.
+def _unique(pairs):
+    """The JSON object of ``pairs``, refused if a key repeats."""
+    if len(node := dict(pairs)) < len(pairs):
+        raise _Refused
+    return node
 
-    Non-ASCII text is read only in comments, as the tokens are ASCII. A character PyYAML's
-    reader refuses or reads as a line break or byte-order mark, a tab, an empty document and
-    any syntax outside the subset defer to PyYAML, as does nesting deeper than the
-    interpreter's recursion limit.
-    """
+
+def _read_json(text):
+    """The JSON document in ``text`` as ``json.loads`` reads it, refused if an object repeats a key."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique)
+    except json.JSONDecodeError as exc:
+        raise _refusal(text, exc.pos, exc.msg) from None
+    except _Refused:
+        keys = []  # the keys read so far of each open object
+        # each string, with the colon after it if it is a key, and each brace outside strings
+        for match in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]', text):
+            if match[0] == "{":
+                keys.append(set())
+            elif match[0] == "}":
+                keys.pop()
+            elif match[2]:
+                key = json.loads(match[1])
+                if key in keys[-1]:
+                    raise _refusal(text, match.start(), f"duplicate key {key!r}") from None
+                keys[-1].add(key)
+
+
+def _parse(blob):
+    """The document in the config bytes ``blob``: JSON if it opens with ``{``, else YAML."""
     try:
         text = blob.decode("utf-8")
-        if _UNREAD.search(text):
-            return None
-        lines = []
-        for line in text.split("\n"):
-            body = line.lstrip(" ")
-            if not body or body[0] == "#":
-                continue
-            content = body.split(" #", 1)[0].rstrip(" ")
-            dash = content.startswith("- ")
-            lines.append((len(line) - len(body), dash, _tokens(content[2:] if dash else content)))
-        if not lines:
-            return None
-        data, i = _block(lines, 0, lines[0][0])
-        return data if i == len(lines) else None
-    except (_Defer, UnicodeDecodeError, RecursionError):
-        return None
-
-
-def _parse_yaml(blob):
-    """The YAML document in ``blob`` as ``yaml.safe_load`` reads it, read without PyYAML where it can be."""
-    data = _read_subset(blob)
-    if data is not None:
-        return data
-    import yaml
-
-    if yaml.__with_libyaml__ and not blob.translate(None, _LIBYAML_BYTES):
-        try:
-            return yaml.load(blob, Loader=yaml.CSafeLoader)
-        except yaml.YAMLError:
-            pass
-    return yaml.safe_load(blob)
+        return (_read_json if text.lstrip(" \t\r\n")[:1] == "{" else _read_yaml)(text)
+    except (RecursionError, ValueError) as exc:  # deep nesting, not UTF-8, or an int too long
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path, command=None) -> ScenarioConfig:
@@ -401,17 +410,7 @@ def load_config(path, command=None) -> ScenarioConfig:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        data = _parse_yaml(blob)
-    # only PyYAML raises a YAMLError, so yaml is loaded when this clause is evaluated
-    except getattr(sys.modules.get("yaml"), "YAMLError", ()) as exc:
-        mark = getattr(exc, "problem_mark", None)
-        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"YAML parse error{loc}: {exc}") from exc
-    except ValueError as exc:  # a scalar that reads as an impossible date or time
-        raise ConfigError(f"YAML parse error: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a mapping")
+    data = _parse(blob)
 
     _known(data, _TOP_LEVEL_KEYS, refusal="unknown top-level keys")
     schema, kind = data.get("schema"), data.get("kind")
@@ -433,10 +432,8 @@ def load_config(path, command=None) -> ScenarioConfig:
     for name, times in grids_raw.items():
         if not isinstance(times, list) or not times:
             raise ConfigError("grid must be a non-empty list of times", f"grids.{name}")
-        if str(name) in grids:
-            raise ConfigError(f"two grids are named {str(name)!r}", "grids")
         try:
-            grids[str(name)] = TimeGrid(tuple(require_number(t, f"grids.{name}") for t in times))
+            grids[name] = TimeGrid(tuple(require_number(t, f"grids.{name}") for t in times))
         except ValueError as exc:
             raise ConfigError(str(exc), f"grids.{name}") from exc
 

@@ -65,12 +65,10 @@ schema: 1
 kind: joint
 system:
   H: [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-  F: [[-13443.412437339213, [10390.014495808853, 44810.474790306325],
-       [-62820.685286904874, 61293.59762624026]],
-      [[10390.014495808853, -44810.474790306325], 81348.13642595123,
-       [-18457.54932334034, -30428.087696164625]],
-      [[-62820.685286904874, -61293.59762624026], [-18457.54932334034, 30428.087696164625],
-       32095.276011387978]]
+  F:
+  - [-13443.412437339213, [10390.014495808853, 44810.474790306325], [-62820.685286904874, 61293.59762624026]]
+  - [[10390.014495808853, -44810.474790306325], 81348.13642595123, [-18457.54932334034, -30428.087696164625]]
+  - [[-62820.685286904874, -61293.59762624026], [-18457.54932334034, 30428.087696164625], 32095.276011387978]
   rho: [[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.25]]
 observer:
   H_o: [[0, 0], [0, 0]]
@@ -195,8 +193,8 @@ class TestConfigParsing:
         assert "line" in str(err.value)
 
     def test_two_grids_whose_names_read_as_one_are_refused(self, tmp_path):
-        # YAML reads 1 and "1" as two keys; a run would keep only the last grid under "1"
-        with pytest.raises(ConfigError, match=r"^grids: two grids are named '1'$"):
+        # YAML reads 1 and "1" as two keys; a key must be a string, so the first is refused
+        with pytest.raises(ConfigError, match=f"^{re.escape(UNQUOTED_GRID_NAME)}$"):
             load_config(write(tmp_path, DUPLICATE_GRIDS_YAML))
 
     def test_probe_times_must_lie_in_grid_span(self, tmp_path):
@@ -209,6 +207,7 @@ class TestConfigParsing:
 DUPLICATE_GRIDS_YAML = RABI_YAML.replace(
     "grids:\n  main: [0.7853981633974483, 1.5707963267948966]",
     'grids: {1: [0.5, 1.0], "1": [0.7]}')
+UNQUOTED_GRID_NAME = "line 8, column 9: expected a key: a word or a quoted string followed by a colon"
 
 # a config holding one unknown key, and the refusal naming its section and the key
 UNKNOWN_KEYS = {
@@ -225,8 +224,26 @@ UNKNOWN_KEYS = {
     "qrf": (RTN_YAML.replace("  mu:", "  nu: 1\n  mu:"), "qrf: unknown keys ['nu']"),
     "qrf.rates": (RTN_YAML.replace("gamma: 0.35}", "gamma: 0.35, gama: 0.35}"),
                   "qrf.rates[0]: unknown keys ['gama']"),
-    "top-level keys of two types": (RABI_YAML + "1: x\nbogus: y\n",
-                                    "unknown top-level keys [1, 'bogus']"),
+    "top-level keys of digits and a word": (RABI_YAML + '"1": x\nbogus: y\n',
+                                            "unknown top-level keys ['1', 'bogus']"),
+}
+
+RABI_CONFIG = (CONFIGS / "rabi.yaml").read_text(encoding="utf-8")
+RABI_JSON = json.dumps(yaml.safe_load(RABI_CONFIG), indent=2)
+# configs/rabi.yaml with one key repeated, in YAML and in indented JSON, and the refusal
+# naming the key and the line of its second occurrence
+REPEATED_KEYS = {
+    "grids-yaml": (RABI_CONFIG + "grids:\n  main: [0.5]\n", "line 15, column 1: duplicate key 'grids'"),
+    "grid-main-yaml": (RABI_CONFIG.replace("n_max:", "  main: [0.5]\nn_max:"),
+                       "line 11, column 3: duplicate key 'main'"),
+    "system.H-yaml": (RABI_CONFIG.replace("  rho:", "  H: [[0, 1], [1, 0]]\n  rho:"),
+                      "line 8, column 3: duplicate key 'H'"),
+    "grids-json": (RABI_JSON[:-2] + ',\n  "grids": {"main": [0.5]}\n}',
+                   "line 47, column 3: duplicate key 'grids'"),
+    "grid-main-json": (RABI_JSON.replace('"grids": {', '"grids": {\n    "main": [0.5],'),
+                       "line 38, column 5: duplicate key 'main'"),
+    "system.H-json": (RABI_JSON.replace('"system": {', '"system": {\n    "H": [[0, 1], [1, 0]],'),
+                      "line 6, column 5: duplicate key 'H'"),
 }
 
 # each kind, a config of it and a section it does not read
@@ -281,7 +298,16 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert main(["analyze", write(tmp_path, DUPLICATE_GRIDS_YAML), "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "bornlab: config error: grids: two grids are named '1'"]
+            f"bornlab: config error: {UNQUOTED_GRID_NAME}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", list(REPEATED_KEYS))
+    def test_a_repeated_key_is_refused(self, name, tmp_path, capsys):
+        text, message = REPEATED_KEYS[name]
+        assert yaml.safe_load(text)  # PyYAML reads each, keeping the last value
+        out = tmp_path / "r.json"
+        assert main(["analyze", write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
         assert not out.exists()
 
     def test_io_error_exits_5(self, tmp_path):
@@ -314,7 +340,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field,value", BAD_NUMBERS)
     def test_number_fields_are_strict(self, field, value, tmp_path, capsys):
-        path = write(tmp_path, NUMBER_FIELDS[field](value))
+        text = NUMBER_FIELDS[field](value)
+        if ".inf" in value or ".nan" in value:  # the YAML reader refuses these; JSON writes them
+            text = json.dumps(yaml.safe_load(text))
+        path = write(tmp_path, text)
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value).startswith(field + ":")
