@@ -57,15 +57,12 @@ def cmd_analyze(cfg: ScenarioConfig, out_path):
     source = _analysis_source(cfg)
     analyses = []
     for name, grid in cfg.grids.items():
-        for n in range(1, grid.prefix(cfg.n_max).n + 1):
-            sub = grid.prefix(n)
-            records, born, bip = consistency.analyze(
-                source, sub, cfg.tolerances.consistency, cfg.table_cap
-            )
+        for records, born, bip in consistency.analyze(
+                source, grid.prefix(cfg.n_max), cfg.tolerances.consistency, cfg.table_cap):
             analyses.append({
                 "grid": name,
-                "n": n,
-                "times": sub.times,
+                "n": born.n,
+                "times": born.grid.times,
                 "born": reporting.born_table_json(born, cfg.report_max_entries),
                 "bi_probability": reporting.biprob_table_json(bip, cfg.report_max_entries),
                 "consistency": [record._asdict() for record in records],

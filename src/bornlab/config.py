@@ -399,8 +399,22 @@ def _parse(blob):
     try:
         text = blob.decode("utf-8")
         return (_read_json if text.lstrip(" \t\r\n")[:1] == "{" else _read_yaml)(text)
-    except (RecursionError, ValueError) as exc:  # deep nesting, not UTF-8, or an int too long
+    except UnicodeDecodeError as exc:
+        text = blob[:exc.start].decode("utf-8")
+        raise _refusal(text, len(text), f"cannot read byte {blob[exc.start]:#04x}: "
+                                        f"the config is not UTF-8 ({exc.reason})") from None
+    except (RecursionError, ValueError) as exc:  # deep nesting or an int too long
         raise ConfigError(str(exc)) from None
+
+
+def _grid_name(sec, grids, where):
+    """The grid that section ``sec`` names, the first grid if it names none."""
+    name = sec.get("grid", next(iter(grids)))
+    if not isinstance(name, str):
+        raise ConfigError(f"expected the name of a grid, got {name!r}", where)
+    if name not in grids:
+        raise ConfigError(f"unknown grid {name!r}", where)
+    return name
 
 
 def load_config(path, command=None) -> ScenarioConfig:
@@ -446,18 +460,14 @@ def load_config(path, command=None) -> ScenarioConfig:
     sampling = simulate = None
     if data.get("sampling") is not None:
         sec = _section(data, "sampling")
-        grid_name = str(sec.get("grid", next(iter(grids))))
-        if grid_name not in grids:
-            raise ConfigError(f"unknown grid {grid_name!r}", "sampling.grid")
+        grid_name = _grid_name(sec, grids, "sampling.grid")
         size = require_integer(_get(sec, "N", "sampling"), "sampling.N")
         seed = require_integer(_get(sec, "seed", "sampling"), "sampling.seed", minimum=0)
         sampling = SamplingConfig(size=size, seed=seed, grid=grid_name)
 
     if data.get("simulate") is not None:
         sec = _section(data, "simulate")
-        grid_name = str(sec.get("grid", next(iter(grids))))
-        if grid_name not in grids:
-            raise ConfigError(f"unknown grid {grid_name!r}", "simulate.grid")
+        grid_name = _grid_name(sec, grids, "simulate.grid")
         grid = grids[grid_name]
         probes = sec.get("probe_times", list(grid.times))
         if not isinstance(probes, list) or not probes:

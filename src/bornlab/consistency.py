@@ -16,6 +16,9 @@ records exactly what was covered):
 * generalized relation — the KC defect of the Born family equals the
   diagonal-context off-diagonal sum of Q_n; an unconditional identity
   linking the two families.
+
+Deletion i < n walks the full grid's own steps past an unmeasured t_i, so the
+identity defects are roundoff at any grid span; deletion n is order n − 1's table.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .process import (
     TimeGrid,
     _LETTERS,
     _pair_diagonal,
+    _table,
     biprob_table,
     born_table,
 )
@@ -97,19 +101,21 @@ def _coverage(grid: TimeGrid, indices=None):
             "indices": list(range(1, grid.n + 1)) if indices is None else indices}
 
 
-def _deletions(table, source, grid: TimeGrid, cap):
-    """The full ``table`` on ``grid`` and a generator of its deletion defects.
+def _defects(full, source, last, cap):
+    """``(i, marginal_i(full) − reduced_i)`` for 1-based i, reduced_i built as it goes
+    on ``full``'s grid with t_i unmeasured; reduced_n is ``last``, the order n − 1 table."""
+    k = full.dist.ndim // full.n  # axes per time: 1 for Born, 2 for bi-probability
+    for i in range(1, full.n + 1):
+        reduced = last if i == full.n else _table(source, full.grid, cap, k == 1, skip=i - 1)
+        yield i, full.dist.sum(axis=tuple(range(k * (i - 1), k * i))) - reduced.dist
 
-    The generator yields ``(i, marginal_i(full) − reduced_i)`` for 1-based i,
-    building reduced_i, the table on ``grid.without(i)``, as it goes.
-    """
+
+def _deletions(table, source, grid: TimeGrid, cap):
+    """The deletion defects of ``table`` on ``grid``, its full and last tables built here."""
     if grid.n < 2:
         raise ValueError("consistency checks need a grid of n ≥ 2 times")
-    full = table(source, grid, cap)
-    k = full.dist.ndim // grid.n  # axes per time: 1 for Born, 2 for bi-probability
-    return full, ((i, full.dist.sum(axis=tuple(range(k * (i - 1), k * i)))
-                   - table(source, grid.without(i), cap).dist)
-                  for i in range(1, grid.n + 1))
+    full, last = table(source, grid, cap), table(source, grid.prefix(grid.n - 1), cap)
+    return _defects(full, source, last, cap)
 
 
 def _worst(defects, witness):
@@ -160,8 +166,7 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     Also reports the causality record (deletion of the last index), which is
     an identity for Born families. Returns the records ``(KC, causality)``.
     """
-    _, defects = _deletions(born_table, source, grid, cap)
-    return _kc_records(grid, list(defects), epsilon)
+    return _kc_records(grid, list(_deletions(born_table, source, grid, cap)), epsilon)
 
 
 def _context_sums(table: BiProbTable):
@@ -201,8 +206,7 @@ def check_sf(table: BiProbTable, epsilon=DEFAULT_TOLERANCES.consistency):
 
 def check_bi_consistency(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """The record of the pair-marginalization identity of bi-probabilities (always holds)."""
-    _, defects = _deletions(biprob_table, source, grid, cap)
-    return _bi_consistency_record(grid, defects)
+    return _bi_consistency_record(grid, _deletions(biprob_table, source, grid, cap))
 
 
 def _relation_residual(born_defects, sums):
@@ -221,32 +225,29 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     through independent code paths (Born recursion vs bi-probability
     recursion); returns the maximal absolute residual.
     """
-    _, defects = _deletions(born_table, source, grid, cap)
+    defects = _deletions(born_table, source, grid, cap)
     return _relation_residual(defects, _context_sums(biprob_table(source, grid, cap)))
 
 
 def analyze(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
-    """Full per-grid records and the two full tables they were read from.
+    """Yields ``(records, born, bi_probability)`` for each prefix order n = 1 … grid.n, in order.
 
-    Returns ``(records, born, bi_probability)``. The records are KC,
-    causality, CM, CM-real-form, SF, bi-consistency and the generalized
-    relation; each of the 2 + 2n tables (full and reduced, per kind) is built
-    once. A one-time grid has no deletions, so its records are SF alone. CM
-    and the generalized relation read the same diagonal-context sums of Q_n.
+    The records are KC, causality, CM, CM-real-form, SF, bi-consistency and
+    the generalized relation (SF alone at n = 1). Each order's full tables are
+    the next order's last reduced tables, so each table is built once: n full
+    and Σ_{k=2..n} (k − 1) deletion tables per kind.
     """
-    if grid.n == 1:
-        born, bip = born_table(source, grid, cap), biprob_table(source, grid, cap)
-        return (check_sf(bip, epsilon),), born, bip
-    born, born_defects = _deletions(born_table, source, grid, cap)
-    born_defects = list(born_defects)
-    bip, bip_defects = _deletions(biprob_table, source, grid, cap)
-    sums = _context_sums(bip)
-    records = (
-        _kc_records(grid, born_defects, epsilon)
-        + _cm_records(grid, sums, epsilon)
-        + (check_sf(bip, epsilon),
-           _bi_consistency_record(grid, bip_defects),
-           _record("generalized-relation", _relation_residual(born_defects, sums), None,
-                   IDENTITY_TOL, _coverage(grid)))
-    )
-    return records, born, bip
+    born = bip = None
+    for n in range(1, grid.n + 1):
+        sub, last_born, last_bip = grid.prefix(n), born, bip
+        born, bip = born_table(source, sub, cap), biprob_table(source, sub, cap)
+        if n == 1:
+            yield (check_sf(bip, epsilon),), born, bip
+            continue
+        born_defects = list(_defects(born, source, last_born, cap))
+        sums = _context_sums(bip)  # CM's, and the generalized relation's right side
+        yield (_kc_records(sub, born_defects, epsilon) + _cm_records(sub, sums, epsilon)
+               + (check_sf(bip, epsilon),
+                  _bi_consistency_record(sub, _defects(bip, source, last_bip, cap)),
+                  _record("generalized-relation", _relation_residual(born_defects, sums), None,
+                          IDENTITY_TOL, _coverage(sub)))), born, bip

@@ -37,10 +37,6 @@ class TableTooLarge(BornlabError):
     """A probability table would exceed the configured entry cap."""
 
 
-class IndexOutOfRange(BornlabError):
-    """A 1-based measurement index does not address a valid table position."""
-
-
 class TimeOutOfRange(BornlabError):
     """A time argument lies outside a trajectory's domain [0, t_n]."""
 

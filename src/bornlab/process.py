@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NumericalInvariantViolation, TableTooLarge
+from .errors import DimensionMismatch, NumericalInvariantViolation, TableTooLarge
 from .linalg import (DEFAULT_TOLERANCES, Tolerances, map_cache, propagator, require_density,
                      require_hermitian)
 from .spectral import SpectralDecomposition, spectral_decompose
@@ -59,14 +59,6 @@ class TimeGrid:
     @property
     def n(self):
         return len(self.times)
-
-    def without(self, position):
-        """Grid with the 1-based position removed (needs n ≥ 2)."""
-        if not 1 <= position <= self.n:
-            raise IndexOutOfRange(f"position {position} outside 1..{self.n}")
-        if self.n < 2:
-            raise IndexOutOfRange("cannot remove a time from a single-time grid")
-        return TimeGrid(self.times[: position - 1] + self.times[position:])
 
     def prefix(self, n):
         return TimeGrid(self.times[:n])
@@ -167,24 +159,28 @@ def readout(F: SpectralDecomposition):
     return P.transpose(0, 2, 1).reshape(len(P), -1)
 
 
-def _table(source, grid: TimeGrid, cap, diagonal):
+def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     """Born (``diagonal``) or bi-probability table of any source.
 
     Alternates the source's step with the projector sandwich
     X ↦ P(a) X P(b) (b = a for Born) over a batch of operators, so the batch
     holds one operator per outcome prefix. The last layer is contracted
-    straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X).
+    straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X). A ``skip``
+    k < n − 1 passes t_{k+1} unmeasured: the table of the grid without it, by its own steps.
     """
     dyn = source.dynamics
-    P, m, n = dyn.F.projectors, dyn.F.n_outcomes, grid.n
-    what = "Born table" if diagonal else "bi-probability table"
+    P, m, times = dyn.F.projectors, dyn.F.n_outcomes, grid.times
+    if skip is not None:
+        grid = TimeGrid(times[:skip] + times[skip + 1:])
+    n, what = grid.n, "Born table" if diagonal else "bi-probability table"
     _check_cap(m ** (n if diagonal else 2 * n), cap, what)
     X, prev = dyn.rho[None], 0.0
-    for t in grid.times[:-1]:
-        left = P @ dyn.step(X, t - prev)[:, None]  # (N, m, d, d): P(a) X
-        X = (left @ P if diagonal else left[:, :, None] @ P).reshape(-1, *P.shape[1:])
-        prev = t
-    X = dyn.step(X, grid.times[-1] - prev)
+    for k, t in enumerate(times[:-1]):
+        X, prev = dyn.step(X, t - prev), t
+        if k != skip:
+            left = P @ X[:, None]  # (N, m, d, d): P(a) X
+            X = (left @ P if diagonal else left[:, :, None] @ P).reshape(-1, *P.shape[1:])
+    X = dyn.step(X, times[-1] - prev)
     traces = X.reshape(len(X), -1) @ readout(dyn.F).T  # (N, m)
     if diagonal:
         dist = traces.real.reshape((m,) * n)

@@ -31,9 +31,16 @@ verbatim: one Python row list per trajectory through ``csv.writer``.
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
 set of tables per grid, kept verbatim: each check builds its own full and
-reduced tables. Only their witness changed since, to the tie rule written
-out over all held defects (``_first_near_peak``): the first entry in (index,
-C-order outcome) order within ``TIE_TOL`` of the largest |entry|. ``check_sf``
+reduced tables. Two things changed since. Their witness follows the tie rule
+written out over all held defects (``_first_near_peak``): the first entry in
+(index, C-order outcome) order within ``TIE_TOL`` of the largest |entry|. And
+each takes its reduced tables from the library's deletion route
+(``deletion_table``), so its records equal the library's exactly.
+``merged_gap_table`` is the deletion table as the library built it before:
+the table on the grid with t_i removed (``without``, once ``TimeGrid.without``),
+which steps over the merged gap t_{i+1} − t_{i−1} with a map of its own. It is
+the oracle of the deletion route, which it equals to roundoff that grows with
+the grid's span. ``check_sf``
 is the SF check as it was before it zeroed the pair diagonal through an
 einsum view: it masks the table with an index grid (``_off_diagonal_mask``),
 and takes its witness by the same written-out tie rule.
@@ -91,6 +98,7 @@ from bornlab.process import (
     QuantumSystem,
     TimeGrid,
     _check_cap,
+    _table,
     biprob_table,
     born_table,
     readout,
@@ -376,6 +384,28 @@ def _first_near_peak(diffs):
     return None, [], peak
 
 
+def without(grid: TimeGrid, position):
+    """Grid with the 1-based position removed (needs n ≥ 2)."""
+    if not 1 <= position <= grid.n:
+        raise IndexError(f"position {position} outside 1..{grid.n}")
+    if grid.n < 2:
+        raise IndexError("cannot remove a time from a single-time grid")
+    return TimeGrid(grid.times[: position - 1] + grid.times[position:])
+
+
+def merged_gap_table(table, source, grid: TimeGrid, i, cap=DEFAULT_TABLE_CAP):
+    """``table`` (``born_table`` or ``biprob_table``) on the grid with its time i removed."""
+    return table(source, without(grid, i), cap)
+
+
+def deletion_table(table, source, grid: TimeGrid, i, cap=DEFAULT_TABLE_CAP):
+    """The library's deletion i of ``table`` on ``grid``: the kernel's walk of the grid's own
+    steps with t_i unmeasured, or for i = n the table on the first n − 1 times."""
+    if i == grid.n:
+        return table(source, grid.prefix(i - 1), cap)
+    return _table(source, grid, cap, table is born_table, skip=i - 1)
+
+
 def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap=DEFAULT_TABLE_CAP):
     """Kolmogorov consistency over every single-deletion of the given grid.
 
@@ -387,7 +417,7 @@ def check_kc(source, grid: TimeGrid, epsilon=DEFAULT_TOLERANCES.consistency, cap
     full = born_table(source, grid, cap)
     diffs = []
     for i in range(1, grid.n + 1):
-        reduced = born_table(source, grid.without(i), cap)
+        reduced = deletion_table(born_table, source, grid, i, cap)
         diffs.append((i, full.dist.sum(axis=i - 1) - reduced.dist))
     i, idx, worst = _first_near_peak(diffs)
     witness = {"index": i, "outcomes": idx}
@@ -413,7 +443,7 @@ def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEF
     full = biprob_table(source, grid, cap)
     diffs = []
     for i in range(1, grid.n + 1):
-        reduced = biprob_table(source, grid.without(i), cap)
+        reduced = deletion_table(biprob_table, source, grid, i, cap)
         ax = 2 * (i - 1)
         diffs.append((i, full.dist.sum(axis=(ax, ax + 1)) - reduced.dist))
     i, idx, worst = _first_near_peak(diffs)
@@ -436,7 +466,7 @@ def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     bip = biprob_table(source, grid, cap)
     residual = 0.0
     for i in range(1, grid.n + 1):
-        reduced = born_table(source, grid.without(i), cap)
+        reduced = deletion_table(born_table, source, grid, i, cap)
         lhs = reduced.dist - full.dist.sum(axis=i - 1)
         rhs, _ = _diag_context_sums(bip, i)
         residual = max(residual, float(np.max(np.abs(lhs - rhs))))

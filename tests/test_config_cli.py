@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -202,6 +203,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, text))
         assert "probe" in str(err.value)
+
+
+# a sampling or simulate section naming its grid by a value that is not a string, and the
+# refusal; "1" names a grid, so an int 1 would select it if it were read as a string
+GRID_NAMES = {"int": ("1", "1"), "bool": ("true", "True"), "list": ("[main]", "['main']")}
+TWO_GRIDS_YAML = RABI_YAML.replace("grids:\n", 'grids:\n  "1": [0.5, 1.0]\n')
+
+
+@pytest.mark.parametrize("section", ["sampling", "simulate"])
+@pytest.mark.parametrize("value, shown", GRID_NAMES.values(), ids=GRID_NAMES)
+def test_a_grid_name_that_is_not_a_string_is_refused(section, value, shown, tmp_path, capsys):
+    if section == "sampling":
+        text, command = TWO_GRIDS_YAML.replace("seed: 7}", f"seed: 7, grid: {value}}}"), "sample"
+    else:
+        text = DEPHASING_YAML.replace("grids:\n", 'grids:\n  "1": [0.5, 1.0]\n')
+        text, command = text + f"simulate: {{grid: {value}}}\n", "simulate"
+    message = f"{section}.grid: expected the name of a grid, got {shown}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(write(tmp_path, text))
+    assert main([command, write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 DUPLICATE_GRIDS_YAML = RABI_YAML.replace(
@@ -795,12 +818,21 @@ n_max: 2
 
 
 def _returned(monkeypatch, module, name):
-    """The values ``module.name`` returns from now on, in call order."""
+    """The values ``module.name`` returns from now on, in call order; of a generator
+    (``analyze``), the values it yields."""
     returned, call = [], getattr(module, name)
 
+    def yielding(values):
+        for value in values:
+            returned.append(value)
+            yield value
+
     def recording(*args):
-        returned.append(call(*args))
-        return returned[-1]
+        value = call(*args)
+        if inspect.isgenerator(value):
+            return yielding(value)
+        returned.append(value)
+        return value
 
     monkeypatch.setattr(module, name, recording)
     return returned

@@ -174,6 +174,30 @@ def test_malformed_config_error_is_unchanged(tmp_path, capsys, text, message):
     assert not (tmp_path / "r.json").exists()
 
 
+# config bytes that are not UTF-8, and the refusal naming the line and column (in characters)
+# of the first byte that does not decode
+NOT_UTF8 = {
+    "line_1": (b"schema: 1\xff\nkind: unitary\n",
+               "line 1, column 10: cannot read byte 0xff: the config is not UTF-8 "
+               "(invalid start byte)"),
+    "later_line": (RABI_YAML.encode("utf-8").replace(b"[0, 0]]\n", b"[0, 0]]  # \xc3\xa9t\xc3\n"),
+                   "line 7, column 30: cannot read byte 0xc3: the config is not UTF-8 "
+                   "(invalid continuation byte)"),
+}
+
+
+@pytest.mark.parametrize("blob, message", NOT_UTF8.values(), ids=NOT_UTF8)
+def test_a_config_that_is_not_utf8_is_refused_at_its_line_and_column(tmp_path, capsys, blob,
+                                                                      message):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message
+    assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
+
+
 def _agree_or_refuse(blob, read=False):
     """``config._parse(blob)`` gives what ``yaml.safe_load`` gives, save that a number in
     JSON's grammar reads as a float, or, unless ``read``, refuses ``blob``."""

@@ -82,7 +82,7 @@ class TestKC:
         assert cov["n"] == 2 and cov["indices"] == [1, 2]
 
     def test_passed_is_the_verdict_read_as_a_bool(self):
-        records = analyze(rabi_system(), TimeGrid((np.pi / 4, np.pi / 2)))[0]
+        records = list(analyze(rabi_system(), TimeGrid((np.pi / 4, np.pi / 2))))[-1][0]
         assert {r.verdict for r in records} == {"pass", "fail"}
         for record in records:
             assert record.passed is (record.verdict == "pass")
@@ -156,7 +156,7 @@ class TestImplicationChain:
         scenarios += [random_system(rng, 3) for _ in range(4)]
         grid = TimeGrid((0.4, 1.1))
         for sys in scenarios:
-            records, _, _ = analyze(sys, grid)
+            records = list(analyze(sys, grid))[-1][0]
             by_name = {r.condition: r for r in records}
             sf, cm, kc = (by_name[c].passed for c in ("SF", "CM", "KC"))
             if sf:
@@ -165,7 +165,7 @@ class TestImplicationChain:
                 assert kc
 
     def test_full_report_contains_all_conditions(self, rng):
-        records, _, _ = analyze(random_system(rng, 2), TimeGrid((0.5, 1.0)))
+        records = list(analyze(random_system(rng, 2), TimeGrid((0.5, 1.0))))[-1][0]
         by_name = {r.condition: r for r in records}
         assert {"KC", "causality", "CM", "CM-real-form", "SF",
                 "bi-consistency", "generalized-relation"} <= set(by_name)
@@ -187,7 +187,7 @@ def test_each_check_returns_its_records_in_report_order(rng):
     assert [r.condition for r in check_cm(table)] == ["CM", "CM-real-form"]
     assert check_sf(table).condition == "SF"
     assert check_bi_consistency(sys, grid).condition == "bi-consistency"
-    records, _, _ = analyze(sys, grid)
+    records = list(analyze(sys, grid))[-1][0]
     assert [r.condition for r in records] == ["KC", "causality", "CM", "CM-real-form", "SF",
                                               "bi-consistency", "generalized-relation"]
 

@@ -32,12 +32,12 @@ from conftest import perfbench_generator
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
-    ("analyze", "rabi"): "a96fc8f81b87751cee27234cc32890f1968fef5576c58c74995817ed581a469f",
-    ("analyze", "quasistatic"): "df4a082fbe55c5867ee743bd796bbb502cddbffccb1d6e03086e26474d09fed6",
-    ("analyze", "rtn"): "a5b4cc031c5db07e1abc8eaf37153831da286473b4b99365a7220a0c6b07c76c",
-    ("analyze", "rotation"): "45a98684614428723e1c802ceaeb22e81a8ccbfd73ee355cc8e9bcd3c72c836d",
+    ("analyze", "rabi"): "3df2ee53d6afce925e6a66a3b66255dac33fd262f8ec90660ca2c33cbbede5f5",
+    ("analyze", "quasistatic"): "cb7586ab90cf9fbc726fa0507aad6424bdc39aabb8a00d8b8f356461a4c1e0d8",
+    ("analyze", "rtn"): "3c8347cebfe977cd7b4ccbd613de0ddaa2b33413e3f13b12ec846b38f5763e15",
+    ("analyze", "rotation"): "1ea8bcebc8456a135e827552c5b2cf258996f2625aabe929f732d325779e34c2",
     ("analyze", "dephasing"): "69cd33c12837646f1446d7a0ddd256459ff5d156b06b3753ba26f7f532b91990",
-    ("analyze", "rabi_joint"): "2009ef6ab3a31f438fb882761a49f72d8a615b528b5afa2358d67522e6d71875",
+    ("analyze", "rabi_joint"): "3d7b482edfd0b71ca9b265d46a906a9fb76e20a5762945e50fbf9beb953873bb",
     ("qrf", "rtn"): "797e1638a1e005809327d319794454f6e5b76ba54af93fb58d922a4defc241d5",
     ("qrf", "rotation"): "1b762159345de04ad820d524d5c6baf70d59f37f358a8cbb6be4b56d9a6a9759",
     ("simulate", "dephasing"): "0c78a5388c86d25bb8f2fd3d41dfd3af0f1c3c285ca2349fccc670b5ac8e69f1",
@@ -48,8 +48,8 @@ DIGESTS = {
 FLAGS = {("simulate", "rabi_joint"): ["--force"]}
 
 TRUNCATED_DIGESTS = {
-    "quasistatic": "143a2de9125a19a9c30e339a935411ed8ce9f7b2da319c971b88b743d51be3ad",
-    "rtn": "374d5023ab3af0e8a5c3921550519e0925281ce09e397c3f0358f0b134385ffc",
+    "quasistatic": "e271498233c05d895631bb9edc5d46f8c88c8f3cfdfdb8458d181cdb757e2f36",
+    "rtn": "d70491d44fc543a8ce5238bde3344b9849627bbcdc7d0ea37e9717dd76aca2f7",
 }
 
 

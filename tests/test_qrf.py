@@ -189,6 +189,19 @@ class TestSemigroup:
         lhs = semigroup(model, 0.4) @ semigroup(model, 0.9)
         assert np.max(np.abs(lhs - semigroup(model, 1.3))) <= 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), a=st.floats(0.01, 6.0),
+           b=st.floats(0.01, 6.0))
+    def test_group_law_on_drawn_generators(self, seed, d, a, b):
+        # a and b are ‖τℒ‖₁, so τ_a, τ_b and τ_a + τ_b fall in different Padé bands,
+        # with up to 2 squarings: Λ(τ_a + τ_b) = Λ(τ_b) Λ(τ_a)
+        model, _ = drawn_case(seed, d, 1, degenerate=False, semigroup=True)
+        L = model.generator.total.matrix
+        tau_a, tau_b = a / np.linalg.norm(L, 1), b / np.linalg.norm(L, 1)
+        lhs = qrf.expm(L, tau_a + tau_b)
+        rhs = qrf.expm(L, tau_b) @ qrf.expm(L, tau_a)
+        assert np.linalg.norm(lhs - rhs, 1) <= 1e-13 * np.linalg.norm(lhs, 1)
+
     def test_series_oracle_small_time(self, rng):
         gen = build_gkls(random_hermitian(rng, 2), random_hermitian(rng, 2),
                          [(0.0, 0.5)], mu=1.0)
@@ -318,7 +331,7 @@ class TestQrfBiProbability:
             table = qrf_bi_probability(model, grid)
             # bi-consistency against freshly built reduced tables
             for i in (1, 2, 3):
-                fresh = qrf_bi_probability(model, grid.without(i))
+                fresh = oracles.merged_gap_table(qrf_bi_probability, model, grid, i)
                 pair = table.dist.sum(axis=(2 * i - 2, 2 * i - 1))
                 assert np.max(np.abs(pair - fresh.dist)) <= 1e-10
             # last-index diagonality and Hermitian symmetry
