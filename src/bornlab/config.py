@@ -264,6 +264,13 @@ def _refusal(text, pos, message):
     return ConfigError(f"line {line}, column {column}: {message}")
 
 
+def _too_long(integer):
+    """Why ``int`` refuses the decimal ``integer``, or "" if it reads it: past its digit limit."""
+    digits, limit = len(integer.lstrip("-")), sys.get_int_max_str_digits()
+    return f"cannot read an integer of {digits} digits; int reads at most {limit}" \
+        if 0 < limit < digits else ""
+
+
 def _tokens(text, pos, end):
     """The flow tokens of the line ``text[pos:end]`` as (kind, value, position): kind is a
     bracket, a comma, "k" for a key and its colon, "s" for a scalar or "$" for the line's end."""
@@ -277,6 +284,8 @@ def _tokens(text, pos, end):
         _, punct, integer, fraction, word, quoted, colon, stop = match.groups()
         pos, value = match.end(1), None
         if integer:
+            if not fraction and (reason := _too_long(integer)):
+                raise _Refused(pos, reason)
             value = float(integer + fraction) if fraction else int(integer)
         elif word:
             if word.lower() in _RESERVED and word not in _LITERALS:
@@ -379,6 +388,12 @@ def _read_json(text):
         return json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise _refusal(text, exc.pos, exc.msg) from None
+    except ValueError:  # an integer past int's digit limit, which json names without a position
+        # each string, and each number outside strings with its fraction and exponent
+        for match in re.finditer(r'"(?:[^"\\]|\\.)*"|(-?[0-9]+)([.eE][-+.eE0-9]*)?', text):
+            if match[1] and not match[2] and (reason := _too_long(match[1])):
+                raise _refusal(text, match.start(), reason) from None
+        raise
     except _Refused:
         keys = []  # the keys read so far of each open object
         # each string, with the colon after it if it is a key, and each brace outside strings
@@ -403,7 +418,7 @@ def _parse(blob):
         text = blob[:exc.start].decode("utf-8")
         raise _refusal(text, len(text), f"cannot read byte {blob[exc.start]:#04x}: "
                                         f"the config is not UTF-8 ({exc.reason})") from None
-    except (RecursionError, ValueError) as exc:  # deep nesting or an int too long
+    except (RecursionError, ValueError) as exc:  # deep nesting, or a ValueError no reader placed
         raise ConfigError(str(exc)) from None
 
 

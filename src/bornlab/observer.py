@@ -8,8 +8,12 @@ perturbative series. When the observable admits a surrogate field, the
 same reduced state is reproduced by averaging the propagation under the
 stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
 each piecewise-constant segment contributes one exact matrix exponential.
-The average propagates each distinct outcome prefix on [0, t] once, for
-every trajectory that shares it.
+The average walks the outcome prefixes on [0, t] level by level, as the
+sampler's descent does: each distinct prefix of each level is propagated by
+one product from its parent, for every trajectory that shares it, and its
+state's deviation from the mean is formed once. Only the gathers to
+trajectory order are of size N: the working set peaks at about
+N·d_o²·16 bytes, and at most 1.5 times that.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .linalg import (
     trace_distance,
 )
 from .process import DEFAULT_JOINT_DIM_CAP, QuantumSystem
-from .sampler import Ensemble, _slot, rank_histories
+from .sampler import Ensemble, _relabel, _slot
 
 
 class ObserverSystem(NamedTuple):
@@ -93,28 +97,32 @@ def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
     each piecewise-constant segment of trajectory j on [0, t] contributes one
     exact matrix exponential, left-multiplied in time order. It depends only
-    on the outcomes up to the grid slot in force at t, so each distinct prefix
-    is propagated once, each segment's exponentials are formed once per
-    outcome value, and U_o(t) once. The states are gathered back to trajectory
-    order; the mean and the complex per-entry sample variance are reduced
-    with numpy pairwise summation over it (deterministic for fixed N).
+    on the outcomes up to the grid slot in force at t, so the outcome prefixes
+    are walked level by level, as the descent numbers them: each distinct
+    prefix extends its parent's propagator by one product, each segment's
+    exponentials are formed once per outcome value, and U_o(t) once. The mean
+    and the complex per-entry sample variance are reduced over the trajectory
+    index order, in sequence along axis 0 (deterministic for fixed N); each
+    deviation is formed once per distinct prefix and gathered to that order.
     """
-    k = _slot(ens.grid, t)
-    prefixes, inverse = rank_histories(ens.indices[:, :k + 1], len(ens.eigenvalues))
+    k, m = _slot(ens.grid, t), len(ens.eigenvalues)
     bounds = [0.0, *ens.grid.times[1:k + 1], t]
-    W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (len(prefixes), obs.dim, obs.dim))
+    W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (1, obs.dim, obs.dim))
+    rank = np.zeros(ens.size, dtype=np.intp)
     for col in range(k + 1):
+        pairs, rank = _relabel(rank * m + ens.indices[:, col], len(W) * m)
+        parent, outcome = np.divmod(pairs, m)
+        W = W[parent]
         duration = bounds[col + 1] - bounds[col]
         if duration > 0:
             steps = np.array([propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
                               for value in ens.eigenvalues.tolist()])
-            W = steps[prefixes[:, col]] @ W
+            W = steps[outcome] @ W
     V = propagator(obs.H_o, t).conj().T @ W
     distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
-    states = distinct[inverse]
-    mean = states.mean(axis=0)
+    mean = distinct[rank].mean(axis=0)
     if ens.size > 1:
-        var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)
+        var = (np.abs(distinct - mean) ** 2)[rank].mean(axis=0) * ens.size / (ens.size - 1)
         stderr = np.sqrt(var / ens.size)
     else:
         stderr = np.zeros_like(mean, dtype=float)

@@ -15,8 +15,8 @@ Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
 one per grid time. PCG64 jumps ahead by any number of draws in O(log) steps,
 so every row is a function of (s, j) alone, whatever the ensemble size or
 generation order, for any index j in [0, 2**64). Ensemble statistics are
-reduced with numpy's pairwise summation over the trajectory index order,
-which is deterministic for a fixed N.
+reduced over the trajectory index order, in sequence along axis 0 of the
+(N, …) stack, which is deterministic for a fixed N.
 """
 
 from __future__ import annotations

@@ -24,9 +24,14 @@ j·n draws. ``surrogate_average`` is the per-trajectory loop the observer used
 before it propagated each distinct history once, and ``segments``,
 ``stochastic_propagator`` and ``surrogate_propagate`` are the per-trajectory
 propagation it calls, kept verbatim (``segments`` was a ``Trajectory``
-method) from before the observer walked each distinct outcome prefix once. ``export_csv`` is the trajectory
-CSV writer as it was before it formatted each distinct history once, kept
-verbatim: one Python row list per trajectory through ``csv.writer``.
+method). ``ranked_surrogate_average`` is the observer's average as it was
+before it walked the prefix tree level by level, kept verbatim (its
+``rank_histories`` is this module's, which the library's equals): it ranks the
+prefixes on [0, t] at once, multiplies each distinct prefix from the identity
+through every column, and gathers the states to trajectory order before it
+forms the deviations. ``export_csv`` is the trajectory CSV writer as it was
+before it formatted each distinct history once, kept verbatim: one Python row
+list per trajectory through ``csv.writer``.
 
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
@@ -344,14 +349,48 @@ def surrogate_propagate(obs: ObserverSystem, traj: Trajectory, t, cache=None):
 def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     """(1/N) Σ_j surrogate_propagate(obs, f_j, t) with standard errors.
 
-    The mean and the complex per-entry sample variance are reduced with
-    numpy pairwise summation over the trajectory index order (deterministic
-    for fixed N).
+    The mean and the complex per-entry sample variance are reduced over the
+    trajectory index order, in sequence along axis 0 (deterministic for
+    fixed N).
     """
     cache = {}
     states = np.array(
         [surrogate_propagate(obs, traj, t, cache) for traj in ens.trajectories]
     )
+    mean = states.mean(axis=0)
+    if ens.size > 1:
+        var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)
+        stderr = np.sqrt(var / ens.size)
+    else:
+        stderr = np.zeros_like(mean, dtype=float)
+    return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
+
+
+def ranked_surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
+    """(1/N) Σ_j V_j ρ_o V_j† with standard errors, V_j = U_o(t)† W_j(t).
+
+    W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
+    each piecewise-constant segment of trajectory j on [0, t] contributes one
+    exact matrix exponential, left-multiplied in time order. It depends only
+    on the outcomes up to the grid slot in force at t, so each distinct prefix
+    is propagated once, each segment's exponentials are formed once per
+    outcome value, and U_o(t) once. The states are gathered back to trajectory
+    order; the mean and the complex per-entry sample variance are reduced
+    over it in sequence along axis 0 (deterministic for fixed N).
+    """
+    k = _slot(ens.grid, t)
+    prefixes, inverse = rank_histories(ens.indices[:, :k + 1], len(ens.eigenvalues))
+    bounds = [0.0, *ens.grid.times[1:k + 1], t]
+    W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (len(prefixes), obs.dim, obs.dim))
+    for col in range(k + 1):
+        duration = bounds[col + 1] - bounds[col]
+        if duration > 0:
+            steps = np.array([propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
+                              for value in ens.eigenvalues.tolist()])
+            W = steps[prefixes[:, col]] @ W
+    V = propagator(obs.H_o, t).conj().T @ W
+    distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
+    states = distinct[inverse]
     mean = states.mean(axis=0)
     if ens.size > 1:
         var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)

@@ -158,6 +158,13 @@ MALFORMED = {
                     "line 11, column 26: cannot read '2001-02-30'"),
     "json_trailing_comma": ('{"schema": 1,\n "kind": "unitary",\n}\n',
                             "line 3, column 1: Expecting property name enclosed in double quotes"),
+    "yaml_integer_past_the_digit_limit": (
+        "kind: unitary\nschema: " + "1" * 4301 + "\n",
+        "line 2, column 9: cannot read an integer of 4301 digits; int reads at most 4300"),
+    "json_integer_past_the_digit_limit": (
+        '{"kind": "unitary",\n "note": "' + "2" * 4301 + '", "schema": [1.' + "3" * 4301 + ", -"
+        + "1" * 4301 + "]}\n",
+        "line 2, column 8631: cannot read an integer of 4301 digits; int reads at most 4300"),
 }
 
 
