@@ -25,7 +25,7 @@ _HOME = {
     "analyze": "consistency", "check_kc": "consistency", "check_cm": "consistency",
     "check_sf": "consistency", "check_bi_consistency": "consistency",
     "verify_generalized_relation": "consistency",
-    "sample_ensemble": "sampler", "empirical_joint": "sampler", "BornlabError": "errors",
+    "sample_ensemble": "sampler", "BornlabError": "errors",
 }
 __all__ = [*_HOME, "__version__"]
 

@@ -32,7 +32,6 @@ from .process import (
     DEFAULT_TABLE_CAP,
     BiProbTable,
     TimeGrid,
-    _LETTERS,
     _pair_diagonal,
     _table,
     biprob_table,
@@ -77,23 +76,10 @@ def _diag_context_sums(table: BiProbTable, position):
     Returns ``(sums, real_form)``: complex sums per context tuple and the
     equivalent 2·Re Σ_{f_i > f_-i} form (they must agree to roundoff).
     """
-    n, i = table.n, position - 1
-    subs, out_ctx = [], []
-    for k in range(n):
-        if k == i:
-            subs.append(_LETTERS[n] + _LETTERS[n + 1])
-        else:
-            subs.append(_LETTERS[k] * 2)
-            out_ctx.append(_LETTERS[k])
-    expr = "".join(subs) + "->" + "".join(out_ctx) + _LETTERS[n] + _LETTERS[n + 1]
-    sliced = np.einsum(expr, table.dist)  # (..., f_i, f_-i) with diagonal context
-    total = sliced.sum(axis=(-2, -1))
-    diag = np.einsum("...kk->...", sliced)
-    sums = total - diag
-    m = table.n_outcomes
-    lower = np.tril(np.ones((m, m)), k=-1)  # pairs with f_i > f_-i
-    real_form = 2.0 * np.einsum("...kl,kl->...", sliced.real, lower)
-    return sums, real_form
+    sliced = _pair_diagonal(table.dist, position - 1)  # (..., f_i, f_-i), context diagonal
+    sums = sliced.sum(axis=(-2, -1)) - np.einsum("...kk->...", sliced)
+    lower = np.tril(np.ones((table.n_outcomes,) * 2), k=-1)  # pairs with f_i > f_-i
+    return sums, 2.0 * np.einsum("...kl,kl->...", sliced.real, lower)
 
 
 def _coverage(grid: TimeGrid, indices=None):

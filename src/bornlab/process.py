@@ -13,7 +13,9 @@ projector sequences
 where P(f,t) = U†(t) P(f) U(t). Tables are stored as dense ndarrays over
 outcome-index tuples ordered chronologically: axis k of a Born table is the
 outcome at t_{k+1}; a bi-probability table interleaves left/right axes as
-(f_1, f_-1, f_2, f_-2, ...).
+(f_1, f_-1, f_2, f_-2, ...). ``_pair_diagonal`` is the one place that writes
+einsum subscripts over this layout: it slices the pair diagonal f_- = f, with
+one pair optionally left whole, for the Born diagonal and the CM and SF checks.
 
 Every source (a :class:`QuantumSystem` here, a semigroup model in
 :mod:`bornlab.qrf`) holds in ``dynamics`` its initial state, observable and a
@@ -140,10 +142,14 @@ class BiProbTable(_Table):
         return BornTable(self.grid, self.eigenvalues, _pair_diagonal(self.dist).real)
 
 
-def _pair_diagonal(dist):
-    """Writable view of the entries f_- = f of an interleaved table, indexed by f."""
-    out = _LETTERS[:dist.ndim // 2]
-    return np.einsum("".join(c * 2 for c in out) + "->" + out, dist)
+def _pair_diagonal(dist, free=None):
+    """Writable view of the entries f_- = f of an interleaved table, indexed by f; with
+    ``free = k`` (0-based) pair k stays whole as the last two axes (..., f_k, f_-k)."""
+    n = dist.ndim // 2
+    pair = _LETTERS[n:n + 2]  # past every other pair's letter, so none is shared at any n
+    subs = "".join(pair if k == free else _LETTERS[k] * 2 for k in range(n))
+    out = "".join(_LETTERS[k] for k in range(n) if k != free) + ("" if free is None else pair)
+    return np.einsum(subs + "->" + out, dist)
 
 
 def _check_cap(entries, cap, what):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalInvariantViolation, TimeOutOfRange
 from .linalg import propagator  # noqa: F401  (perfbench/tracing.py wraps sampler.propagator)
-from .process import BornTable, TimeGrid, readout
+from .process import TimeGrid, readout
 
 RNG_ALGORITHM = "numpy.random.PCG64(seed), trajectory j advanced by j*n draws"
 
@@ -155,14 +155,6 @@ def rank_histories(indices, m):
     first = np.empty(count, dtype=np.intp)
     first[rank] = np.arange(len(indices))
     return indices[first], rank
-
-
-def empirical_joint(ens: Ensemble):
-    """Frequency table of outcome tuples, normalized over the ensemble."""
-    m, n = len(ens.eigenvalues), ens.grid.n
-    counts = np.zeros((m,) * n)
-    np.add.at(counts, tuple(ens.indices.T), 1.0)
-    return BornTable(ens.grid, ens.eigenvalues.copy(), counts / ens.size)
 
 
 def export_csv(ens: Ensemble, stream):

@@ -2,9 +2,10 @@
 
 An observable F = Σ_f f P(f) is represented by its unique eigenvalues and the
 orthogonal projectors onto their eigenspaces. Floating-point eigensolvers
-split exact degeneracies at the 1e-15 level, so eigenvalues are clustered:
-consecutive eigenvalues closer than ``cluster_tol`` are merged into one
-outcome whose value is the mean of the cluster.
+split exact degeneracies at the 1e-15 level, so eigenvalues are clustered by
+their gaps: the ascending eigenvalues are cut wherever the gap to the next one
+exceeds ``cluster_tol``, and each run between cuts is one outcome whose value
+is the mean of the run.
 """
 
 from __future__ import annotations
@@ -64,35 +65,19 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
     if not tol > 0:
         raise ValueError("cluster_tol must be positive")
 
-    d = len(w)
-    boundaries = [0]
-    for k in range(1, d):
-        if w[k] - w[k - 1] > tol:
-            boundaries.append(k)
-    boundaries.append(d)
-
+    cuts = np.flatnonzero(np.diff(w) > tol) + 1  # where a gap exceeds tol, a cluster starts
     values, projs, mults = [], [], []
-    clustered = False
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(w)]):
         width = w[hi - 1] - w[lo]
         if width > tol:
-            raise AmbiguousClustering(
-                f"eigenvalue cluster [{w[lo]}, {w[hi - 1]}] is wider ({width:.3e}) "
-                f"than cluster_tol {tol:.3e}"
-            )
+            raise AmbiguousClustering(f"eigenvalue cluster [{w[lo]}, {w[hi - 1]}] is wider "
+                                      f"({width:.3e}) than cluster_tol {tol:.3e}")
         block = V[:, lo:hi]
         values.append(float(np.mean(w[lo:hi])))
         projs.append(block @ block.conj().T)
         mults.append(hi - lo)
-        clustered = clustered or (hi - lo > 1)
-
-    return SpectralDecomposition(
-        eigenvalues=np.array(values),
-        projectors=np.array(projs),
-        multiplicities=tuple(mults),
-        dim=d,
-        clustered=clustered,
-    )
+    return SpectralDecomposition(np.array(values), np.array(projs), tuple(mults), len(w),
+                                 clustered=max(mults) > 1)
 
 
 def heisenberg_projectors(sd, H, t):

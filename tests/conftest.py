@@ -32,6 +32,13 @@ KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
+def assert_same_bits(a, b):
+    """Equal arrays whose real and imaginary parts also carry equal sign bits (−0.0 included)."""
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
 def random_hermitian(rng, d, scale=1.0):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * 0.5 * (A + A.conj().T)

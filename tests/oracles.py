@@ -48,7 +48,16 @@ the oracle of the deletion route, which it equals to roundoff that grows with
 the grid's span. ``check_sf``
 is the SF check as it was before it zeroed the pair diagonal through an
 einsum view: it masks the table with an index grid (``_off_diagonal_mask``),
-and takes its witness by the same written-out tie rule.
+and takes its witness by the same written-out tie rule. ``_diag_context_sums``
+is the CM context sum as it was before ``bornlab.process._pair_diagonal``
+sliced it, kept verbatim: it writes its own einsum subscripts over the
+interleaved table, and ``verify_generalized_relation`` here reads it.
+
+``spectral_decompose`` is the decomposition as it was before it cut its
+clusters with ``np.diff``, kept verbatim: a Python loop over consecutive gaps
+collects the boundaries. ``empirical_joint`` is the frequency table of an
+ensemble's outcome tuples that the library offered before, kept verbatim; the
+sampler's statistical tests read it.
 
 ``born_table_json``, ``biprob_table_json`` and ``dump`` are the report
 serializer as it was before table entries were rendered from their arrays,
@@ -89,12 +98,11 @@ import numpy as np
 from bornlab.consistency import (
     IDENTITY_TOL,
     TIE_TOL,
-    _diag_context_sums,
     _record,
     check_cm,
 )
-from bornlab.errors import NumericalInvariantViolation
-from bornlab.linalg import DEFAULT_TOLERANCES, propagator, vec
+from bornlab.errors import AmbiguousClustering, NumericalInvariantViolation
+from bornlab.linalg import DEFAULT_TOLERANCES, propagator, require_hermitian, vec
 from bornlab.observer import JointScenario, ObserverSystem, SurrogateAverage
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
@@ -102,6 +110,7 @@ from bornlab.process import (
     BornTable,
     QuantumSystem,
     TimeGrid,
+    _LETTERS,
     _check_cap,
     _table,
     biprob_table,
@@ -110,7 +119,7 @@ from bornlab.process import (
 )
 from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
 from bornlab.sampler import Ensemble, Trajectory, _descend, _slot, _uniforms
-from bornlab.spectral import heisenberg_projectors
+from bornlab.spectral import SpectralDecomposition, default_cluster_tol, heisenberg_projectors
 
 
 def _heisenberg_family(sys, grid):
@@ -412,6 +421,13 @@ def export_csv(ens: Ensemble, stream):
     writer.writerows([labels[k] for k in row] for row in ens.indices.tolist())
 
 
+def empirical_joint(ens: Ensemble):
+    """Frequency table of outcome tuples, normalized over the ensemble."""
+    m, n = len(ens.eigenvalues), ens.grid.n
+    counts = np.zeros((m,) * n)
+    np.add.at(counts, tuple(ens.indices.T), 1.0)
+    return BornTable(ens.grid, ens.eigenvalues.copy(), counts / ens.size)
+
 def _first_near_peak(diffs):
     """``(i, outcomes, peak)``: the first entry in (i, C order) whose |entry| is
     within TIE_TOL of the largest over all held diffs, and that largest."""
@@ -490,6 +506,30 @@ def check_bi_consistency(source, grid: TimeGrid, threshold=IDENTITY_TOL, cap=DEF
     coverage = {"n": grid.n, "times": list(grid.times), "indices": list(range(1, grid.n + 1))}
     return _record("bi-consistency", worst, witness, threshold, coverage)
 
+
+def _diag_context_sums(table: BiProbTable, position):
+    """Σ_{f_i ≠ f_-i} Q_n with all other index pairs on the diagonal.
+
+    Returns ``(sums, real_form)``: complex sums per context tuple and the
+    equivalent 2·Re Σ_{f_i > f_-i} form (they must agree to roundoff).
+    """
+    n, i = table.n, position - 1
+    subs, out_ctx = [], []
+    for k in range(n):
+        if k == i:
+            subs.append(_LETTERS[n] + _LETTERS[n + 1])
+        else:
+            subs.append(_LETTERS[k] * 2)
+            out_ctx.append(_LETTERS[k])
+    expr = "".join(subs) + "->" + "".join(out_ctx) + _LETTERS[n] + _LETTERS[n + 1]
+    sliced = np.einsum(expr, table.dist)  # (..., f_i, f_-i) with diagonal context
+    total = sliced.sum(axis=(-2, -1))
+    diag = np.einsum("...kk->...", sliced)
+    sums = total - diag
+    m = table.n_outcomes
+    lower = np.tril(np.ones((m, m)), k=-1)  # pairs with f_i > f_-i
+    real_form = 2.0 * np.einsum("...kl,kl->...", sliced.real, lower)
+    return sums, real_form
 
 def verify_generalized_relation(source, grid: TimeGrid, cap=DEFAULT_TABLE_CAP):
     """Residual of the identity linking the KC defect of P_n to Q_n sums.
@@ -650,6 +690,49 @@ def _kept(score, max_entries):
         return np.arange(score.size), False
     return np.argsort(-score, kind="stable")[:max_entries], True
 
+
+def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.hermiticity):
+    """Decompose a Hermitian observable into unique outcomes and projectors.
+
+    Eigenvalues whose consecutive gap is ≤ ``cluster_tol`` are chained into a
+    single outcome. A chain whose total width exceeds ``cluster_tol`` is
+    ambiguous (its members are farther apart than the tolerance that merged
+    them) and raises :class:`AmbiguousClustering`.
+    """
+    w, V = np.linalg.eigh(require_hermitian(F, hermiticity_tol, "observable"))
+    tol = default_cluster_tol(w) if cluster_tol is None else float(cluster_tol)
+    if not tol > 0:
+        raise ValueError("cluster_tol must be positive")
+
+    d = len(w)
+    boundaries = [0]
+    for k in range(1, d):
+        if w[k] - w[k - 1] > tol:
+            boundaries.append(k)
+    boundaries.append(d)
+
+    values, projs, mults = [], [], []
+    clustered = False
+    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
+        width = w[hi - 1] - w[lo]
+        if width > tol:
+            raise AmbiguousClustering(
+                f"eigenvalue cluster [{w[lo]}, {w[hi - 1]}] is wider ({width:.3e}) "
+                f"than cluster_tol {tol:.3e}"
+            )
+        block = V[:, lo:hi]
+        values.append(float(np.mean(w[lo:hi])))
+        projs.append(block @ block.conj().T)
+        mults.append(hi - lo)
+        clustered = clustered or (hi - lo > 1)
+
+    return SpectralDecomposition(
+        eigenvalues=np.array(values),
+        projectors=np.array(projs),
+        multiplicities=tuple(mults),
+        dim=d,
+        clustered=clustered,
+    )
 
 def unvec(v, dim):
     """Inverse of :func:`vec`."""

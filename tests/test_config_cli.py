@@ -289,6 +289,27 @@ SECTION_BODIES = {
 JOINT_WITHOUT_SAMPLING = DEPHASING_YAML.replace("sampling: {N: 400, seed: 11}\n", "")
 
 
+THREE_BY_THREE = "[[1, 0, 0], [0, -1, 0], [0, 0, 2]]"
+# a section whose matrices disagree in dimension is a config error (exit 2), not exit 3:
+# DimensionMismatch is raised while the section is built, which names it
+DIMENSION_MISMATCHES = {
+    "system": ("analyze", RABI_YAML.replace("F: [[1, 0], [0, -1]]", f"F: {THREE_BY_THREE}"),
+               "system: inconsistent dims: H 2, F 3, rho0 2"),
+    "observer": ("simulate", DEPHASING_YAML.replace("G_o: [[1, 0], [0, -1]]",
+                                                    f"G_o: {THREE_BY_THREE}"),
+                 "observer: H_o, G_o, rho_o must share one dimension"),
+    "qrf": ("qrf", RTN_YAML.replace("F_a: [[0.5, 0], [0, -0.5]]", f"F_a: {THREE_BY_THREE}"),
+            "qrf: observable dim 3 vs generator dim 2"),
+}
+# only the caps exit 3
+CAP_ERRORS = {
+    "caps.joint_dim": ("simulate", DEPHASING_YAML + "caps: {joint_dim: 2}\n",
+                       "joint dimension 4 exceeds cap 2"),
+    "caps.table_entries": ("analyze", RABI_YAML + "caps: {table_entries: 2}\n",
+                           "bi-probability table would hold 4 entries, exceeding the cap of 2"),
+}
+
+
 class TestExitCodes:
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, RABI_YAML.replace("H: [[0, 0.5], [0.5, 0]]", "H: [[0, 1], [0, 0]]"))
@@ -296,15 +317,19 @@ class TestExitCodes:
         assert code == 2
         assert "system" in capsys.readouterr().err
 
-    def test_cap_error_exits_3(self, tmp_path):
-        text = RABI_YAML + "caps: {table_entries: 2}\n"
-        code = main(["analyze", write(tmp_path, text), "--out", str(tmp_path / "r.json")])
-        assert code == 3
+    @pytest.mark.parametrize("section", list(DIMENSION_MISMATCHES))
+    def test_a_dimension_mismatch_is_a_config_error(self, section, tmp_path, capsys):
+        command, text, message = DIMENSION_MISMATCHES[section]
+        out = tmp_path / "r.json"
+        assert main([command, write(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bornlab: config error: {message}\n"
+        assert not out.exists()
 
-    def test_joint_dim_cap_exits_3(self, tmp_path):
-        text = DEPHASING_YAML + "caps: {joint_dim: 2}\n"
-        code = main(["simulate", write(tmp_path, text), "--out", str(tmp_path / "r.json")])
-        assert code == 3
+    @pytest.mark.parametrize("cap", list(CAP_ERRORS))
+    def test_only_a_cap_exits_3(self, cap, tmp_path, capsys):
+        command, text, message = CAP_ERRORS[cap]
+        assert main([command, write(tmp_path, text), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == f"bornlab: dimension/cap error: {message}\n"
 
     def test_sf_refusal_exits_4_and_force_overrides(self, tmp_path):
         text = DEPHASING_YAML.replace("H: [[0, 0], [0, 0]]\n  F", "H: [[0, 0.5], [0.5, 0]]\n  F", 1)

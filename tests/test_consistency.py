@@ -16,9 +16,10 @@ from bornlab import (
     check_sf,
     verify_generalized_relation,
 )
-from bornlab.consistency import _worst
-from bornlab.process import BiProbTable
-from conftest import quasistatic_system, rabi_system, random_grid, random_system
+from bornlab.consistency import _diag_context_sums, _worst
+from bornlab.process import BiProbTable, QuantumSystem
+from conftest import (assert_same_bits, quasistatic_system, rabi_system, random_density,
+                      random_grid, random_hermitian, random_system)
 import oracles
 
 
@@ -261,3 +262,44 @@ def test_many_exact_ties_keep_the_first():
 
 def test_exact_zero_defects_have_no_witness():
     assert _worst([(1, np.zeros((2, 2))), (2, np.zeros(3))], lambda i, idx: (i, idx)) == (0.0, None)
+
+
+def assert_context_sums_equal_the_oracle(table):
+    for position in range(1, table.n + 1):
+        got, want = _diag_context_sums(table, position), oracles._diag_context_sums(table, position)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert_same_bits(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       order=st.sampled_from("CF"), zeros=st.booleans())
+@example(seed=3, n=4, m=1, order="F", zeros=True)
+def test_context_sums_equal_the_subscript_loop_bit_for_bit(seed, n, m, order, zeros):
+    """The pair-diagonal slice with a free pair gives the old einsum's sums, zero signs included."""
+    rng = np.random.default_rng(seed)
+    shape = (m, m) * n
+    dist = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if zeros:  # −0.0 in both parts of some entries
+        dist[rng.random(shape) < 0.3] = complex(-0.0, -0.0)
+    table = BiProbTable(random_grid(rng, n), np.arange(m, dtype=float),
+                        np.asarray(dist, order=order))
+    assert_context_sums_equal_the_oracle(table)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy < 2 holds at most 32 axes; a 30-time Q_n has 60")
+def test_a_one_outcome_source_is_analyzed_on_thirty_times():
+    """m = 1 admits any order under the entry cap: order 30's Q_n has 60 axes, and the free
+    pair's letters must follow every context letter up to the 30th."""
+    rng = np.random.default_rng(30)
+    sys = QuantumSystem.from_operators(random_hermitian(rng, 2), 0.5 * np.eye(2),
+                                       random_density(rng, 2))
+    grid = TimeGrid(tuple(0.1 * (k + 1) for k in range(30)))
+    orders = list(analyze(sys, grid))
+    assert len(orders) == 30
+    assert all(record.passed for records, _, _ in orders for record in records)
+    bip = orders[-1][2]
+    assert bip.dist.ndim == 60
+    assert_context_sums_equal_the_oracle(bip)

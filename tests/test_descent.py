@@ -41,8 +41,8 @@ from bornlab.errors import NumericalInvariantViolation
 from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.qrf import QRFModel
 from bornlab.sampler import _descend, _uniforms
-from conftest import (I2, SZ, rabi_system, random_density, random_grid, random_hermitian,
-                      random_system)
+from conftest import (I2, SZ, assert_same_bits, rabi_system, random_density, random_grid,
+                      random_hermitian, random_system)
 from test_kernel import (DRAWN_CASES, GRID3, clustered_d4_m2, drawn_case, gkls_3level,
                          random_d6_m6, rtn, single_time)
 import oracles
@@ -209,12 +209,6 @@ def test_zero_total_probability_is_rejected():
         sample_ensemble(sys, grid, 10, seed=1)
     with pytest.raises(NumericalInvariantViolation):
         oracles.sample_trajectory(sys, grid, 1)
-
-
-def assert_same_bits(a, b):
-    assert np.array_equal(a, b)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
 
 
 def assert_same_average(obs, ens, t):

@@ -11,7 +11,6 @@ from bornlab import (
     QuantumSystem,
     TimeGrid,
     born_table,
-    empirical_joint,
     rtn_model,
     sample_ensemble,
     surrogate_average,
@@ -62,7 +61,7 @@ class TestEmpiricalStatistics:
     def test_static_frequencies_match_weights(self):
         sys = mixed_qubit_static()
         ens = sample_ensemble(sys, TimeGrid((0.5,)), self.N, seed=13)
-        emp = empirical_joint(ens)
+        emp = oracles.empirical_joint(ens)
         sigma = 3.0 / (2.0 * np.sqrt(self.N))
         assert abs(emp.dist[1] - 0.5) <= sigma
 
@@ -71,14 +70,14 @@ class TestEmpiricalStatistics:
         sys = rabi_system()
         ens = sample_ensemble(sys, TimeGrid((t,)), self.N, seed=17)
         p = np.cos(t / 2) ** 2
-        emp = empirical_joint(ens)
+        emp = oracles.empirical_joint(ens)
         assert abs(emp.dist[1] - p) <= 3.0 * np.sqrt(p * (1 - p) / self.N)
 
     def test_single_trajectory_gives_unit_mass(self):
         sys = rabi_system()
         grid = TimeGrid((0.5, 1.0))
         ens = sample_ensemble(sys, grid, 1, seed=3)
-        emp = empirical_joint(ens)
+        emp = oracles.empirical_joint(ens)
         assert abs(emp.dist[ens.trajectories[0].indices] - 1.0) <= 1e-12
 
     def test_rabi_joint_chi_square_full_scale(self):
@@ -88,7 +87,7 @@ class TestEmpiricalStatistics:
         sys = rabi_system()
         grid = TimeGrid((np.pi / 4, np.pi / 2))
         ens = sample_ensemble(sys, grid, N, seed=23)
-        emp = empirical_joint(ens)
+        emp = oracles.empirical_joint(ens)
         exact = born_table(sys, grid)
         chi2 = 0.0
         dof = 0
@@ -110,7 +109,7 @@ class TestEmpiricalStatistics:
         sys = random_system(rng, 3)
         grid = TimeGrid((0.5, 1.1))
         ens = sample_ensemble(sys, grid, N, seed=37)
-        emp = empirical_joint(ens)
+        emp = oracles.empirical_joint(ens)
         exact = born_table(sys, grid)
         chi2 = 0.0
         dof = 0

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bornlab import spectral_decompose
 from bornlab.linalg import propagator
 from bornlab.spectral import heisenberg_projectors
 from bornlab.errors import AmbiguousClustering, DimensionMismatch
-from conftest import I2, SX, SZ, random_hermitian, random_unitary
+from conftest import I2, SX, SZ, assert_same_bits, random_hermitian, random_unitary
+import oracles
 
 
 def test_sigma_z_decomposition():
@@ -131,3 +134,53 @@ def test_a_constant_shift_keeps_the_outcomes(c):
         assert sd.multiplicities == (2, 2)
         assert np.max(np.abs(sd.eigenvalues - [c, c + 1])) <= 1e-12 * c
         assert np.max(np.abs(sd.projectors[0] - Q[:, :2] @ Q[:, :2].conj().T)) <= 1e-14 * c
+
+
+def assert_same_decomposition(F, cluster_tol):
+    """The library's decomposition is the boundary loop's, bit for bit, or the same refusal."""
+    try:
+        want = oracles.spectral_decompose(F, cluster_tol)
+    except AmbiguousClustering as exc:
+        with pytest.raises(AmbiguousClustering) as got:
+            spectral_decompose(F, cluster_tol)
+        assert str(got.value) == str(exc)
+        return
+    got = spectral_decompose(F, cluster_tol)
+    assert (got.multiplicities, got.dim, got.clustered) == (
+        want.multiplicities, want.dim, want.clustered)
+    assert type(got.clustered) is type(want.clustered)
+    for a, b in ((got.eigenvalues, want.eigenvalues), (got.projectors, want.projectors)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert_same_bits(a, b)
+
+
+# consecutive eigenvalues in a planted run differ by the jitter; around 1e-9 the runs sit
+# at the default tolerance's scale, and a run of three at 0.6·tol chains into a refusal
+JITTERS = [0.0, 1e-15, 1e-12, 6e-10, 1e-9, 2e-9, 1e-6, 1e-3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), runs=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       jitter=st.sampled_from(JITTERS), scale=st.sampled_from([1.0, 1e-3, 1e3]),
+       cluster_tol=st.sampled_from([None, 1e-12, 1e-9, 1e-6, 1e-3, 0.3]),
+       generic=st.booleans())
+@example(seed=0, runs=[3, 1], jitter=6e-10, scale=1.0, cluster_tol=1e-9, generic=False)
+@example(seed=1, runs=[2, 2, 1], jitter=1e-15, scale=1.0, cluster_tol=None, generic=False)
+def test_decomposition_equals_the_boundary_loop_bit_for_bit(seed, runs, jitter, scale,
+                                                            cluster_tol, generic):
+    rng = np.random.default_rng(seed)
+    if generic:
+        F = random_hermitian(rng, min(sum(runs), 8), scale)
+    else:  # runs of near-degenerate eigenvalues, rotated to a random basis
+        w = np.concatenate([c + jitter * np.arange(k)
+                            for c, k in zip(scale * rng.normal(size=len(runs)), runs)])[:8]
+        V = random_unitary(rng, len(w))
+        F = (V * w) @ V.conj().T
+        F = 0.5 * (F + F.conj().T)
+    assert_same_decomposition(F, cluster_tol)
+
+
+def test_a_gap_equal_to_the_tolerance_merges():
+    F = np.diag([0.0, 0.25, 1.0]).astype(complex)
+    assert spectral_decompose(F, 0.25).multiplicities == (2, 1)
+    assert_same_decomposition(F, 0.25)

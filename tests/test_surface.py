@@ -6,7 +6,9 @@ that the benchmark's tracer (``perfbench/tracing.py``) or driver
 (``perfbench/run.py``) binds. Import statements do not count as uses, so a
 name kept alive only by an import fails. The names that ``src`` binds only
 for the benchmark to find are pinned too, so each can go once the benchmark
-stops binding it.
+stops binding it. The private names each module reads from another are
+pinned as well, so a module that starts reading another's layout through its
+private names is named here before it lands.
 """
 
 import ast
@@ -25,7 +27,7 @@ PUBLIC = [
     "analyze", "check_kc", "check_cm", "check_sf", "check_bi_consistency",
     "verify_generalized_relation", "check_ncgd", "classify_block_structure",
     "verify_ncgd_cm_equivalence",
-    "sample_ensemble", "empirical_joint",
+    "sample_ensemble",
     "exact_reduced_state", "surrogate_average", "compare",
     "BornlabError", "__version__",
 ]
@@ -67,6 +69,36 @@ BENCH_ONLY = [
     "qrf.qrf_bi_probability", "qrf.qrf_born", "sampler.propagator",
     "spectral.heisenberg_projectors",
 ]
+
+
+# the private names each src module reads from another (``from .other import _name``, or
+# ``other._name`` after ``from . import other``): the places where one module knows another's
+# internals, such as the interleaved table layout that only process slices
+PRIVATE_READS = {
+    "consistency": {"process": ["_pair_diagonal", "_table"]},
+    "observer": {"sampler": ["_relabel", "_slot"]},
+    "qrf": {"consistency": ["_record", "_worst"]},
+}
+
+
+def private_reads():
+    """``{module: {other: names}}`` of the private names each src module reads from another."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1]
+        siblings = {alias.asname or alias.name: alias.name
+                    for node in relative if node.module is None for alias in node.names}
+        reads = {(node.module, alias.name) for node in relative if node.module
+                 for alias in node.names}
+        reads |= {(siblings[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings}
+        for other, name in sorted(reads):
+            if name.startswith("_") and not name.startswith("__"):
+                found.setdefault(path.stem, {}).setdefault(other, []).append(name)
+    return found
 
 
 def _uses(statements):
@@ -133,3 +165,7 @@ def test_benchmark_only_bindings_are_bound_by_the_benchmark():
     assert sorted(idle_bindings()) == sorted(BENCH_ONLY)
     bound = _bench_bound()
     assert [name for name in BENCH_ONLY if name.split(".")[1] not in bound] == []
+
+
+def test_private_reads_across_modules_are_pinned():
+    assert private_reads() == PRIVATE_READS
