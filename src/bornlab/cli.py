@@ -33,7 +33,6 @@ from .errors import (
     BornlabError,
     ConfigError,
     DimensionCap,
-    DimensionMismatch,
     SFViolation,
     TableTooLarge,
     UsageError,
@@ -326,7 +325,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"bornlab: config error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionMismatch, DimensionCap, TableTooLarge) as exc:
+    except (DimensionCap, TableTooLarge) as exc:
         print(f"bornlab: dimension/cap error: {exc}", file=sys.stderr)
         return 3
     except SFViolation as exc:

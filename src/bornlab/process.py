@@ -19,9 +19,15 @@ one pair optionally left whole, for the Born diagonal and the CM and SF checks.
 
 Every source (a :class:`QuantumSystem` here, a semigroup model in
 :mod:`bornlab.qrf`) holds in ``dynamics`` its initial state, observable and a
-Schrödinger-picture step; one kernel builds both table kinds from those, and
-the sampler's descent reuses the same step. A source caches its maps (U here,
-Λ in :mod:`bornlab.qrf`), so a command forms each once.
+Schrödinger-picture step, and a closed system also its eigenframe. One
+kernel, ``_table``, builds both table kinds by one of two routes. A closed
+system factors as Q_n(f, f_-) = tr[K_f ρ K_{f_-}†] with the prefix operators
+K_f = P(f_n)U(Δ_n)…P(f_1)U(Δ_1), so its tables come from one chain of mⁿ⁻¹
+operators K_f (``_closed_chain``). A GKLS map does not factor into left and
+right chains, so an open system's tables come from the chain of operators
+P(f)…ρ…P(f_-), one per prefix for P_n and per pair of prefixes for Q_n
+(``_operator_chain``). The sampler's descent reuses the step. A source caches
+its maps (U here, Λ in :mod:`bornlab.qrf`), so a command forms each once.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .spectral import heisenberg_projectors  # noqa: F401
 DEFAULT_TABLE_CAP = 1_000_000
 DEFAULT_JOINT_DIM_CAP = 32
 TRACE_TOL = 1e-10  # how far a table total, or a map's trace, may stray from exact
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # ndarray's limit
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -66,16 +73,30 @@ class TimeGrid:
         return TimeGrid(self.times[:n])
 
 
+class Eigenframe(NamedTuple):
+    """A closed system in F's eigenbasis W = ``F.basis``, where P(a) keeps the rows ``blocks[a]``.
+
+    ``unitary(gap)`` is W†U(gap)W, read from the source's cache, and ``rho`` is W†ρW.
+    """
+
+    unitary: Callable
+    rho: np.ndarray
+    blocks: list[slice]
+
+
 class Dynamics(NamedTuple):
     """What the table kernel and the sampler need of a source, built once with it.
 
     ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
-    the Schrödinger picture, reading the map from the source's cache.
+    the Schrödinger picture, reading the map from the source's cache. A closed
+    system also has its ``eigenframe``, and an open one None: the kernel's
+    route follows from it.
     """
 
     rho: np.ndarray
     F: SpectralDecomposition
     step: Callable
+    eigenframe: Eigenframe | None = None
 
 
 class QuantumSystem:
@@ -90,7 +111,12 @@ class QuantumSystem:
             U = cache(gap)
             return U @ X @ U.conj().T
 
-        self.dynamics = Dynamics(rho0, F, step)
+        frame, W = None, F.basis
+        if W is not None:  # a decomposition without its eigenvectors takes the operator route
+            edges = np.cumsum((0,) + F.multiplicities).tolist()
+            frame = Eigenframe(map_cache(lambda gap: W.conj().T @ cache(gap) @ W),
+                               W.conj().T @ rho0 @ W, [slice(*e) for e in zip(edges, edges[1:])])
+        self.dynamics = Dynamics(rho0, F, step, frame)
 
     @classmethod
     def from_operators(cls, H, F, rho0, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -165,21 +191,14 @@ def readout(F: SpectralDecomposition):
     return P.transpose(0, 2, 1).reshape(len(P), -1)
 
 
-def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
-    """Born (``diagonal``) or bi-probability table of any source.
+def _operator_chain(dyn, times, diagonal, skip):
+    """Any source: one operator per outcome prefix, or per pair of prefixes for Q.
 
-    Alternates the source's step with the projector sandwich
-    X ↦ P(a) X P(b) (b = a for Born) over a batch of operators, so the batch
-    holds one operator per outcome prefix. The last layer is contracted
-    straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X). A ``skip``
-    k < n − 1 passes t_{k+1} unmeasured: the table of the grid without it, by its own steps.
+    Alternates the step with the projector sandwich X ↦ P(a) X P(b) (b = a
+    for Born), so after k times the batch holds mᵏ operators for P_n and
+    (m²)ᵏ for Q_n, and contracts the last one to tr(P(a) X).
     """
-    dyn = source.dynamics
-    P, m, times = dyn.F.projectors, dyn.F.n_outcomes, grid.times
-    if skip is not None:
-        grid = TimeGrid(times[:skip] + times[skip + 1:])
-    n, what = grid.n, "Born table" if diagonal else "bi-probability table"
-    _check_cap(m ** (n if diagonal else 2 * n), cap, what)
+    P = dyn.F.projectors
     X, prev = dyn.rho[None], 0.0
     for k, t in enumerate(times[:-1]):
         X, prev = dyn.step(X, t - prev), t
@@ -187,11 +206,73 @@ def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
             left = P @ X[:, None]  # (N, m, d, d): P(a) X
             X = (left @ P if diagonal else left[:, :, None] @ P).reshape(-1, *P.shape[1:])
     X = dyn.step(X, times[-1] - prev)
-    traces = X.reshape(len(X), -1) @ readout(dyn.F).T  # (N, m)
+    return X.reshape(len(X), -1) @ readout(dyn.F).T
+
+
+def _closed_chain(dyn, times, diagonal, skip):
+    """A closed system: the operators A_f = U K_f, one per outcome prefix f.
+
+    In F's eigenbasis P(a) keeps the rows of outcome a. The batch is held as
+    (d, N, d), its N operators side by side, so a step is one GEMM per
+    outcome over the whole batch: the children by a of every prefix are
+    U[:, a] A[a], and the new outcome becomes the leading prefix digit. An
+    unmeasured time (``skip``) is one GEMM with every row. The last batch,
+    reordered to chronological (N, d, d), is contracted per last outcome a
+    as one Gram product Q(g a, g₋ a) = ⟨(A_g₋)_a, (A_g ρ)_a⟩_F, since
+    tr(P(a) X P(b)) = δ_ab tr(P(a) X); P_n is its diagonal.
+    """
+    frame, d, m = dyn.eigenframe, dyn.F.dim, dyn.F.n_outcomes
+    n = len(times) - (skip is not None)
+    A = frame.unitary(times[0])[:, None]
+    for k in range(1, len(times)):
+        U = frame.unitary(times[k] - times[k - 1])
+        parts = frame.blocks if k - 1 != skip else [slice(0, d)]
+        out = np.empty((d, len(parts), A.shape[1] * d), dtype=complex)
+        for j, s in enumerate(parts):
+            np.matmul(U[:, s], A[s].reshape(s.stop - s.start, -1), out=out[:, j])
+        A = out.reshape(d, -1, d)
+    N = A.shape[1]
+    if N > 1:  # prefix digits from latest-first to chronological
+        A = A.reshape((d,) + (m,) * (n - 1) + (d,)).transpose([*range(n - 1, 0, -1), 0, n])
+    A = A.reshape(N, d, d)
+    Y, Ac = (A.reshape(-1, d) @ frame.rho).reshape(N, d, d), A.conj()
+    if diagonal or N == 1:  # with one prefix, Q has only its diagonal last pair: P's traces
+        Y *= Ac  # (A ρ A†)_rr = Σ_c (A ρ)_rc conj(A_rc), summed by row, then by outcome
+        return np.add.reduceat(Y.sum(-1), [s.start for s in frame.blocks], axis=1)
+    gram = np.empty((m, N, N), dtype=complex)
+    for a, s in enumerate(frame.blocks):
+        np.matmul(Y[:, s].reshape(N, -1), Ac[:, s].reshape(N, -1).T, out=gram[a])
+    # (a, g_1 … g_{n-1}, g₋_1 … g₋_{n-1}) → (g_1, g₋_1, …, g_{n-1}, g₋_{n-1}, a)
+    order = [axis for k in range(1, n) for axis in (k, n - 1 + k)] + [0]
+    return gram.reshape((m,) * (2 * n - 1)).transpose(order).reshape(-1, m)
+
+
+def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
+    """Born (``diagonal``) or bi-probability table of any source.
+
+    A closed system (one with an ``eigenframe``) takes ``_closed_chain``, an
+    open one ``_operator_chain``. Either gives each last outcome's traces, so
+    the last pair of Q_n is exactly zero off its diagonal. A ``skip``
+    k < n − 1 passes t_{k+1} unmeasured: the table of the grid without it, by
+    its own steps. The entry cap and the axes an ndarray holds are checked
+    before the build, and the total against tr ρ after it.
+    """
+    dyn = source.dynamics
+    m, times = dyn.F.n_outcomes, grid.times
+    if skip is not None:
+        grid = TimeGrid(times[:skip] + times[skip + 1:])
+    n, what = grid.n, "Born table" if diagonal else "bi-probability table"
+    axes = n if diagonal else 2 * n
+    _check_cap(m ** axes, cap, what)
+    if axes > MAX_AXES:
+        raise TableTooLarge(f"{what} would need {axes} axes, more than the {MAX_AXES} "
+                            f"an ndarray has in numpy {np.__version__}")
+    chain = _operator_chain if dyn.eigenframe is None else _closed_chain
+    traces = chain(dyn, times, diagonal, skip)  # (prefix rows in C order, m)
     if diagonal:
         dist = traces.real.reshape((m,) * n)
     else:
-        dist = np.zeros((len(X), m, m), dtype=complex)
+        dist = np.zeros((len(traces), m, m), dtype=complex)
         dist[:, range(m), range(m)] = traces
         dist = dist.reshape((m, m) * n)
     total, trace = dist.sum(), np.trace(dyn.rho).real

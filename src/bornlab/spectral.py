@@ -24,7 +24,11 @@ class SpectralDecomposition(NamedTuple):
     ``eigenvalues`` is strictly increasing; ``projectors[k]`` projects onto
     the eigenspace of ``eigenvalues[k]`` with rank ``multiplicities[k]``.
     ``clustered`` is True when any outcome absorbed more than one raw
-    eigenvalue.
+    eigenvalue. The columns of ``basis`` are orthonormal eigenvectors grouped
+    by outcome: the ``multiplicities[k]`` columns of outcome k, in order, are
+    the ones ``projectors[k]`` is formed from, so a copy with new projectors
+    needs a new basis too. A decomposition built without one (None) sends a
+    closed system's tables down the operator route.
     """
 
     eigenvalues: np.ndarray
@@ -32,6 +36,7 @@ class SpectralDecomposition(NamedTuple):
     multiplicities: tuple[int, ...]
     dim: int
     clustered: bool = False
+    basis: np.ndarray | None = None
 
     @property
     def n_outcomes(self):
@@ -77,7 +82,7 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
         projs.append(block @ block.conj().T)
         mults.append(hi - lo)
     return SpectralDecomposition(np.array(values), np.array(projs), tuple(mults), len(w),
-                                 clustered=max(mults) > 1)
+                                 clustered=max(mults) > 1, basis=V)
 
 
 def heisenberg_projectors(sd, H, t):

@@ -86,6 +86,13 @@ of an observer observable X_o ⊗ 1 under the joint Hamiltonian: a joint
 ``build_parser`` is the command line's argparse parser as it was before
 ``bornlab.cli.parse_args`` read the four commands' grammar itself, kept
 verbatim.
+
+``operator_table`` is the table kernel as it was before closed systems took
+the prefix-operator chain, kept verbatim (it was ``bornlab.process._table``):
+one operator per outcome prefix, or per pair of prefixes for a
+bi-probability table, stepped by the source's Schrödinger-picture step and
+sandwiched by the projectors in the original basis. It reads no eigenframe,
+so it is the oracle of the closed-system route, ``skip`` included.
 """
 
 import argparse
@@ -106,6 +113,7 @@ from bornlab.linalg import DEFAULT_TOLERANCES, propagator, require_hermitian, ve
 from bornlab.observer import JointScenario, ObserverSystem, SurrogateAverage
 from bornlab.process import (
     DEFAULT_TABLE_CAP,
+    TRACE_TOL,
     BiProbTable,
     BornTable,
     QuantumSystem,
@@ -830,3 +838,40 @@ def build_parser():
             p.add_argument("--force", action="store_true",
                            help="simulate despite an SF violation")
     return parser
+
+
+def operator_table(source, grid: TimeGrid, cap, diagonal, skip=None):
+    """Born (``diagonal``) or bi-probability table of any source.
+
+    Alternates the source's step with the projector sandwich
+    X ↦ P(a) X P(b) (b = a for Born) over a batch of operators, so the batch
+    holds one operator per outcome prefix. The last layer is contracted
+    straight to tr(P(a) X), since tr(P(a) X P(b)) = δ_ab tr(P(a) X). A ``skip``
+    k < n − 1 passes t_{k+1} unmeasured: the table of the grid without it, by its own steps.
+    """
+    dyn = source.dynamics
+    P, m, times = dyn.F.projectors, dyn.F.n_outcomes, grid.times
+    if skip is not None:
+        grid = TimeGrid(times[:skip] + times[skip + 1:])
+    n, what = grid.n, "Born table" if diagonal else "bi-probability table"
+    _check_cap(m ** (n if diagonal else 2 * n), cap, what)
+    X, prev = dyn.rho[None], 0.0
+    for k, t in enumerate(times[:-1]):
+        X, prev = dyn.step(X, t - prev), t
+        if k != skip:
+            left = P @ X[:, None]  # (N, m, d, d): P(a) X
+            X = (left @ P if diagonal else left[:, :, None] @ P).reshape(-1, *P.shape[1:])
+    X = dyn.step(X, times[-1] - prev)
+    traces = X.reshape(len(X), -1) @ readout(dyn.F).T  # (N, m)
+    if diagonal:
+        dist = traces.real.reshape((m,) * n)
+    else:
+        dist = np.zeros((len(X), m, m), dtype=complex)
+        dist[:, range(m), range(m)] = traces
+        dist = dist.reshape((m, m) * n)
+    total, trace = dist.sum(), np.trace(dyn.rho).real
+    if not np.isfinite(total) or abs(total - trace) > TRACE_TOL:
+        raise NumericalInvariantViolation(
+            f"{what} total {total} differs from tr ρ = {trace} beyond {TRACE_TOL}"
+        )
+    return (BornTable if diagonal else BiProbTable)(grid, dyn.F.eigenvalues.copy(), dist)

@@ -301,12 +301,24 @@ DIMENSION_MISMATCHES = {
     "qrf": ("qrf", RTN_YAML.replace("F_a: [[0.5, 0], [0, -0.5]]", f"F_a: {THREE_BY_THREE}"),
             "qrf: observable dim 3 vs generator dim 2"),
 }
-# only the caps exit 3
+# F ∝ 1 (one outcome) on one time more than a Q_n the installed numpy holds: the entry cap
+# admits every order, but Q_n needs two axes per time
+ONE_OUTCOME_TIMES = [0.1 * (k + 1) for k in range(process.MAX_AXES // 2 + 1)]
+TOO_MANY_AXES = (f"bi-probability table would need {process.MAX_AXES + 2} axes, more than the "
+                 f"{process.MAX_AXES} an ndarray has in numpy {np.__version__}")
+# only the caps, and the axes an ndarray holds, exit 3
 CAP_ERRORS = {
     "caps.joint_dim": ("simulate", DEPHASING_YAML + "caps: {joint_dim: 2}\n",
                        "joint dimension 4 exceeds cap 2"),
     "caps.table_entries": ("analyze", RABI_YAML + "caps: {table_entries: 2}\n",
                            "bi-probability table would hold 4 entries, exceeding the cap of 2"),
+    "axes-unitary": ("analyze", RABI_YAML.replace("F: [[1, 0], [0, -1]]", "F: [[0.5, 0], [0, 0.5]]")
+                     .replace("main: [0.7853981633974483, 1.5707963267948966]",
+                              f"main: {ONE_OUTCOME_TIMES}")
+                     .replace("n_max: 2", f"n_max: {len(ONE_OUTCOME_TIMES)}"), TOO_MANY_AXES),
+    "axes-qrf": ("qrf", RTN_YAML.replace("F_a: [[0.5, 0], [0, -0.5]]", "F_a: [[0.5, 0], [0, 0.5]]")
+                 .replace("main: [0.4, 1.1, 1.9]", f"main: {ONE_OUTCOME_TIMES}")
+                 .replace("n_max: 3", f"n_max: {len(ONE_OUTCOME_TIMES)}"), TOO_MANY_AXES),
 }
 
 

@@ -32,23 +32,23 @@ from conftest import perfbench_generator
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
-    ("analyze", "rabi"): "3df2ee53d6afce925e6a66a3b66255dac33fd262f8ec90660ca2c33cbbede5f5",
-    ("analyze", "quasistatic"): "cb7586ab90cf9fbc726fa0507aad6424bdc39aabb8a00d8b8f356461a4c1e0d8",
+    ("analyze", "rabi"): "6bdc0c87e17f76e18938ab1371ccd7f377713b5c004bf5cdd0a45b6f34d0210b",
+    ("analyze", "quasistatic"): "04e3d04512f6dcadcd53232998c28d0472266e6aa39ab2eb88fa393cc57c0339",
     ("analyze", "rtn"): "3c8347cebfe977cd7b4ccbd613de0ddaa2b33413e3f13b12ec846b38f5763e15",
     ("analyze", "rotation"): "1ea8bcebc8456a135e827552c5b2cf258996f2625aabe929f732d325779e34c2",
     ("analyze", "dephasing"): "69cd33c12837646f1446d7a0ddd256459ff5d156b06b3753ba26f7f532b91990",
-    ("analyze", "rabi_joint"): "3d7b482edfd0b71ca9b265d46a906a9fb76e20a5762945e50fbf9beb953873bb",
+    ("analyze", "rabi_joint"): "f62c0239eb3853cbb2725244a29fcba9f6a69d53c0e0ea6bc14105edb368d804",
     ("qrf", "rtn"): "797e1638a1e005809327d319794454f6e5b76ba54af93fb58d922a4defc241d5",
     ("qrf", "rotation"): "1b762159345de04ad820d524d5c6baf70d59f37f358a8cbb6be4b56d9a6a9759",
     ("simulate", "dephasing"): "0c78a5388c86d25bb8f2fd3d41dfd3af0f1c3c285ca2349fccc670b5ac8e69f1",
-    ("simulate", "rabi_joint"): "7083d4e350ece9a76fa8bab39f1279c5f99a1b88e27c483350769bc7a4506f05",
+    ("simulate", "rabi_joint"): "6029f46821c2a2317c6191fb190b8b5969c163ca46ba67bcb2807f92466a473a",
 }
 
 # simulate refuses a config whose observable fails the SF condition unless forced
 FLAGS = {("simulate", "rabi_joint"): ["--force"]}
 
 TRUNCATED_DIGESTS = {
-    "quasistatic": "e271498233c05d895631bb9edc5d46f8c88c8f3cfdfdb8458d181cdb757e2f36",
+    "quasistatic": "b07bdbd464b65bb671742c430041578efb34229515c9631fd70b82b3aa84321b",
     "rtn": "d70491d44fc543a8ce5238bde3344b9849627bbcdc7d0ea37e9717dd76aca2f7",
 }
 
@@ -83,7 +83,7 @@ def test_truncated_report_bytes_are_pinned(name, tmp_path):
 
 # perfbench/generate.py configs of seed 1, run with --force: name -> digest of the simulate report
 GENERATED_DIGESTS = {
-    "wide": "ac8dd05a0b4cf8612ab39d2a64be437de027d18faa38dc7f61ec65eca2a0c566",
+    "wide": "93f1371a3a3b6c246ad2f0b25cd339ad0e85f33a8485c20b29106d56641f7724",
 }
 
 

@@ -1,5 +1,10 @@
 """The shared table kernel against the independent per-source oracles, on fixed and drawn sources."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +23,10 @@ from bornlab import (
 )
 from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
+from bornlab.process import DEFAULT_TABLE_CAP, MAX_AXES, _table
 from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
-from conftest import rabi_system, random_density, random_grid, random_hermitian, random_unitary
+from conftest import (ROOT, SX, rabi_system, random_density, random_grid, random_hermitian,
+                      random_unitary)
 import oracles
 
 GRID3 = TimeGrid((0.3, 0.8, 1.7))
@@ -206,3 +213,112 @@ def test_semigroup_returns_the_generators_shared_read_only_map():
         L[0, 0] = 1.0
     sys = rabi_system()
     np.testing.assert_array_equal(sys.propagator(0.3), propagator(sys.H, 0.3))
+
+
+def closed_case(seed, d, m, pure, n):
+    """A closed system whose F has m distinct eigenvalues, each at least once among its d, and
+    a pure or full-rank state, with an n-time grid, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.arange(m), rng.integers(0, m, size=d - m)]).astype(float)
+    if pure:
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    else:
+        rho = random_density(rng, d)
+    sys = QuantumSystem.from_operators(random_hermitian(rng, d), _degenerate_F(rng, values), rho)
+    return sys, random_grid(rng, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), pure=st.booleans(), data=st.data())
+def test_the_closed_route_matches_the_operator_route(seed, d, pure, data):
+    """Prefix-operator chain against the operator chain it replaced, for every deletion.
+
+    m runs over 1…d, so F is rank-1 (m = d) or degenerate; n runs over 1–4 while the
+    oracle's (m²)ⁿ operator batch stays small (m^{2n} ≤ 4096).
+    """
+    m = data.draw(st.integers(1, d), label="m")
+    n = data.draw(st.integers(1, max(n for n in range(1, 5) if m ** (2 * n) <= 4096)), label="n")
+    sys, grid = closed_case(seed, d, m, pure, n)
+    assert sys.F.n_outcomes == m and sys.dynamics.eigenframe is not None
+    for skip in [None, *range(n - 1)]:
+        born, bip = (_table(sys, grid, DEFAULT_TABLE_CAP, diagonal, skip)
+                     for diagonal in (True, False))
+        for table, diagonal in ((born, True), (bip, False)):
+            expected = oracles.operator_table(sys, grid, DEFAULT_TABLE_CAP, diagonal, skip)
+            assert table.grid.times == expected.grid.times
+            assert table.dist.shape == expected.dist.shape
+            assert table.dist.dtype == expected.dist.dtype
+            assert np.max(np.abs(table.dist - expected.dist)) <= 1e-12
+        last_pair = bip.dist.reshape(-1, m, m)
+        assert np.all(last_pair[:, ~np.eye(m, dtype=bool)] == 0)
+        assert np.max(np.abs(bip.diagonal().dist - born.dist)) <= 1e-12
+
+
+def test_open_sources_keep_the_operator_route():
+    for factory in (rtn, gkls_3level):
+        model, grid = factory(np.random.default_rng(3))
+        assert model.dynamics.eigenframe is None
+        for diagonal in (True, False):
+            table = _table(model, grid, DEFAULT_TABLE_CAP, diagonal)
+            expected = oracles.operator_table(model, grid, DEFAULT_TABLE_CAP, diagonal)
+            np.testing.assert_array_equal(table.dist, expected.dist)
+
+
+def test_a_decomposition_without_its_eigenvectors_takes_the_operator_route():
+    """A hand-built F that sets no ``basis`` keeps working, through the operator chain."""
+    sys, grid = closed_case(5, 4, 2, False, 3)
+    bare = QuantumSystem(sys.H, oracles.spectral_decompose(sys.F.observable()), sys.rho0)
+    assert bare.F.basis is None and bare.dynamics.eigenframe is None
+    for diagonal in (True, False):
+        table = _table(bare, grid, DEFAULT_TABLE_CAP, diagonal)
+        np.testing.assert_array_equal(
+            table.dist, oracles.operator_table(bare, grid, DEFAULT_TABLE_CAP, diagonal).dist)
+        closed = _table(sys, grid, DEFAULT_TABLE_CAP, diagonal)
+        assert np.max(np.abs(table.dist - closed.dist)) <= 1e-12
+
+
+@pytest.mark.parametrize("semigroup", [False, True], ids=["unitary", "semigroup"])
+def test_a_table_with_more_axes_than_numpy_holds_is_refused(semigroup):
+    """F ∝ 1 has one outcome, so the entry cap admits any order; P_n needs n axes and Q_n 2n."""
+    if semigroup:
+        source = QRFModel(rtn_model(0.7, np.eye(2) / 2).generator, spectral_decompose(np.eye(2)),
+                          np.eye(2) / 2)
+    else:
+        source = QuantumSystem.from_operators(0.5 * SX, np.eye(2), np.eye(2) / 2)
+    for build, axes_per_time in ((biprob_table, 2), (born_table, 1)):
+        times = tuple(0.1 * (k + 1) for k in range(MAX_AXES // axes_per_time + 1))
+        assert build(source, TimeGrid(times[:-1])).dist.ndim == MAX_AXES
+        with pytest.raises(TableTooLarge, match=f"would need {MAX_AXES + axes_per_time} axes"):
+            build(source, TimeGrid(times))
+
+
+# d = 32, m = 2, n = 9: the operator route's last bi-probability layer held 4⁸·4 operators of
+# 32×32 (1 GiB); the prefix-operator chain holds 2⁸ of them beside the 4⁹-entry table
+MEMORY_PIN = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from bornlab.cli import main
+sys.exit(main(["analyze", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_analyze_of_a_d32_m2_n9_unitary_config_runs_in_1_5_GB(tmp_path):
+    rng = np.random.default_rng(32)
+    A = rng.normal(size=(32, 32))
+    config = {"schema": 1, "kind": "unitary",
+              "system": {"H": (0.5 * (A + A.T)).tolist(),
+                         "F": np.diag([1.0] * 16 + [-1.0] * 16).tolist(),
+                         "rho": np.diag([1.0] + [0.0] * 31).tolist()},
+              "grids": {"main": [0.1 * (k + 1) for k in range(9)]}, "n_max": 9}
+    path, out = tmp_path / "d32.json", tmp_path / "d32.analyze.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    # one BLAS thread, so the limit bounds the kernel's working set, not the host's core count
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    limit = 3 * 2**29  # 1.5 GiB of address space
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PIN, str(limit), str(path), str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["analyses"][-1]["n"] == 9
