@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import consistency, reporting, sampler
-from .config import ScenarioConfig, load_config, require_integer
+from .config import COMMANDS, ScenarioConfig, load_config, require_integer
 from .errors import (
     BornlabError,
     ConfigError,
@@ -213,10 +213,7 @@ def _default_out(config_path, command):
 # the usage block, printed before a usage error; -h prints the options after it too
 # (python -OO strips the docstring: the command line is then read the same, without the text)
 USAGE, OPTIONS = __doc__.split("\n\n")[1:3] if __doc__ else ("", "")
-# each command's options besides -h and --help; a command samples if and only if it takes
-# --seed (what each command needs of its config is config._COMMANDS)
-COMMANDS = {"analyze": ("--out",), "qrf": ("--out",), "sample": ("--out", "--seed"),
-            "simulate": ("--out", "--seed", "--force")}
+# every command takes these; its other options, and the kind it needs, are config.COMMANDS
 HELP = ("-h", "--help")
 # argparse's test for a negative number: a token that passes it is a value, not an option
 _NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
@@ -261,7 +258,7 @@ def parse_args(argv):
             if command is None:
                 if token not in COMMANDS:
                     raise UsageError(f"unknown command {token!r}")
-                command, known = token, (*HELP, *COMMANDS[token])
+                command, known = token, (*HELP, *COMMANDS[token][0])
             elif config is None:
                 config = token
             else:
@@ -310,7 +307,7 @@ def main(argv=None):
             raise UsageError("--out needs a non-empty path")
         out = out or _default_out(config, command)
         cfg = load_config(config, command)
-        if "--seed" in COMMANDS[command]:
+        if "--seed" in COMMANDS[command][0]:
             seed = cfg.sampling.seed if seed is None else require_integer(seed, "--seed", minimum=0)
         if command == "analyze":
             return cmd_analyze(cfg, out)

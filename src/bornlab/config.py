@@ -6,12 +6,13 @@ im]`` arrays; grids are named lists of strictly increasing positive times.
 The schema is documented in the README.
 
 ``_SECTIONS`` gives the keys of each mapping section, ``_KINDS`` the
-model sections each kind reads, and ``_COMMANDS`` the kind each command
-needs and whether it samples. A config is refused if it holds a section
-its kind does not read, a section that is not a mapping or a key of neither
-table; a ``null`` section reads as absent. A config loaded for a command is
-refused if it is of another kind than the command needs, or lacks the
-``sampling`` section of a command that samples, before its model is built.
+model sections each kind reads, and ``COMMANDS`` each command's options,
+which the command line reads too, and the kind it needs. A config is
+refused if it holds a section its kind does not read, a section that is not
+a mapping or a key of neither table; a ``null`` section reads as absent. A
+config loaded for a command is refused if it is of another kind than the
+command needs, or lacks the ``sampling`` section of a command that takes
+``--seed``, before its model is built.
 
 A config whose first non-blank character is ``{`` is JSON, read by ``json.loads``; any
 other is read by ``_read_yaml``, which reads the part of YAML that configs use, as
@@ -73,9 +74,10 @@ _KINDS = {
     "joint": {"system": True, "observer": True, "simulate": False},
     "qrf": {"qrf": True},
 }
-# the kind each command needs (None: any kind), and whether it samples, so needs a sampling section
-_COMMANDS = {"analyze": (None, False), "qrf": ("qrf", False),
-             "sample": (None, True), "simulate": ("joint", True)}
+# each command's options besides -h and --help, and the kind it needs (None: any kind)
+COMMANDS = {"analyze": (("--out",), None), "qrf": (("--out",), "qrf"),
+            "sample": (("--out", "--seed"), None),
+            "simulate": (("--out", "--seed", "--force"), "joint")}
 
 
 def parse_complex(value, where):
@@ -504,10 +506,10 @@ def load_config(path, command=None) -> ScenarioConfig:
         for k, v in _section(data, "tolerances").items()})
 
     if command is not None:
-        needs, samples = _COMMANDS[command]
+        options, needs = COMMANDS[command]
         if needs is not None and kind != needs:
             raise ConfigError(f"the {command} command needs {needs!r}, got {kind!r}", "kind")
-        if samples and sampling is None:
+        if "--seed" in options and sampling is None:
             raise ConfigError(f"{command} requires a sampling section", "sampling")
 
     return ScenarioConfig(

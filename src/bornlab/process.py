@@ -19,7 +19,7 @@ one pair optionally left whole, for the Born diagonal and the CM and SF checks.
 
 Every source (a :class:`QuantumSystem` here, a semigroup model in
 :mod:`bornlab.qrf`) holds in ``dynamics`` its initial state, observable and a
-Schrödinger-picture step, and a closed system also its eigenframe. One
+Schrödinger-picture step, and every QuantumSystem also its eigenframe. One
 kernel, ``_table``, builds both table kinds by one of two routes. A closed
 system factors as Q_n(f, f_-) = tr[K_f ρ K_{f_-}†] with the prefix operators
 K_f = P(f_n)U(Δ_n)…P(f_1)U(Δ_1), so its tables come from one chain of mⁿ⁻¹
@@ -88,9 +88,9 @@ class Dynamics(NamedTuple):
     """What the table kernel and the sampler need of a source, built once with it.
 
     ``step(X, gap)`` evolves a stack of operators X (..., d, d) by ``gap`` in
-    the Schrödinger picture, reading the map from the source's cache. A closed
-    system also has its ``eigenframe``, and an open one None: the kernel's
-    route follows from it.
+    the Schrödinger picture, reading the map from the source's cache. A
+    QuantumSystem also has its ``eigenframe``, and a GKLS source None: the
+    kernel's route follows from it.
     """
 
     rho: np.ndarray
@@ -111,11 +111,9 @@ class QuantumSystem:
             U = cache(gap)
             return U @ X @ U.conj().T
 
-        frame, W = None, F.basis
-        if W is not None:  # a decomposition without its eigenvectors takes the operator route
-            edges = np.cumsum((0,) + F.multiplicities).tolist()
-            frame = Eigenframe(map_cache(lambda gap: W.conj().T @ cache(gap) @ W),
-                               W.conj().T @ rho0 @ W, [slice(*e) for e in zip(edges, edges[1:])])
+        W, edges = F.basis, np.cumsum((0,) + F.multiplicities).tolist()
+        frame = Eigenframe(map_cache(lambda gap: W.conj().T @ cache(gap) @ W),
+                           W.conj().T @ rho0 @ W, [slice(*e) for e in zip(edges, edges[1:])])
         self.dynamics = Dynamics(rho0, F, step, frame)
 
     @classmethod
@@ -250,12 +248,12 @@ def _closed_chain(dyn, times, diagonal, skip):
 def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     """Born (``diagonal``) or bi-probability table of any source.
 
-    A closed system (one with an ``eigenframe``) takes ``_closed_chain``, an
-    open one ``_operator_chain``. Either gives each last outcome's traces, so
-    the last pair of Q_n is exactly zero off its diagonal. A ``skip``
-    k < n − 1 passes t_{k+1} unmeasured: the table of the grid without it, by
-    its own steps. The entry cap and the axes an ndarray holds are checked
-    before the build, and the total against tr ρ after it.
+    A QuantumSystem, whose dynamics always has an ``eigenframe``, takes
+    ``_closed_chain``, and a GKLS source ``_operator_chain``. Either gives each
+    last outcome's traces, so the last pair of Q_n is exactly zero off its
+    diagonal. A ``skip`` k < n − 1 passes t_{k+1} unmeasured: the table of the
+    grid without it, by its own steps. The entry cap and the axes an ndarray
+    holds are checked before the build, and the total against tr ρ after it.
     """
     dyn = source.dynamics
     m, times = dyn.F.n_outcomes, grid.times

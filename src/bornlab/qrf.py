@@ -148,12 +148,12 @@ def _trace_preserving_map(matrix, dim, tau):
 
 
 class GKLSGenerator:
-    """ℒ_total = −i[H_a, ·] + μ² ℒ with ℒ in GKLS form."""
+    """ℒ_total = −i[H_a, ·] + μ² ℒ with ℒ in GKLS form; its dimension is ``total.dim``."""
 
-    def __init__(self, dim, total: Superoperator):
-        self.dim, self.total = dim, total
+    def __init__(self, total: Superoperator):
+        self.total = total
         # Λ(τ) = exp(τ ℒ_total), formed and checked once per τ for every table, descent and check
-        self.semigroup = map_cache(lambda tau: _trace_preserving_map(total.matrix, dim, tau))
+        self.semigroup = map_cache(lambda tau: _trace_preserving_map(total.matrix, total.dim, tau))
 
 
 def _validate_generator(matrix, dim):
@@ -226,7 +226,7 @@ def build_gkls(H_a, G_a, rates, mu=1.0, cluster_tol=None,
     if not np.isfinite(total).all():
         raise NonFinite("the generator formed from the rates and mu is not finite")
     _validate_generator(total, d)
-    return GKLSGenerator(dim=d, total=Superoperator(d, total))
+    return GKLSGenerator(Superoperator(d, total))
 
 
 def generator_from_matrix(matrix):
@@ -237,17 +237,17 @@ def generator_from_matrix(matrix):
     if M.shape != (d2, d2) or d * d != d2:
         raise DimensionMismatch(f"generator matrix must be d²×d², got {M.shape}")
     _validate_generator(M, d)
-    return GKLSGenerator(dim=d, total=Superoperator(d, M))
+    return GKLSGenerator(Superoperator(d, M))
 
 
 class QRFModel:
     """Semigroup generator + measured observable + initial state."""
 
     def __init__(self, generator: GKLSGenerator, F_a: SpectralDecomposition, rho_a):
-        if F_a.dim != generator.dim:
-            raise DimensionMismatch(f"observable dim {F_a.dim} vs generator dim {generator.dim}")
+        d = generator.total.dim
+        if F_a.dim != d:
+            raise DimensionMismatch(f"observable dim {F_a.dim} vs generator dim {d}")
         self.generator, self.F_a, self.rho_a = generator, F_a, rho_a
-        d = generator.dim
         perm = np.arange(d * d).reshape(d, d).T.ravel()  # row-major ↔ column-stacking
 
         def step(X, gap):
@@ -259,7 +259,7 @@ class QRFModel:
 
     @property
     def dim(self):
-        return self.generator.dim
+        return self.generator.total.dim
 
 
 def semigroup(model: QRFModel, tau):

@@ -26,17 +26,16 @@ class SpectralDecomposition(NamedTuple):
     ``clustered`` is True when any outcome absorbed more than one raw
     eigenvalue. The columns of ``basis`` are orthonormal eigenvectors grouped
     by outcome: the ``multiplicities[k]`` columns of outcome k, in order, are
-    the ones ``projectors[k]`` is formed from, so a copy with new projectors
-    needs a new basis too. A decomposition built without one (None) sends a
-    closed system's tables down the operator route.
+    the ones ``projectors[k]`` is formed from. A closed system builds its
+    tables in this basis, so a copy with new projectors needs a new basis too.
     """
 
     eigenvalues: np.ndarray
     projectors: np.ndarray
     multiplicities: tuple[int, ...]
     dim: int
-    clustered: bool = False
-    basis: np.ndarray | None = None
+    clustered: bool
+    basis: np.ndarray
 
     @property
     def n_outcomes(self):

@@ -54,8 +54,9 @@ sliced it, kept verbatim: it writes its own einsum subscripts over the
 interleaved table, and ``verify_generalized_relation`` here reads it.
 
 ``spectral_decompose`` is the decomposition as it was before it cut its
-clusters with ``np.diff``, kept verbatim: a Python loop over consecutive gaps
-collects the boundaries. ``empirical_joint`` is the frequency table of an
+clusters with ``np.diff``, kept verbatim but for the ``basis`` that every
+decomposition now carries: a Python loop over consecutive gaps collects the
+boundaries. ``empirical_joint`` is the frequency table of an
 ensemble's outcome tuples that the library offered before, kept verbatim; the
 sampler's statistical tests read it.
 
@@ -91,8 +92,9 @@ verbatim.
 the prefix-operator chain, kept verbatim (it was ``bornlab.process._table``):
 one operator per outcome prefix, or per pair of prefixes for a
 bi-probability table, stepped by the source's Schrödinger-picture step and
-sandwiched by the projectors in the original basis. It reads no eigenframe,
-so it is the oracle of the closed-system route, ``skip`` included.
+sandwiched by the projectors in the original basis. The library keeps that
+route for GKLS sources only; every ``QuantumSystem`` takes the closed route,
+and this kernel, which reads no eigenframe, is its oracle, ``skip`` included.
 """
 
 import argparse
@@ -740,6 +742,7 @@ def spectral_decompose(F, cluster_tol=None, hermiticity_tol=DEFAULT_TOLERANCES.h
         multiplicities=tuple(mults),
         dim=d,
         clustered=clustered,
+        basis=V,
     )
 
 def unvec(v, dim):

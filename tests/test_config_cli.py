@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bornlab import cli, config, consistency, process, qrf
+from bornlab import config, consistency, process, qrf
 from bornlab.cli import main
 from bornlab.config import load_config, parse_complex, parse_matrix
 from bornlab.errors import ConfigError
@@ -811,10 +811,23 @@ class TestQrfCommand:
         load_config(CONFIGS / "rtn.yaml")
         assert len(calls) == 1
 
-    def test_a_command_samples_if_and_only_if_it_takes_a_seed(self):
-        assert cli.COMMANDS.keys() == config._COMMANDS.keys()
-        assert {command for command, options in cli.COMMANDS.items() if "--seed" in options} == {
-            command for command, (_, samples) in config._COMMANDS.items() if samples}
+    def test_a_command_samples_if_and_only_if_it_takes_a_seed(self, tmp_path):
+        # a config of the kind each command needs (None: any kind), with no sampling section
+        unsampled = {None: RABI_YAML.replace("sampling: {N: 200, seed: 7}\n", ""),
+                     "joint": JOINT_WITHOUT_SAMPLING,
+                     "qrf": RTN_YAML.replace("sampling:\n  N: 20000\n  seed: 20260801\n", "")}
+        assert not any("sampling" in text for text in unsampled.values())
+        sampling = set()
+        for command, (options, kind) in config.COMMANDS.items():
+            path = write(tmp_path, unsampled[kind], f"{command}.yaml")
+            if "--seed" in options:
+                sampling.add(command)
+                refusal = f"^sampling: {command} requires a sampling section$"
+                with pytest.raises(ConfigError, match=refusal):
+                    load_config(path, command)
+            else:
+                assert load_config(path, command).sampling is None
+        assert sampling == {"sample", "simulate"}
 
     def test_raw_generator_config(self, tmp_path):
         text = """

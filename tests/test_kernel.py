@@ -25,6 +25,7 @@ from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
 from bornlab.process import DEFAULT_TABLE_CAP, MAX_AXES, _table
 from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
+from bornlab.spectral import SpectralDecomposition
 from conftest import (ROOT, SX, rabi_system, random_density, random_grid, random_hermitian,
                       random_unitary)
 import oracles
@@ -265,17 +266,11 @@ def test_open_sources_keep_the_operator_route():
             np.testing.assert_array_equal(table.dist, expected.dist)
 
 
-def test_a_decomposition_without_its_eigenvectors_takes_the_operator_route():
-    """A hand-built F that sets no ``basis`` keeps working, through the operator chain."""
-    sys, grid = closed_case(5, 4, 2, False, 3)
-    bare = QuantumSystem(sys.H, oracles.spectral_decompose(sys.F.observable()), sys.rho0)
-    assert bare.F.basis is None and bare.dynamics.eigenframe is None
-    for diagonal in (True, False):
-        table = _table(bare, grid, DEFAULT_TABLE_CAP, diagonal)
-        np.testing.assert_array_equal(
-            table.dist, oracles.operator_table(bare, grid, DEFAULT_TABLE_CAP, diagonal).dist)
-        closed = _table(sys, grid, DEFAULT_TABLE_CAP, diagonal)
-        assert np.max(np.abs(table.dist - closed.dist)) <= 1e-12
+def test_a_decomposition_without_its_eigenvectors_is_refused():
+    """Every closed system builds its tables in F's eigenbasis, so a decomposition needs one."""
+    sd = spectral_decompose(np.diag([0.0, 1.0]))
+    with pytest.raises(TypeError, match="basis"):
+        SpectralDecomposition(*sd[:-1])
 
 
 @pytest.mark.parametrize("semigroup", [False, True], ids=["unitary", "semigroup"])

@@ -256,7 +256,7 @@ class TestSemigroup:
         # ℒ = c·vec(E_00) vec(E_10)ᵀ moves tr X by τ·c·X_10: vec(1)ᵀΛ(τ) is off by τc
         matrix = np.zeros((4, 4), dtype=complex)
         matrix[0, 1] = coupling
-        generator = qrf.GKLSGenerator(2, Superoperator(2, matrix))
+        generator = qrf.GKLSGenerator(Superoperator(2, matrix))
         if refused:
             with pytest.raises(NumericalInvariantViolation, match=re.escape("at τ = 0.5: ")):
                 generator.semigroup(0.5)
@@ -537,7 +537,7 @@ def drawn_block_model(seed, d, m, rotated, structure):
                 cut += K[f, f] @ L @ K[a, b]
             if structure in ("upper", "both"):
                 cut += K[a, b] @ L @ K[f, f]
-    generator = GKLSGenerator(dim=d, total=Superoperator(d, L - cut))
+    generator = GKLSGenerator(Superoperator(d, L - cut))
     return QRFModel(generator=generator, F_a=F_a, rho_a=random_density(rng, d))
 
 

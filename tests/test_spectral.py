@@ -149,7 +149,8 @@ def assert_same_decomposition(F, cluster_tol):
     assert (got.multiplicities, got.dim, got.clustered) == (
         want.multiplicities, want.dim, want.clustered)
     assert type(got.clustered) is type(want.clustered)
-    for a, b in ((got.eigenvalues, want.eigenvalues), (got.projectors, want.projectors)):
+    for a, b in ((got.eigenvalues, want.eigenvalues), (got.projectors, want.projectors),
+                 (got.basis, want.basis)):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert_same_bits(a, b)
 
