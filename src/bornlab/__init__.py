@@ -21,7 +21,8 @@ _HOME = {
     "QRFModel": "qrf", "build_gkls": "qrf", "rtn_model": "qrf", "check_ncgd": "qrf",
     "classify_block_structure": "qrf", "verify_ncgd_cm_equivalence": "qrf",
     "ObserverSystem": "observer", "JointScenario": "observer",
-    "exact_reduced_state": "observer", "surrogate_average": "observer", "compare": "observer",
+    "exact_reduced_state": "observer", "surrogate_average": "observer",
+    "surrogate_averages": "observer", "compare": "observer",
     "analyze": "consistency", "check_kc": "consistency", "check_cm": "consistency",
     "check_sf": "consistency", "check_bi_consistency": "consistency",
     "verify_generalized_relation": "consistency",

@@ -100,9 +100,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed, force):
 
     ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, seed)
     comparisons = []
-    for t in probe_times:
+    for t, avg in zip(probe_times, observer.surrogate_averages(js.obs, ens, probe_times)):
         exact = observer.exact_reduced_state(js, t)
-        avg = observer.surrogate_average(js.obs, ens, t)
         cmp_ = observer.compare(exact, avg)
         comparisons.append({"t": t, "exact": exact, "mc_mean": avg.mean, "mc_stderr": avg.stderr,
                             "trace_distance": cmp_.trace_distance,

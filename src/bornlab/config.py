@@ -53,8 +53,11 @@ _LINE = re.compile(r"^( *)(?:(-) +)?([^ #\n].*)", re.M)
 _LITERALS = {"true": True, "false": False, "null": None}
 # the words YAML 1.1 reads as booleans or null in some capitalisation
 _RESERVED = {"yes", "no", "on", "off", *_LITERALS}
-# characters PyYAML's reader refuses, or reads as a line break or byte-order mark, and the tab
-_UNREAD = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f\u2028\u2029\ufeff\ufffe\uffff]")
+# characters PyYAML's reader refuses, or reads as a line break or byte-order mark, and the tab:
+# the Latin-1 ones as a class, the others found by str.find, since a class spanning them costs
+# a 64K-entry charset to compile at every start
+_UNREAD = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
+_UNREAD_WIDE = "\u2028\u2029\ufeff\ufffe\uffff"
 
 # the keys of each mapping section; a config holds only these sections and the fields below
 _SECTIONS = {
@@ -363,8 +366,10 @@ def _read_yaml(text):
     CRLF line end reads as LF."""
     text = text.replace("\r\n", "\n")
     try:
-        if unread := _UNREAD.search(text):
-            raise _Refused(unread.start(), f"cannot read the character {unread[0]!r}")
+        wide = min((i for i in map(text.find, _UNREAD_WIDE) if i >= 0), default=len(text))
+        at = unread.start() if (unread := _UNREAD.search(text, 0, wide)) else wide
+        if at < len(text):
+            raise _Refused(at, f"cannot read the character {text[at]!r}")
         lines = [(len(line[1]), bool(line[2]), line.end(1), _tokens(text, line.start(3), line.end()))
                  for line in _LINE.finditer(text)]
         if not lines:

@@ -89,10 +89,20 @@ def require_density(rho, tol=DEFAULT_TOLERANCES.density, name="density matrix"):
     return M
 
 
+def hermitian_eigh(H):
+    """Eigenvalues and eigenvectors ``(w, V)`` of the Hermitian part of H."""
+    return np.linalg.eigh(0.5 * (H + H.conj().T))
+
+
+def evolve(eig, t):
+    """Unitary exp(-i t H) (hbar = 1) from ``eig = hermitian_eigh(H)``."""
+    w, V = eig
+    return (V * np.exp(-1j * t * w)) @ V.conj().T
+
+
 def propagator(H, t):
     """Unitary exp(-i t H) (hbar = 1) of the Hermitian part of H."""
-    w, V = np.linalg.eigh(0.5 * (H + H.conj().T))
-    return (V * np.exp(-1j * t * w)) @ V.conj().T
+    return evolve(hermitian_eigh(H), t)
 
 
 MAP_CACHE_SIZE = 256  # maps a source keeps, so a sweep over many times stays bounded

@@ -8,12 +8,16 @@ perturbative series. When the observable admits a surrogate field, the
 same reduced state is reproduced by averaging the propagation under the
 stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
 each piecewise-constant segment contributes one exact matrix exponential.
-The average walks the outcome prefixes on [0, t] level by level, as the
-sampler's descent does: each distinct prefix of each level is propagated by
-one product from its parent, for every trajectory that shares it, and its
-state's deviation from the mean is formed once. Only the gathers to
-trajectory order are of size N: the working set peaks at about
-N·d_o²·16 bytes, and at most 1.5 times that.
+The averages at all probe times of a run come from one walk over the outcome
+prefixes, level by level, as the sampler's descent does: each distinct
+prefix of each level is propagated by one product from its parent, for every
+trajectory that shares it; each probe time in a level's slot extends the
+parents' propagators by its partial segment, forms U_o(t) once and each
+state's deviation from the mean once per distinct prefix. The outcome
+Hamiltonians H_o + λ a G_o are diagonalized once per walk. Only the gathers
+to trajectory order are of size N: for P distinct prefixes at the last level
+the working set peaks at about N·(d_o²·16 + 8) + 4·P·d_o²·16 bytes (README
+gives the bound).
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_complex_matrix,
+    evolve,
+    hermitian_eigh,
     partial_trace,
     propagator,
     require_density,
@@ -92,32 +98,58 @@ class SurrogateAverage(NamedTuple):
 
 
 def surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
-    """(1/N) Σ_j V_j ρ_o V_j† with standard errors, V_j = U_o(t)† W_j(t).
+    """The surrogate average at one time: ``surrogate_averages(obs, ens, [t])[0]``."""
+    return surrogate_averages(obs, ens, [t])[0]
+
+
+def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
+    """(1/N) Σ_j V_j ρ_o V_j† with standard errors at each time t, V_j = U_o(t)† W_j(t).
 
     W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
     each piecewise-constant segment of trajectory j on [0, t] contributes one
     exact matrix exponential, left-multiplied in time order. It depends only
     on the outcomes up to the grid slot in force at t, so the outcome prefixes
-    are walked level by level, as the descent numbers them: each distinct
-    prefix extends its parent's propagator by one product, each segment's
-    exponentials are formed once per outcome value, and U_o(t) once. The mean
-    and the complex per-entry sample variance are reduced over the trajectory
+    are walked once, level by level, as the descent numbers them: each
+    distinct prefix extends its parent's propagator by one product, and each
+    time in a level's slot takes its partial segment from the parents. The
+    outcome Hamiltonians are diagonalized once, each segment's exponentials
+    are formed once per outcome value, and U_o(t) once per time. The mean and
+    the complex per-entry sample variance are reduced over the trajectory
     index order, in sequence along axis 0 (deterministic for fixed N); each
     deviation is formed once per distinct prefix and gathered to that order.
+    Returns one ``SurrogateAverage`` per time, in the order of ``times``.
     """
-    k, m = _slot(ens.grid, t), len(ens.eigenvalues)
-    bounds = [0.0, *ens.grid.times[1:k + 1], t]
+    slots = [_slot(ens.grid, t) for t in times]
+    out = [None] * len(slots)
+    if not slots:
+        return out
+    m = len(ens.eigenvalues)
+    eigs = [hermitian_eigh(obs.H_o + obs.coupling * value * obs.G_o)
+            for value in ens.eigenvalues.tolist()]
     W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (1, obs.dim, obs.dim))
     rank = np.zeros(ens.size, dtype=np.intp)
-    for col in range(k + 1):
+    start, last = 0.0, max(slots)
+    for col in range(last + 1):
         pairs, rank = _relabel(rank * m + ens.indices[:, col], len(W) * m)
         parent, outcome = np.divmod(pairs, m)
         W = W[parent]
-        duration = bounds[col + 1] - bounds[col]
-        if duration > 0:
-            steps = np.array([propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
-                              for value in ens.eigenvalues.tolist()])
-            W = steps[outcome] @ W
+        for i in (i for i, k in enumerate(slots) if k == col):
+            out[i] = _average(obs, ens, times[i], _extend(W, eigs, outcome, times[i] - start), rank)
+        if col < last:
+            W = _extend(W, eigs, outcome, ens.grid.times[col + 1] - start)
+            start = ens.grid.times[col + 1]
+    return out
+
+
+def _extend(W, eigs, outcome, duration):
+    """The propagators W carried ``duration`` further, each under its outcome's Hamiltonian."""
+    if duration > 0:
+        return np.array([evolve(eig, duration) for eig in eigs])[outcome] @ W
+    return W
+
+
+def _average(obs: ObserverSystem, ens: Ensemble, t, W, rank):
+    """The average at t from the distinct prefixes' propagators W and each trajectory's rank."""
     V = propagator(obs.H_o, t).conj().T @ W
     distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
     mean = distinct[rank].mean(axis=0)

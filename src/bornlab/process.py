@@ -45,6 +45,7 @@ from .spectral import SpectralDecomposition, spectral_decompose
 from .spectral import heisenberg_projectors  # noqa: F401
 
 DEFAULT_TABLE_CAP = 1_000_000
+TABLE_BATCH_BYTES = 2**30  # budget of the operators a table build holds, estimated before it
 DEFAULT_JOINT_DIM_CAP = 32
 TRACE_TOL = 1e-10  # how far a table total, or a map's trace, may stray from exact
 MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # ndarray's limit
@@ -252,8 +253,9 @@ def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     ``_closed_chain``, and a GKLS source ``_operator_chain``. Either gives each
     last outcome's traces, so the last pair of Q_n is exactly zero off its
     diagonal. A ``skip`` k < n − 1 passes t_{k+1} unmeasured: the table of the
-    grid without it, by its own steps. The entry cap and the axes an ndarray
-    holds are checked before the build, and the total against tr ρ after it.
+    grid without it, by its own steps. The entry cap, the axes an ndarray
+    holds and the bytes of the route's operator batch (``TABLE_BATCH_BYTES``)
+    are checked before the build, and the total against tr ρ after it.
     """
     dyn = source.dynamics
     m, times = dyn.F.n_outcomes, grid.times
@@ -265,7 +267,15 @@ def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     if axes > MAX_AXES:
         raise TableTooLarge(f"{what} would need {axes} axes, more than the {MAX_AXES} "
                             f"an ndarray has in numpy {np.__version__}")
-    chain = _operator_chain if dyn.eigenframe is None else _closed_chain
+    closed = dyn.eigenframe is not None
+    # the last batch's operators, held at most 5 times over on the closed route and 3 times on
+    # the operator route at the peak (tracemalloc), beside the table
+    operators = (m if diagonal or closed else m * m) ** (n - 1)
+    batch = (5 if closed else 3) * operators * dyn.F.dim ** 2 * 16
+    if batch > TABLE_BATCH_BYTES:
+        raise TableTooLarge(f"{what} would hold about {batch} bytes of operators while built, "
+                            f"exceeding the budget of {TABLE_BATCH_BYTES}")
+    chain = _closed_chain if closed else _operator_chain
     traces = chain(dyn, times, diagonal, skip)  # (prefix rows in C order, m)
     if diagonal:
         dist = traces.real.reshape((m,) * n)

@@ -29,9 +29,13 @@ before it walked the prefix tree level by level, kept verbatim (its
 ``rank_histories`` is this module's, which the library's equals): it ranks the
 prefixes on [0, t] at once, multiplies each distinct prefix from the identity
 through every column, and gathers the states to trajectory order before it
-forms the deviations. ``export_csv`` is the trajectory CSV writer as it was
-before it formatted each distinct history once, kept verbatim: one Python row
-list per trajectory through ``csv.writer``.
+forms the deviations. ``walked_surrogate_average`` is the observer's average
+as it was before one walk served every probe time, kept verbatim: each call
+walks the prefix levels on [0, t] from the first column, extending each
+distinct prefix's propagator from its parent's, and diagonalizes the outcome
+Hamiltonians again at every level. ``export_csv`` is the trajectory CSV
+writer as it was before it formatted each distinct history once, kept
+verbatim: one Python row list per trajectory through ``csv.writer``.
 
 ``check_kc``, ``check_bi_consistency``, ``verify_generalized_relation`` and
 ``analyze`` are the consistency checks as they were before they shared one
@@ -128,7 +132,7 @@ from bornlab.process import (
     readout,
 )
 from bornlab.qrf import BlockStructure, QRFModel, dephasing_projector, pair_superops, semigroup
-from bornlab.sampler import Ensemble, Trajectory, _descend, _slot, _uniforms
+from bornlab.sampler import Ensemble, Trajectory, _descend, _relabel, _slot, _uniforms
 from bornlab.spectral import SpectralDecomposition, default_cluster_tol, heisenberg_projectors
 
 
@@ -413,6 +417,44 @@ def ranked_surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
     mean = states.mean(axis=0)
     if ens.size > 1:
         var = np.mean(np.abs(states - mean) ** 2, axis=0) * ens.size / (ens.size - 1)
+        stderr = np.sqrt(var / ens.size)
+    else:
+        stderr = np.zeros_like(mean, dtype=float)
+    return SurrogateAverage(mean=mean, stderr=stderr, size=ens.size)
+
+
+def walked_surrogate_average(obs: ObserverSystem, ens: Ensemble, t):
+    """(1/N) Σ_j V_j ρ_o V_j† with standard errors, V_j = U_o(t)† W_j(t).
+
+    W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
+    each piecewise-constant segment of trajectory j on [0, t] contributes one
+    exact matrix exponential, left-multiplied in time order. It depends only
+    on the outcomes up to the grid slot in force at t, so the outcome prefixes
+    are walked level by level, as the descent numbers them: each distinct
+    prefix extends its parent's propagator by one product, each segment's
+    exponentials are formed once per outcome value, and U_o(t) once. The mean
+    and the complex per-entry sample variance are reduced over the trajectory
+    index order, in sequence along axis 0 (deterministic for fixed N); each
+    deviation is formed once per distinct prefix and gathered to that order.
+    """
+    k, m = _slot(ens.grid, t), len(ens.eigenvalues)
+    bounds = [0.0, *ens.grid.times[1:k + 1], t]
+    W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (1, obs.dim, obs.dim))
+    rank = np.zeros(ens.size, dtype=np.intp)
+    for col in range(k + 1):
+        pairs, rank = _relabel(rank * m + ens.indices[:, col], len(W) * m)
+        parent, outcome = np.divmod(pairs, m)
+        W = W[parent]
+        duration = bounds[col + 1] - bounds[col]
+        if duration > 0:
+            steps = np.array([propagator(obs.H_o + obs.coupling * value * obs.G_o, duration)
+                              for value in ens.eigenvalues.tolist()])
+            W = steps[outcome] @ W
+    V = propagator(obs.H_o, t).conj().T @ W
+    distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
+    mean = distinct[rank].mean(axis=0)
+    if ens.size > 1:
+        var = (np.abs(distinct - mean) ** 2)[rank].mean(axis=0) * ens.size / (ens.size - 1)
         stderr = np.sqrt(var / ens.size)
     else:
         stderr = np.zeros_like(mean, dtype=float)

@@ -181,6 +181,33 @@ def test_malformed_config_error_is_unchanged(tmp_path, capsys, text, message):
     assert not (tmp_path / "r.json").exists()
 
 
+# the characters beyond Latin-1 that the reader refuses; each is found apart from the Latin-1 ones
+WIDE_UNREAD = ["\u2028", "\u2029", "\ufeff", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("char", WIDE_UNREAD, ids=[f"U+{ord(c):04X}" for c in WIDE_UNREAD])
+def test_each_unread_character_beyond_latin1_is_refused_where_it_stands(tmp_path, char):
+    path = write(tmp_path, RABI_YAML.replace("n_max: 2", f"n_max: 2  # {char}"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"line 10, column 13: cannot read the character {char!r}"
+
+
+@pytest.mark.parametrize("first", ["\x07", "\u2029"])
+@pytest.mark.parametrize("same_line", [False, True], ids=["two_lines", "one_line"])
+def test_the_earliest_unread_character_is_refused(tmp_path, first, same_line):
+    """An unread Latin-1 character before or after one beyond Latin-1: the earlier is named."""
+    second = "\u2029" if first == "\x07" else "\x07"
+    if same_line:
+        text = RABI_YAML.replace("kind: unitary", f"kind: unitary  # {first}{second}")
+    else:
+        text = RABI_YAML.replace("kind: unitary", f"kind: unitary  # {first}").replace(
+            "n_max: 2", f"n_max: 2  # {second}")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert str(err.value) == f"line 3, column 18: cannot read the character {first!r}"
+
+
 # config bytes that are not UTF-8, and the refusal naming the line and column (in characters)
 # of the first byte that does not decode
 NOT_UTF8 = {

@@ -10,13 +10,17 @@ values tell which of the two moved if they ever part. The descent must also
 equal, bit for bit, the one that numbered its prefixes by a sort and drew
 through a clipped 2-D compare, on drawn sources whose skewed states let
 prefixes die out, and on uniforms at the edges of a cdf row: one above a last
-entry that rounds below 1, and ones equal to an entry. ``surrogate_average``
-must reduce to exactly the arrays of the old per-trajectory loop and of the
-route that ranked whole prefixes at once, on the shipped joint configs and on
-drawn scenarios, zero signs included: generic, degenerate and one-outcome
-observables, probe times out of order and repeated. Its working set on a
-20000-trajectory ensemble stays within 1.5 gathers of the states to
-trajectory order.
+entry that rounds below 1, and ones equal to an entry. ``surrogate_averages``,
+one walk for a list of probe times, must reduce at each time to exactly the
+arrays of the old per-trajectory loop, of the route that ranked whole
+prefixes at once and of the walk that each time once made alone, on the
+shipped joint configs and on drawn scenarios, zero signs included: generic,
+degenerate and one-outcome observables, probe lists drawn permuted, repeated,
+at 0, between grid times and at t_n. An empty list gives no average, and a
+time out of range is refused before any work. The working set of one probe
+on a 20000-trajectory ensemble stays within 1.5 gathers of the states to
+trajectory order, and that of a run on the benchmark's ``wide`` config
+within the README's bound in N and the distinct prefixes P.
 """
 
 import tracemalloc
@@ -35,14 +39,16 @@ from bornlab import (
     sample_ensemble,
     spectral_decompose,
     surrogate_average,
+    surrogate_averages,
 )
+from bornlab import observer
 from bornlab.config import load_config
-from bornlab.errors import NumericalInvariantViolation
+from bornlab.errors import NumericalInvariantViolation, TimeOutOfRange
 from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.qrf import QRFModel
-from bornlab.sampler import _descend, _uniforms
-from conftest import (I2, SZ, assert_same_bits, rabi_system, random_density, random_grid,
-                      random_hermitian, random_system)
+from bornlab.sampler import _descend, _slot, _uniforms, rank_histories
+from conftest import (I2, SZ, assert_same_bits, perfbench_generator, rabi_system,
+                      random_density, random_grid, random_hermitian, random_system)
 from test_kernel import (DRAWN_CASES, GRID3, clustered_d4_m2, drawn_case, gkls_3level,
                          random_d6_m6, rtn, single_time)
 import oracles
@@ -211,14 +217,18 @@ def test_zero_total_probability_is_rejected():
         oracles.sample_trajectory(sys, grid, 1)
 
 
-def assert_same_average(obs, ens, t):
-    """``surrogate_average`` equals, bit for bit, the per-trajectory loop and the ranked route."""
-    avg = surrogate_average(obs, ens, t)
-    for expected in (oracles.surrogate_average(obs, ens, t),
-                     oracles.ranked_surrogate_average(obs, ens, t)):
-        assert avg.size == expected.size
-        assert_same_bits(avg.mean, expected.mean)
-        assert_same_bits(avg.stderr, expected.stderr)
+def assert_same_averages(obs, ens, times):
+    """``surrogate_averages`` equals, bit for bit at each time, the per-trajectory loop, the
+    ranked route and the walk of one time alone."""
+    averages = surrogate_averages(obs, ens, times)
+    assert len(averages) == len(times)
+    for t, avg in zip(times, averages):
+        for expected in (oracles.surrogate_average(obs, ens, t),
+                         oracles.ranked_surrogate_average(obs, ens, t),
+                         oracles.walked_surrogate_average(obs, ens, t)):
+            assert avg.size == expected.size
+            assert_same_bits(avg.mean, expected.mean)
+            assert_same_bits(avg.stderr, expected.stderr)
 
 
 @pytest.mark.parametrize("name", ["dephasing", "rabi_joint"])
@@ -227,8 +237,7 @@ def test_surrogate_average_equals_the_per_trajectory_loop(name):
     js = cfg.build_joint()
     grid = cfg.grid(cfg.simulate.grid)
     ens = sample_ensemble(js.sys, grid, cfg.sampling.size, cfg.sampling.seed)
-    for t in cfg.simulate.probe_times:
-        assert_same_average(js.obs, ens, t)
+    assert_same_averages(js.obs, ens, cfg.simulate.probe_times)
 
 
 def measured_system(rng, d, observable):
@@ -244,18 +253,46 @@ def measured_system(rng, d, observable):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d_o=st.integers(2, 4), d_s=st.integers(2, 4),
        n=st.integers(1, 5), size=st.integers(1, 400),
-       observable=st.sampled_from(["generic", "degenerate", "one-outcome"]))
-def test_surrogate_average_equals_the_loop_bit_for_bit(seed, d_o, d_s, n, size, observable):
+       observable=st.sampled_from(["generic", "degenerate", "one-outcome"]), data=st.data())
+def test_surrogate_average_equals_the_loop_bit_for_bit(seed, d_o, d_s, n, size, observable, data):
     rng = np.random.default_rng(seed)
     obs = ObserverSystem.from_operators(random_hermitian(rng, d_o), random_hermitian(rng, d_o),
                                         random_density(rng, d_o), rng.uniform(0.1, 1.0))
     grid = random_grid(rng, n)
     ens = sample_ensemble(measured_system(rng, d_s, observable), grid, size, seed)
     times = grid.times
-    probes = [0.0, *times, *(0.5 * (np.r_[0.0, times[:-1]] + times))]
-    # out of order, and some twice
-    for t in rng.permutation([*probes, *rng.choice(probes, size=3)]):
-        assert_same_average(obs, ens, t)
+    # 0, each grid time up to t_n, and a time between each pair of neighbours
+    probes = [0.0, *times, *(0.5 * (np.r_[0.0, times[:-1]] + times)).tolist()]
+    # every probe once in a drawn order, or a drawn list with repeats
+    picked = data.draw(st.one_of(st.permutations(probes),
+                                 st.lists(st.sampled_from(probes), min_size=1, max_size=12)))
+    assert_same_averages(obs, ens, picked)
+
+
+def _drawn_ensemble():
+    rng = np.random.default_rng(5)
+    obs = ObserverSystem.from_operators(random_hermitian(rng, 2), random_hermitian(rng, 2),
+                                        random_density(rng, 2), 0.5)
+    grid = random_grid(rng, 3)
+    return obs, sample_ensemble(random_system(rng, 3), grid, 50, 5)
+
+
+def test_no_probe_time_gives_no_average():
+    assert surrogate_averages(*_drawn_ensemble(), []) == []
+
+
+@pytest.mark.parametrize("late", [1.5, -0.1, float("nan")])
+def test_a_time_out_of_range_is_refused_before_any_work(monkeypatch, late):
+    obs, ens = _drawn_ensemble()
+
+    def no_work(*args):
+        raise AssertionError("the walk started before every time was checked")
+
+    for name in ("hermitian_eigh", "evolve", "propagator", "_relabel"):
+        monkeypatch.setattr(observer, name, no_work)
+    times = ens.grid.times
+    with pytest.raises(TimeOutOfRange):
+        surrogate_averages(obs, ens, [0.0, times[-1], times[-1] + late if late > 0 else late])
 
 
 def test_surrogate_average_working_set_stays_within_one_and_a_half_gathers():
@@ -272,3 +309,27 @@ def test_surrogate_average_working_set_stays_within_one_and_a_half_gathers():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * gather, (t, peak / gather)
+
+
+@pytest.mark.parametrize("size", [200, 1000, 5000])
+def test_a_simulate_runs_working_set_stays_within_its_bound_in_n_and_p(tmp_path, size):
+    # README: N·(d_o²·16 + 24) + (6·P + 4·m + 2·T)·d_o²·16 bytes + 16 KiB, for P distinct
+    # prefixes at the last level walked, m outcomes and T probe times; on ``wide`` P is a
+    # large share of N, where 1.5 gathers alone did not hold
+    path = tmp_path / "wide.yaml"
+    path.write_text(perfbench_generator().generate(1)["wide"], encoding="utf-8")
+    cfg = load_config(path)
+    js, times = cfg.build_joint(), cfg.simulate.probe_times
+    ens = sample_ensemble(js.sys, cfg.grid(cfg.simulate.grid), size, cfg.sampling.seed)
+    last = max(_slot(ens.grid, t) for t in times)
+    m = len(ens.eigenvalues)
+    prefixes = len(rank_histories(ens.indices[:, :last + 1], m)[0])
+    unit = js.obs.dim ** 2 * 16
+    bound = size * (unit + 24) + (6 * prefixes + 4 * m + 2 * len(times)) * unit + 2**14
+    tracemalloc.start()
+    try:
+        surrogate_averages(js.obs, ens, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (size, prefixes, peak, bound)

@@ -23,11 +23,11 @@ from bornlab import (
 )
 from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
-from bornlab.process import DEFAULT_TABLE_CAP, MAX_AXES, _table
+from bornlab.process import DEFAULT_TABLE_CAP, MAX_AXES, TABLE_BATCH_BYTES, _table
 from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
 from bornlab.spectral import SpectralDecomposition
 from conftest import (ROOT, SX, rabi_system, random_density, random_grid, random_hermitian,
-                      random_unitary)
+                      random_system, random_unitary)
 import oracles
 
 GRID3 = TimeGrid((0.3, 0.8, 1.7))
@@ -295,25 +295,89 @@ import resource, sys
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from bornlab.cli import main
-sys.exit(main(["analyze", sys.argv[2], "--out", sys.argv[3]]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_analyze_of_a_d32_m2_n9_unitary_config_runs_in_1_5_GB(tmp_path):
+def run_in_1_5_gb(*argv):
+    """``bornlab *argv`` in a child process whose address space is capped at 1.5 GiB."""
+    # one BLAS thread, so the limit bounds the kernel's working set, not the host's core count
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    limit = 3 * 2**29
+    return subprocess.run([sys.executable, "-c", MEMORY_PIN, str(limit), *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def d32_config(tmp_path, n):
+    """A d = 32 unitary config whose F has two 16-fold outcomes, on n times, all analysed."""
     rng = np.random.default_rng(32)
     A = rng.normal(size=(32, 32))
     config = {"schema": 1, "kind": "unitary",
               "system": {"H": (0.5 * (A + A.T)).tolist(),
                          "F": np.diag([1.0] * 16 + [-1.0] * 16).tolist(),
                          "rho": np.diag([1.0] + [0.0] * 31).tolist()},
-              "grids": {"main": [0.1 * (k + 1) for k in range(9)]}, "n_max": 9}
-    path, out = tmp_path / "d32.json", tmp_path / "d32.analyze.json"
+              "grids": {"main": [0.1 * (k + 1) for k in range(n)]}, "n_max": n,
+              "sampling": {"N": 500, "seed": 3}}
+    path = tmp_path / f"d32_n{n}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    # one BLAS thread, so the limit bounds the kernel's working set, not the host's core count
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    limit = 3 * 2**29  # 1.5 GiB of address space
-    proc = subprocess.run([sys.executable, "-c", MEMORY_PIN, str(limit), str(path), str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    return path
+
+
+def test_analyze_of_a_d32_m2_n9_unitary_config_runs_in_1_5_GB(tmp_path):
+    path, out = d32_config(tmp_path, 9), tmp_path / "d32.analyze.json"
+    proc = run_in_1_5_gb("analyze", path, "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["analyses"][-1]["n"] == 9
+
+
+def test_sample_skips_a_kc_check_past_the_byte_budget_within_1_5_GB(tmp_path):
+    # P_18 has 2¹⁸ entries, within the entry cap, but its chain would hold 2¹⁷ operators of
+    # 32×32, 2 GiB a copy: the check is refused before the build, and sampling goes on
+    path, out = d32_config(tmp_path, 18), tmp_path / "d32.csv"
+    proc = run_in_1_5_gb("sample", path, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "[sample] note: KC not checked at n=18: Born table would hold about "
+        f"{5 * 2**17 * 32 * 32 * 16} bytes of operators while built, exceeding the budget of "
+        f"{TABLE_BATCH_BYTES}\n")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 501
+
+
+def test_a_table_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):
+    # a d = 8 GKLS source with a raised entry cap: Q_11 has 2²² entries, and its operator
+    # chain would hold (2²)¹⁰ operators of 8×8, 1 GiB a copy
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(8, 8))
+    config = {"schema": 1, "kind": "qrf",
+              "qrf": {"H_a": np.zeros((8, 8)).tolist(), "G_a": (0.5 * (A + A.T)).tolist(),
+                      "rates": [{"omega": 0.0, "gamma": 0.35}], "mu": 1.0,
+                      "F_a": np.diag([1.0] * 4 + [-1.0] * 4).tolist(),
+                      "rho_a": (np.eye(8) / 8).tolist()},
+              "grids": {"main": [0.1 * (k + 1) for k in range(11)]}, "n_max": 11,
+              "caps": {"table_entries": 2**22}}
+    path, out = tmp_path / "q8.json", tmp_path / "q8.qrf.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    proc = run_in_1_5_gb("qrf", path, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "bornlab: dimension/cap error: bi-probability table would hold about "
+        f"{3 * 4**10 * 8 * 8 * 16} bytes of operators while built, exceeding the budget of "
+        f"{TABLE_BATCH_BYTES}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("semigroup", [False, True], ids=["unitary", "semigroup"])
+def test_the_byte_budget_counts_the_last_batch_of_the_route(semigroup):
+    """copies × operators × d²·16 bytes: m^(n−1) operators on the closed route and for P_n on
+    the operator route, (m²)^(n−1) for Q_n there; refused at the first order past the budget."""
+    rng = np.random.default_rng(3)
+    source, copies = (gkls_3level(rng)[0], 3) if semigroup else (random_system(rng, 3), 5)
+    m, d = source.dynamics.F.n_outcomes, source.dynamics.F.dim
+    for build, per_time in ((born_table, m), (biprob_table, m * m if semigroup else m)):
+        n = 1
+        while copies * per_time ** (n - 1) * d * d * 16 <= TABLE_BATCH_BYTES:
+            n += 1
+        batch = copies * per_time ** (n - 1) * d * d * 16
+        with pytest.raises(TableTooLarge, match=f"about {batch} bytes"):
+            build(source, TimeGrid(tuple(0.1 * (k + 1) for k in range(n))), cap=10**100)

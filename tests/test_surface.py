@@ -28,7 +28,7 @@ PUBLIC = [
     "verify_generalized_relation", "check_ncgd", "classify_block_structure",
     "verify_ncgd_cm_equivalence",
     "sample_ensemble",
-    "exact_reduced_state", "surrogate_average", "compare",
+    "exact_reduced_state", "surrogate_average", "surrogate_averages", "compare",
     "BornlabError", "__version__",
 ]
 
