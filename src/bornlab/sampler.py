@@ -6,7 +6,8 @@ By construction the outcome tuple is distributed exactly as the joint
 measurement distribution — for any system, consistent or not. The state
 depends only on the outcome prefix, so the ensemble descends at once with one
 operator per visited prefix: at most min(N, m^k) at t_k, a working set of
-min(N, m^k)·d²·16 bytes per layer. No table is built and no table cap applies.
+min(N, m^k)·d²·16 bytes per layer. No table is built and no table cap applies;
+the prefixes a collapse visits are counted against ``TABLE_BATCH_BYTES``.
 Prefixes are ranked with no sort, here and wherever histories are ranked: one
 pass over the N keys and a mask of prefixes·m per layer.
 
@@ -14,22 +15,27 @@ Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
 ``s`` takes draws j·n … j·n+n−1 of ``Generator(PCG64(s))`` as its n uniforms,
 one per grid time. PCG64 jumps ahead by any number of draws in O(log) steps,
 so every row is a function of (s, j) alone, whatever the ensemble size or
-generation order, for any index j in [0, 2**64). Ensemble statistics are
-reduced over the trajectory index order, in sequence along axis 0 of the
-(N, …) stack, which is deterministic for a fixed N.
+generation order, for any index j in [0, 2**64). The stream is computed in
+numpy integer arithmetic, so no command imports ``numpy.random``. Ensemble
+statistics are reduced over the trajectory index order, in sequence along
+axis 0 of the (N, …) stack, which is deterministic for a fixed N.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInvariantViolation, TimeOutOfRange
+from .errors import NumericalInvariantViolation, TableTooLarge, TimeOutOfRange
 from .linalg import propagator  # noqa: F401  (perfbench/tracing.py wraps sampler.propagator)
-from .process import TimeGrid, readout
+from .process import TABLE_BATCH_BYTES, TimeGrid, readout
 
 RNG_ALGORITHM = "numpy.random.PCG64(seed), trajectory j advanced by j*n draws"
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_COLUMNS, _BLOCK_ROWS = 256, 64  # a block of uniforms: 64 rows of 256 draws
 
 
 def _slot(grid: TimeGrid, t):
@@ -78,19 +84,97 @@ class Ensemble(NamedTuple):
                      for row in self.indices.tolist())
 
 
-def _uniforms(seed, start, count, n):
-    """The n uniforms of trajectories start … start+count−1, one row each.
+def _hashmix(h, mult):
+    """numpy's SeedSequence hash of 32-bit words, whose constant h moves on by mult per word."""
+    def hashmix(value):
+        nonlocal h
+        value, h = value ^ h, h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return hashmix
 
-    Row r holds draws j·n … j·n+n−1 of ``Generator(PCG64(seed))`` for
-    j = start + r, reached by jumping the stream ahead. Indices must lie in
-    [0, 2**64).
+
+def _seed_state(seed):
+    """PCG64's (state, increment) after ``PCG64(seed)``, in Python ints: numpy's
+    ``SeedSequence(seed).generate_state(4, uint64)`` and PCG64's srandom step."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in [(i, j) for i in range(4) for j in range(4) if i != j]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in [(w, j) for w in words[4:] for j in range(4)]:
+        pool[dst] = mix(pool[dst], hashmix(word))
+    out = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool * 2))
+    init, seq = (sum(out[i + k] << 32 * (k ^ 2) for k in range(4)) for i in (0, 4))
+    inc = (seq << 1 | 1) & _M128
+    return ((inc + init) * _PCG_MULT + inc) & _M128, inc
+
+
+def _jump(steps, inc):
+    """The LCG's map after ``steps`` steps, state ↦ A·state + C mod 2**128, by binary powering."""
+    A, C, a, c = 1, 0, _PCG_MULT, inc
+    while steps:
+        if steps & 1:
+            A, C = A * a & _M128, (C * a + c) & _M128
+        a, c = a * a & _M128, (a + 1) * c & _M128
+        steps >>= 1
+    return A, C
+
+
+def _halves(values):
+    """Low and high 64-bit words of 128-bit Python ints, as uint64 arrays."""
+    return (np.array([v & _M64 for v in values], dtype=np.uint64),
+            np.array([v >> 64 for v in values], dtype=np.uint64))
+
+
+def _uniforms(seed, start, count, n):
+    """Draws j·n … j·n+n−1 of ``Generator(PCG64(seed))`` as row j − start, bit for bit.
+
+    PCG64 is a 128-bit LCG with XSL-RR output (O'Neill 2014); k steps are one
+    affine map s ↦ A·s + C mod 2**128 (Brown 1994). After the jump to draw
+    start·n, draw q·B + r is base state s_q under the (r+1)-step map: Python
+    ints for the states and the B = ``_COLUMNS`` maps, a 128-bit multiply-add
+    in uint64 halves per draw, ``_BLOCK_ROWS`` rows at a time. Seed and indices
+    are integers (numpy's too), indices in [0, 2**64).
     """
+    try:
+        seed, start = operator.index(seed), operator.index(start)
+    except TypeError:
+        raise ValueError("the seed and trajectory indices must be integers") from None
     if seed < 0 or not 0 <= start <= 2**64 - count:
         raise ValueError("the seed must be a non-negative integer and trajectory "
                          "indices integers in [0, 2**64)")
-    bits = np.random.PCG64(seed)
-    bits.advance(start * n)
-    return np.random.Generator(bits).random((count, n))
+    state, inc = _seed_state(seed)
+    A, C = _jump(start * n, inc)
+    state, total = (A * state + C) & _M128, count * n
+    width, maps, A, C = min(_COLUMNS, total) or 1, [], 1, 0
+    for _ in range(width):  # maps[r] takes a row's base state to the state of its draw r
+        A, C = A * _PCG_MULT & _M128, (C * _PCG_MULT + inc) & _M128
+        maps.append((A, C))
+    (a_lo, a_hi), (c_lo, c_hi) = (_halves(column) for column in zip(*maps))
+    a0, a1 = a_lo & _M32, a_lo >> 32
+    out = np.empty(total)
+    for begin in range(0, total, width * _BLOCK_ROWS):
+        rows = []
+        for _ in range(min(_BLOCK_ROWS, -(-(total - begin) // width))):
+            rows.append(state)
+            state = (A * state + C) & _M128  # the next row, ``width`` steps on
+        s_lo, s_hi = (h[:, None] for h in _halves(rows))
+        s0, s1 = s_lo & _M32, s_lo >> 32
+        w = (a0 * s0 >> 32) + a1 * s0  # a_lo·s_lo's high word from 32-bit partial products
+        hi = (w >> 32) + ((w & _M32) + a0 * s1 >> 32) + a1 * s1 + a_lo * s_hi + a_hi * s_lo + c_hi
+        lo = a_lo * s_lo + c_lo
+        hi += lo < c_lo  # the carry
+        x, rot = lo ^ hi, hi >> 58  # XSL-RR: the folded word rotated right by the top 6 bits
+        x = (x >> rot | x << (-rot & 63)) >> 11
+        out[begin:begin + x.size] = x.ravel()[:total - begin].view(np.int64)  # exact: < 2**53
+    out *= 2.0**-53
+    return out.reshape(count, n)
 
 
 def _descend(source, grid: TimeGrid, u):
@@ -119,6 +203,11 @@ def _descend(source, grid: TimeGrid, u):
         indices[:, k] = a
         if k + 1 < grid.n:
             pairs, node = _relabel(node * m + a, len(X) * m)
+            # the collapsed states, held at most 4 times over at the peak (tracemalloc)
+            batch = 4 * len(pairs) * dyn.F.dim ** 2 * 16
+            if batch > TABLE_BATCH_BYTES:
+                raise TableTooLarge(f"sampling would hold about {batch} bytes of states after "
+                                    f"t={t}, exceeding the budget of {TABLE_BATCH_BYTES}")
             parent, a = np.divmod(pairs, m)
             X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
         prev = t

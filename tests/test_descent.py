@@ -5,8 +5,11 @@ old collapse chain fed with the same uniforms, on fixed and on drawn unitary
 and GKLS sources. Trajectory j's uniforms on an n-time grid are draws
 j·n … j·n+n−1 of numpy's ``PCG64`` stream for the seed: the sampler's rows
 must equal generator objects jumped ahead by j·n for any seed and index in
-[0, 2**64), and one contiguous stream for a whole ensemble. Four pinned
-values tell which of the two moved if they ever part. The descent must also
+[0, 2**64), and one contiguous stream for a whole ensemble, over several
+blocks with a ragged end and from numpy integer seeds. A non-integer seed or
+index is refused with ValueError, and the stream holds one block beside its
+output. Four pinned values tell which of the two moved if they ever part. The
+descent counts the prefixes a collapse visits against the byte budget. The descent must also
 equal, bit for bit, the one that numbered its prefixes by a sort and drew
 through a clipped 2-D compare, on drawn sources whose skewed states let
 prefixes die out, and on uniforms at the edges of a cdf row: one above a last
@@ -41,9 +44,9 @@ from bornlab import (
     surrogate_average,
     surrogate_averages,
 )
-from bornlab import observer
+from bornlab import observer, sampler
 from bornlab.config import load_config
-from bornlab.errors import NumericalInvariantViolation, TimeOutOfRange
+from bornlab.errors import NumericalInvariantViolation, TableTooLarge, TimeOutOfRange
 from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.qrf import QRFModel
 from bornlab.sampler import _descend, _slot, _uniforms, rank_histories
@@ -177,6 +180,42 @@ def test_ensemble_uniforms_are_one_contiguous_stream():
     assert np.array_equal(_uniforms(7, 1000, 53, 6), stream[1000:1053])
 
 
+@pytest.mark.parametrize("seed,start,count,n", [(7, 0, 20011, 7), (2**150, 2**32 + 3, 3001, 13),
+                                                  (0, 2**64 - 4099, 4099, 1)])
+def test_uniforms_over_several_blocks_equal_one_generator_call(seed, start, count, n):
+    # several blocks of rows with a ragged end, from a jump above 2**32 and up to index 2**64 − 1
+    bits = np.random.PCG64(seed)
+    bits.advance(start * n)
+    assert np.array_equal(_uniforms(seed, start, count, n),
+                          np.random.Generator(bits).random((count, n)))
+
+
+@pytest.mark.parametrize("seed", [np.int64(2**63 - 1), np.uint64(2**64 - 1), np.uint32(5)])
+def test_numpy_integer_seeds_draw_numpys_stream(seed):
+    bits = np.random.PCG64(seed)
+    bits.advance(3 * 4)
+    expected = np.random.Generator(bits).random((5, 4))
+    assert np.array_equal(_uniforms(seed, np.uint64(3), 5, 4), expected)
+    assert np.array_equal(_uniforms(int(seed), 3, 5, 4), expected)
+
+
+@pytest.mark.parametrize("seed,start", [(1.0, 0), (2.5, 0), ("3", 0), (None, 0), (1, 1.0),
+                                        (1, np.float64(2.0))])
+def test_a_non_integer_seed_or_index_is_refused(seed, start):
+    with pytest.raises(ValueError, match="must be integers"):
+        _uniforms(seed, start, 2, 3)
+
+
+def test_uniforms_hold_one_block_beside_their_output():
+    tracemalloc.start()
+    try:
+        u = _uniforms(1, 0, 200000, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 2 * 2**20
+
+
 @pytest.mark.parametrize("key", list(PINNED_UNIFORMS))
 def test_pinned_uniforms_name_the_side_that_moved(key):
     seed, j, n, k = key
@@ -206,6 +245,24 @@ def test_seed_or_spawn_index_outside_the_key_range_is_rejected(seed, index):
     if seed < 0:  # numpy's PCG64 refuses it too; a negative or wide jump would wrap around
         with pytest.raises(ValueError):
             oracles.trajectory_rng(seed, index, grid.n)
+
+
+@pytest.mark.parametrize("factory", [rabi, rtn_long])
+def test_the_descent_budgets_the_prefixes_it_visits(monkeypatch, factory):
+    """4 copies × the largest collapse's distinct prefixes × d²·16 bytes, not min(N, mᵏ)."""
+    source, grid = factory(None)
+    u = _uniforms(5, 0, 300, grid.n)
+    indices = _descend(source, grid, u).indices
+    m, d = source.dynamics.F.n_outcomes, source.dynamics.F.dim
+    visited = [len(rank_histories(indices[:, :k + 1], m)[0]) for k in range(grid.n - 1)]
+    assert max(visited) < min(len(u), m ** (grid.n - 1))
+    budget = 4 * max(visited) * d * d * 16
+    monkeypatch.setattr(sampler, "TABLE_BATCH_BYTES", budget)
+    assert np.array_equal(_descend(source, grid, u).indices, indices)
+    monkeypatch.setattr(sampler, "TABLE_BATCH_BYTES", budget - 1)
+    t = grid.times[visited.index(max(visited))]
+    with pytest.raises(TableTooLarge, match=f"about {budget} bytes of states after t={t},"):
+        _descend(source, grid, u)
 
 
 def test_zero_total_probability_is_rejected():

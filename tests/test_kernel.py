@@ -309,17 +309,18 @@ def run_in_1_5_gb(*argv):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-def d32_config(tmp_path, n):
-    """A d = 32 unitary config whose F has two 16-fold outcomes, on n times, all analysed."""
+def d32_config(tmp_path, n, spacing=0.1, n_max=None, size=500):
+    """A d = 32 unitary config whose F has two 16-fold outcomes, on n times spaced by
+    ``spacing``, analysed up to ``n_max`` (all of them by default), sampling ``size``."""
     rng = np.random.default_rng(32)
     A = rng.normal(size=(32, 32))
     config = {"schema": 1, "kind": "unitary",
               "system": {"H": (0.5 * (A + A.T)).tolist(),
                          "F": np.diag([1.0] * 16 + [-1.0] * 16).tolist(),
                          "rho": np.diag([1.0] + [0.0] * 31).tolist()},
-              "grids": {"main": [0.1 * (k + 1) for k in range(n)]}, "n_max": n,
-              "sampling": {"N": 500, "seed": 3}}
-    path = tmp_path / f"d32_n{n}.json"
+              "grids": {"main": [spacing * (k + 1) for k in range(n)]}, "n_max": n_max or n,
+              "sampling": {"N": size, "seed": 3}}
+    path = tmp_path / f"d32_n{n}_{spacing}_{size}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
 
@@ -342,6 +343,27 @@ def test_sample_skips_a_kc_check_past_the_byte_budget_within_1_5_GB(tmp_path):
         f"{5 * 2**17 * 32 * 32 * 16} bytes of operators while built, exceeding the budget of "
         f"{TABLE_BATCH_BYTES}\n")
     assert len(out.read_text(encoding="utf-8").splitlines()) == 501
+
+
+def test_a_descent_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):
+    # 150000 trajectories on 18 times spaced 1.37 reach 30277 distinct prefixes after t_15,
+    # 473 MiB a copy of their 32×32 states: refused before that collapse (exit 1 with
+    # _ArrayMemoryError before the budget counted the descent)
+    path, out = d32_config(tmp_path, 18, spacing=1.37, n_max=2, size=150000), tmp_path / "d32.csv"
+    proc = run_in_1_5_gb("sample", path, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"bornlab: dimension/cap error: sampling would hold about {4 * 30277 * 32 * 32 * 16} "
+        f"bytes of states after t={1.37 * 15}, exceeding the budget of {TABLE_BATCH_BYTES}")
+    assert not out.exists()
+
+
+def test_a_descent_within_the_byte_budget_samples_within_1_5_GB(tmp_path):
+    # min(N, 2ᵏ) would refuse it; the descent visits at most 5872 prefixes, so it samples
+    path, out = d32_config(tmp_path, 18, n_max=2, size=100000), tmp_path / "d32.csv"
+    proc = run_in_1_5_gb("sample", path, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 100001
 
 
 def test_a_table_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):

@@ -19,6 +19,9 @@ interest are recorded:
 * What every command needs (``consistency``, ``sampler``, ``reporting`` and
   ``json``) is loaded by ``import bornlab.cli``, so none of that import is
   paid inside ``main``, where the benchmark times a command.
+* ``numpy.random`` is loaded after no step, ``sample`` and ``simulate``
+  included: ``sampler._uniforms`` computes numpy's PCG64 stream itself, so no
+  command pays numpy's lazy import of its random module.
 * ``yaml`` is loaded after no step: configs are read without PyYAML, by
   ``json.loads`` if they are JSON and by ``config._read_yaml`` otherwise. The
   last two steps load a config whose ``kind`` is quoted and the JSON form of
@@ -41,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TRACKED = ("scipy.linalg", "scipy", "dataclasses", "bornlab.observer", "bornlab.qrf",
            "bornlab.consistency", "bornlab.sampler", "bornlab.reporting", "json",
-           "argparse", "gettext", "locale", "yaml")
+           "argparse", "gettext", "locale", "yaml", "numpy.random")
 
 STEPS = """
 import json, sys
@@ -115,6 +118,10 @@ def test_no_step_loads_argparse_gettext_or_locale(loaded):
 
 def test_no_step_loads_yaml(loaded):
     assert ["yaml" in names for names in loaded.values()] == [False] * 11
+
+
+def test_no_step_loads_numpy_random(loaded):
+    assert ["numpy.random" in names for names in loaded.values()] == [False] * 11
 
 
 WITHOUT_YAML = """
