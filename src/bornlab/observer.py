@@ -14,8 +14,9 @@ prefix of each level is propagated by one product from its parent, for every
 trajectory that shares it; each probe time in a level's slot extends the
 parents' propagators by its partial segment, forms U_o(t) once and each
 state's deviation from the mean once per distinct prefix. The outcome
-Hamiltonians H_o + λ a G_o are diagonalized once per walk. Only the gathers
-to trajectory order are of size N: for P distinct prefixes at the last level
+Hamiltonians H_o + λ a G_o are diagonalized once per walk. Every gather of a
+stack is one ``take`` along axis 0, and only the gathers to trajectory order
+are of size N: for P distinct prefixes at the last level
 the working set peaks at about N·(d_o²·16 + 8) + 4·P·d_o²·16 bytes (README
 gives the bound).
 """
@@ -116,8 +117,9 @@ def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
     are formed once per outcome value, and U_o(t) once per time. The mean and
     the complex per-entry sample variance are reduced over the trajectory
     index order, in sequence along axis 0 (deterministic for fixed N); each
-    deviation is formed once per distinct prefix and gathered to that order.
-    Returns one ``SurrogateAverage`` per time, in the order of ``times``.
+    deviation is formed once per distinct prefix and gathered to that order
+    by ``take``. Returns one ``SurrogateAverage`` per time, in the order of
+    ``times``.
     """
     slots = [_slot(ens.grid, t) for t in times]
     out = [None] * len(slots)
@@ -132,7 +134,7 @@ def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
     for col in range(last + 1):
         pairs, rank = _relabel(rank * m + ens.indices[:, col], len(W) * m)
         parent, outcome = np.divmod(pairs, m)
-        W = W[parent]
+        W = W.take(parent, axis=0)
         for i in (i for i, k in enumerate(slots) if k == col):
             out[i] = _average(obs, ens, times[i], _extend(W, eigs, outcome, times[i] - start), rank)
         if col < last:
@@ -144,7 +146,7 @@ def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
 def _extend(W, eigs, outcome, duration):
     """The propagators W carried ``duration`` further, each under its outcome's Hamiltonian."""
     if duration > 0:
-        return np.array([evolve(eig, duration) for eig in eigs])[outcome] @ W
+        return np.array([evolve(eig, duration) for eig in eigs]).take(outcome, axis=0) @ W
     return W
 
 
@@ -152,9 +154,10 @@ def _average(obs: ObserverSystem, ens: Ensemble, t, W, rank):
     """The average at t from the distinct prefixes' propagators W and each trajectory's rank."""
     V = propagator(obs.H_o, t).conj().T @ W
     distinct = V @ obs.rho_o @ V.conj().transpose(0, 2, 1)
-    mean = distinct[rank].mean(axis=0)
+    mean = distinct.take(rank, axis=0).mean(axis=0)
     if ens.size > 1:
-        var = (np.abs(distinct - mean) ** 2)[rank].mean(axis=0) * ens.size / (ens.size - 1)
+        var = ((np.abs(distinct - mean) ** 2).take(rank, axis=0).mean(axis=0)
+               * ens.size / (ens.size - 1))
         stderr = np.sqrt(var / ens.size)
     else:
         stderr = np.zeros_like(mean, dtype=float)

@@ -45,7 +45,7 @@ from .spectral import SpectralDecomposition, spectral_decompose
 from .spectral import heisenberg_projectors  # noqa: F401
 
 DEFAULT_TABLE_CAP = 1_000_000
-TABLE_BATCH_BYTES = 2**30  # budget of the operators a table build holds, estimated before it
+TABLE_BATCH_BYTES = 2**30  # budget of what a table build or a collapse holds, estimated before it
 DEFAULT_JOINT_DIM_CAP = 32
 TRACE_TOL = 1e-10  # how far a table total, or a map's trace, may stray from exact
 MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # ndarray's limit
@@ -246,6 +246,19 @@ def _closed_chain(dyn, times, diagonal, skip):
     return gram.reshape((m,) * (2 * n - 1)).transpose(order).reshape(-1, m)
 
 
+def working_set_bytes(m, n, d, diagonal, closed):
+    """Bytes a Born (``diagonal``) or bi-probability table build of order n holds at its peak.
+
+    The route's last batch holds mⁿ⁻¹ operators on the ``closed`` route and for
+    P_n on the operator route, (m²)ⁿ⁻¹ for Q_n there, at most 5 and 3 times
+    over (tracemalloc). The table holds P_n's mⁿ traces, or Q_n's m²ⁿ entries
+    beside the m²ⁿ⁻¹ traces spread into them (tracemalloc: 1.25–1.5 tables).
+    """
+    operators = (m if diagonal or closed else m * m) ** (n - 1)
+    table = m ** n if diagonal else m ** (2 * n) + m ** (2 * n - 1)
+    return ((5 if closed else 3) * operators * d * d + table) * 16
+
+
 def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     """Born (``diagonal``) or bi-probability table of any source.
 
@@ -254,8 +267,8 @@ def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
     last outcome's traces, so the last pair of Q_n is exactly zero off its
     diagonal. A ``skip`` k < n − 1 passes t_{k+1} unmeasured: the table of the
     grid without it, by its own steps. The entry cap, the axes an ndarray
-    holds and the bytes of the route's operator batch (``TABLE_BATCH_BYTES``)
-    are checked before the build, and the total against tr ρ after it.
+    holds and the ``working_set_bytes`` of the build (``TABLE_BATCH_BYTES``)
+    are checked before it, and the total against tr ρ after it.
     """
     dyn = source.dynamics
     m, times = dyn.F.n_outcomes, grid.times
@@ -268,13 +281,10 @@ def _table(source, grid: TimeGrid, cap, diagonal, skip=None):
         raise TableTooLarge(f"{what} would need {axes} axes, more than the {MAX_AXES} "
                             f"an ndarray has in numpy {np.__version__}")
     closed = dyn.eigenframe is not None
-    # the last batch's operators, held at most 5 times over on the closed route and 3 times on
-    # the operator route at the peak (tracemalloc), beside the table
-    operators = (m if diagonal or closed else m * m) ** (n - 1)
-    batch = (5 if closed else 3) * operators * dyn.F.dim ** 2 * 16
-    if batch > TABLE_BATCH_BYTES:
-        raise TableTooLarge(f"{what} would hold about {batch} bytes of operators while built, "
-                            f"exceeding the budget of {TABLE_BATCH_BYTES}")
+    held = working_set_bytes(m, n, dyn.F.dim, diagonal, closed)
+    if held > TABLE_BATCH_BYTES:
+        raise TableTooLarge(f"{what} would hold about {held} bytes of operators and table while "
+                            f"built, exceeding the budget of {TABLE_BATCH_BYTES}")
     chain = _closed_chain if closed else _operator_chain
     traces = chain(dyn, times, diagonal, skip)  # (prefix rows in C order, m)
     if diagonal:

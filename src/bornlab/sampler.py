@@ -6,8 +6,10 @@ By construction the outcome tuple is distributed exactly as the joint
 measurement distribution — for any system, consistent or not. The state
 depends only on the outcome prefix, so the ensemble descends at once with one
 operator per visited prefix: at most min(N, m^k) at t_k, a working set of
-min(N, m^k)·d²·16 bytes per layer. No table is built and no table cap applies;
-the prefixes a collapse visits are counted against ``TABLE_BATCH_BYTES``.
+min(N, m^k)·d²·16 bytes per layer. A collapse gathers the states and the
+projectors by ``take``, once each. No table is built and no table cap
+applies; the prefixes a collapse visits are counted against
+``TABLE_BATCH_BYTES``.
 Prefixes are ranked with no sort, here and wherever histories are ranked: one
 pass over the N keys and a mask of prefixes·m per layer.
 
@@ -16,7 +18,8 @@ Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
 one per grid time. PCG64 jumps ahead by any number of draws in O(log) steps,
 so every row is a function of (s, j) alone, whatever the ensemble size or
 generation order, for any index j in [0, 2**64). The stream is computed in
-numpy integer arithmetic, so no command imports ``numpy.random``. Ensemble
+numpy integer arithmetic, a block at a time in four preallocated uint64
+buffers, so no command imports ``numpy.random``. Ensemble
 statistics are reduced over the trajectory index order, in sequence along
 axis 0 of the (N, …) stack, which is deterministic for a fixed N.
 """
@@ -139,7 +142,8 @@ def _uniforms(seed, start, count, n):
     affine map s ↦ A·s + C mod 2**128 (Brown 1994). After the jump to draw
     start·n, draw q·B + r is base state s_q under the (r+1)-step map: Python
     ints for the states and the B = ``_COLUMNS`` maps, a 128-bit multiply-add
-    in uint64 halves per draw, ``_BLOCK_ROWS`` rows at a time. Seed and indices
+    in uint64 halves per draw, ``_BLOCK_ROWS`` rows at a time in four
+    preallocated uint64 buffers, with in-place operations. Seed and indices
     are integers (numpy's too), indices in [0, 2**64).
     """
     try:
@@ -159,6 +163,7 @@ def _uniforms(seed, start, count, n):
     (a_lo, a_hi), (c_lo, c_hi) = (_halves(column) for column in zip(*maps))
     a0, a1 = a_lo & _M32, a_lo >> 32
     out = np.empty(total)
+    buffers = np.empty((4, min(_BLOCK_ROWS, -(-total // width)), width), dtype=np.uint64)
     for begin in range(0, total, width * _BLOCK_ROWS):
         rows = []
         for _ in range(min(_BLOCK_ROWS, -(-(total - begin) // width))):
@@ -166,13 +171,32 @@ def _uniforms(seed, start, count, n):
             state = (A * state + C) & _M128  # the next row, ``width`` steps on
         s_lo, s_hi = (h[:, None] for h in _halves(rows))
         s0, s1 = s_lo & _M32, s_lo >> 32
-        w = (a0 * s0 >> 32) + a1 * s0  # a_lo·s_lo's high word from 32-bit partial products
-        hi = (w >> 32) + ((w & _M32) + a0 * s1 >> 32) + a1 * s1 + a_lo * s_hi + a_hi * s_lo + c_hi
-        lo = a_lo * s_lo + c_lo
-        hi += lo < c_lo  # the carry
-        x, rot = lo ^ hi, hi >> 58  # XSL-RR: the folded word rotated right by the top 6 bits
-        x = (x >> rot | x << (-rot & 63)) >> 11
-        out[begin:begin + x.size] = x.ravel()[:total - begin].view(np.int64)  # exact: < 2**53
+        w, hi, lo, tmp = buffers[:, :len(rows)]
+        # a_lo·s_lo's high word from 32-bit partial products: w = (a0·s0 >> 32) + a1·s0, then
+        # hi = (w >> 32) + ((w & M32) + a0·s1 >> 32) + a1·s1 + a_lo·s_hi + a_hi·s_lo + c_hi
+        np.multiply(a0, s0, out=w)
+        w >>= 32
+        w += np.multiply(a1, s0, out=tmp)
+        np.bitwise_and(w, _M32, out=hi)
+        hi += np.multiply(a0, s1, out=tmp)
+        hi >>= 32
+        w >>= 32
+        hi += w
+        hi += np.multiply(a1, s1, out=tmp)
+        hi += np.multiply(a_lo, s_hi, out=tmp)
+        hi += np.multiply(a_hi, s_lo, out=tmp)
+        hi += c_hi
+        np.multiply(a_lo, s_lo, out=lo)
+        lo += c_lo
+        hi += np.less(lo, c_lo, out=tmp)  # the carry
+        lo ^= hi  # XSL-RR: the folded word rotated right by the top 6 bits of hi
+        hi >>= 58
+        np.right_shift(lo, hi, out=w)
+        np.negative(hi, out=hi)
+        hi &= 63
+        w |= np.left_shift(lo, hi, out=tmp)
+        w >>= 11
+        out[begin:begin + w.size] = w.ravel()[:total - begin].view(np.int64)  # exact: < 2**53
     out *= 2.0**-53
     return out.reshape(count, n)
 
@@ -203,13 +227,17 @@ def _descend(source, grid: TimeGrid, u):
         indices[:, k] = a
         if k + 1 < grid.n:
             pairs, node = _relabel(node * m + a, len(X) * m)
-            # the collapsed states, held at most 4 times over at the peak (tracemalloc)
+            # the collapsed states, held at most 4 times over at the peak: tracemalloc measures
+            # 3.0 copies in the collapse (gathered states, projectors, one product) and in the
+            # step, on unitary d = 8–32 and GKLS d = 8
             batch = 4 * len(pairs) * dyn.F.dim ** 2 * 16
             if batch > TABLE_BATCH_BYTES:
                 raise TableTooLarge(f"sampling would hold about {batch} bytes of states after "
                                     f"t={t}, exceeding the budget of {TABLE_BATCH_BYTES}")
             parent, a = np.divmod(pairs, m)
-            X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
+            X, Pa = X.take(parent, axis=0), P.take(a, axis=0)
+            np.matmul(Pa @ X, Pa, out=X)  # P(a) X P(a), into the gathered states
+            X /= p[parent, a][:, None, None]
         prev = t
     return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float))
 

@@ -6,10 +6,11 @@ and GKLS sources. Trajectory j's uniforms on an n-time grid are draws
 j·n … j·n+n−1 of numpy's ``PCG64`` stream for the seed: the sampler's rows
 must equal generator objects jumped ahead by j·n for any seed and index in
 [0, 2**64), and one contiguous stream for a whole ensemble, over several
-blocks with a ragged end and from numpy integer seeds. A non-integer seed or
-index is refused with ValueError, and the stream holds one block beside its
-output. Four pinned values tell which of the two moved if they ever part. The
-descent counts the prefixes a collapse visits against the byte budget. The descent must also
+blocks with a ragged end, at totals on either side of a block's edges, and
+from numpy integer seeds. A non-integer seed or index is refused with
+ValueError, and the stream holds one block beside its output. Four pinned
+values tell which of the two moved if they ever part. The descent counts the
+prefixes a collapse visits against the byte budget. The descent must also
 equal, bit for bit, the one that numbered its prefixes by a sort and drew
 through a clipped 2-D compare, on drawn sources whose skewed states let
 prefixes die out, and on uniforms at the edges of a cdf row: one above a last
@@ -17,13 +18,14 @@ entry that rounds below 1, and ones equal to an entry. ``surrogate_averages``,
 one walk for a list of probe times, must reduce at each time to exactly the
 arrays of the old per-trajectory loop, of the route that ranked whole
 prefixes at once and of the walk that each time once made alone, on the
-shipped joint configs and on drawn scenarios, zero signs included: generic,
-degenerate and one-outcome observables, probe lists drawn permuted, repeated,
-at 0, between grid times and at t_n. An empty list gives no average, and a
-time out of range is refused before any work. The working set of one probe
-on a 20000-trajectory ensemble stays within 1.5 gathers of the states to
-trajectory order, and that of a run on the benchmark's ``wide`` config
-within the README's bound in N and the distinct prefixes P.
+shipped joint configs (with one and two trajectories too) and on drawn
+scenarios, zero signs included: generic, degenerate and one-outcome
+observables, probe lists drawn permuted, repeated, at 0, between grid times
+and at t_n. An empty list gives no average, and a time out of range is
+refused before any work. The working set of one probe on a 20000-trajectory
+ensemble stays within 1.5 gathers of the states to trajectory order, and
+that of a run on the benchmark's ``wide`` config within the README's bound
+in N and the distinct prefixes P.
 """
 
 import tracemalloc
@@ -181,9 +183,14 @@ def test_ensemble_uniforms_are_one_contiguous_stream():
 
 
 @pytest.mark.parametrize("seed,start,count,n", [(7, 0, 20011, 7), (2**150, 2**32 + 3, 3001, 13),
-                                                  (0, 2**64 - 4099, 4099, 1)])
+                                                  (0, 2**64 - 4099, 4099, 1),
+                                                  *((20260801, 9, count, n) for count, n in
+                                                    [(1, 1), (51, 5), (64, 4), (257, 1), (127, 129),
+                                                     (4096, 4), (3277, 5), (3328, 5)])])
 def test_uniforms_over_several_blocks_equal_one_generator_call(seed, start, count, n):
-    # several blocks of rows with a ragged end, from a jump above 2**32 and up to index 2**64 − 1
+    # several blocks of rows with a ragged end, from a jump above 2**32 and up to index 2**64 − 1;
+    # then 1, 255, 256, 257, 16383, 16384, 16385 and 16640 draws about a block of 64 rows × 256
+    # draws, the last two ending on a block of one row
     bits = np.random.PCG64(seed)
     bits.advance(start * n)
     assert np.array_equal(_uniforms(seed, start, count, n),
@@ -295,6 +302,18 @@ def test_surrogate_average_equals_the_per_trajectory_loop(name):
     grid = cfg.grid(cfg.simulate.grid)
     ens = sample_ensemble(js.sys, grid, cfg.sampling.size, cfg.sampling.seed)
     assert_same_averages(js.obs, ens, cfg.simulate.probe_times)
+
+
+@pytest.mark.parametrize("size", [1, 2], ids=["zero-stderr", "n-1"])
+@pytest.mark.parametrize("name", ["dephasing", "rabi_joint"])
+def test_surrogate_averages_of_one_and_two_trajectories_equal_the_loop(name, size):
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    js = cfg.build_joint()
+    ens = sample_ensemble(js.sys, cfg.grid(cfg.simulate.grid), size, cfg.sampling.seed)
+    assert_same_averages(js.obs, ens, cfg.simulate.probe_times)
+    if size == 1:
+        assert all(not avg.stderr.any() for avg in
+                   surrogate_averages(js.obs, ens, cfg.simulate.probe_times))
 
 
 def measured_system(rng, d, observable):

@@ -21,9 +21,11 @@ from bornlab import (
     sample_ensemble,
     spectral_decompose,
 )
+from bornlab import process
 from bornlab.errors import TableTooLarge
 from bornlab.linalg import MAP_CACHE_SIZE, propagator
-from bornlab.process import DEFAULT_TABLE_CAP, MAX_AXES, TABLE_BATCH_BYTES, _table
+from bornlab.process import (DEFAULT_TABLE_CAP, MAX_AXES, TABLE_BATCH_BYTES, _table,
+                             working_set_bytes)
 from bornlab.qrf import generator_from_matrix, qrf_bi_probability, qrf_born, semigroup
 from bornlab.spectral import SpectralDecomposition
 from conftest import (ROOT, SX, rabi_system, random_density, random_grid, random_hermitian,
@@ -340,8 +342,8 @@ def test_sample_skips_a_kc_check_past_the_byte_budget_within_1_5_GB(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == (
         "[sample] note: KC not checked at n=18: Born table would hold about "
-        f"{5 * 2**17 * 32 * 32 * 16} bytes of operators while built, exceeding the budget of "
-        f"{TABLE_BATCH_BYTES}\n")
+        f"{(5 * 2**17 * 32 * 32 + 2**18) * 16} bytes of operators and table while built, "
+        f"exceeding the budget of {TABLE_BATCH_BYTES}\n")
     assert len(out.read_text(encoding="utf-8").splitlines()) == 501
 
 
@@ -384,22 +386,60 @@ def test_a_table_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
         "bornlab: dimension/cap error: bi-probability table would hold about "
-        f"{3 * 4**10 * 8 * 8 * 16} bytes of operators while built, exceeding the budget of "
-        f"{TABLE_BATCH_BYTES}\n")
+        f"{(3 * 4**10 * 8 * 8 + 2**22 + 2**21) * 16} bytes of operators and table while built, "
+        f"exceeding the budget of {TABLE_BATCH_BYTES}\n")
     assert not out.exists()
+
+
+def test_a_table_alone_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):
+    # a qubit's Q_13 with a raised entry cap: its chain holds 2¹² operators of 2×2 (1.3 MB), but
+    # the table's 2²⁶ entries and the 2²⁵ traces spread into them need 1.5 GiB (exit 1 with
+    # _ArrayMemoryError while the budget counted only the operators)
+    config = {"schema": 1, "kind": "joint",
+              "system": {"H": [[0.0, 0.5], [0.5, 0.0]], "F": [[1.0, 0.0], [0.0, -1.0]],
+                         "rho": [[1.0, 0.0], [0.0, 0.0]]},
+              "observer": {"H_o": [[0.0, 0.0], [0.0, 0.0]], "G_o": [[1.0, 0.0], [0.0, -1.0]],
+                           "rho_o": [[0.5, 0.5], [0.5, 0.5]], "coupling": 0.25},
+              "grids": {"main": [0.1 * (k + 1) for k in range(13)]}, "n_max": 13,
+              "sampling": {"N": 10, "seed": 1}, "caps": {"table_entries": 2**26}}
+    path, out = tmp_path / "q13.json", tmp_path / "q13.simulate.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    proc = run_in_1_5_gb("simulate", path, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "bornlab: dimension/cap error: bi-probability table would hold about "
+        f"{(5 * 2**12 * 2 * 2 + 2**26 + 2**25) * 16} bytes of operators and table while built, "
+        f"exceeding the budget of {TABLE_BATCH_BYTES}\n")
+    assert not out.exists()
+
+
+def test_a_table_past_the_byte_budget_is_refused_before_its_chain_runs(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the table's chain ran past the byte budget")
+
+    monkeypatch.setattr(process, "_closed_chain", no_build)
+    grid = TimeGrid(tuple(0.1 * (k + 1) for k in range(13)))
+    with pytest.raises(TableTooLarge, match=f"about {working_set_bytes(2, 13, 2, False, True)} "):
+        biprob_table(rabi_system(), grid, cap=2**26)
 
 
 @pytest.mark.parametrize("semigroup", [False, True], ids=["unitary", "semigroup"])
 def test_the_byte_budget_counts_the_last_batch_of_the_route(semigroup):
-    """copies × operators × d²·16 bytes: m^(n−1) operators on the closed route and for P_n on
-    the operator route, (m²)^(n−1) for Q_n there; refused at the first order past the budget."""
+    """(copies × operators × d² + table) × 16 bytes: m^(n−1) operators on the closed route and
+    for P_n on the operator route, (m²)^(n−1) for Q_n there, beside P_n's mⁿ traces or Q_n's
+    m²ⁿ entries and m²ⁿ⁻¹ traces; refused at the first order past the budget."""
     rng = np.random.default_rng(3)
     source, copies = (gkls_3level(rng)[0], 3) if semigroup else (random_system(rng, 3), 5)
     m, d = source.dynamics.F.n_outcomes, source.dynamics.F.dim
-    for build, per_time in ((born_table, m), (biprob_table, m * m if semigroup else m)):
+    for diagonal, build, per_time in ((True, born_table, m),
+                                      (False, biprob_table, m * m if semigroup else m)):
+        def held(n):
+            table = m ** n if diagonal else m ** (2 * n) + m ** (2 * n - 1)
+            return (copies * per_time ** (n - 1) * d * d + table) * 16
+
         n = 1
-        while copies * per_time ** (n - 1) * d * d * 16 <= TABLE_BATCH_BYTES:
+        while held(n) <= TABLE_BATCH_BYTES:
             n += 1
-        batch = copies * per_time ** (n - 1) * d * d * 16
-        with pytest.raises(TableTooLarge, match=f"about {batch} bytes"):
+        assert held(n) == working_set_bytes(m, n, d, diagonal, not semigroup)
+        with pytest.raises(TableTooLarge, match=f"about {held(n)} bytes"):
             build(source, TimeGrid(tuple(0.1 * (k + 1) for k in range(n))), cap=10**100)
