@@ -98,7 +98,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_path, seed, force):
             file=sys.stderr,
         )
 
-    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, seed)
+    # the walk's gathers to trajectory order and their ranks, per trajectory (README)
+    ens = sampler.sample_ensemble(js.sys, grid, cfg.sampling.size, seed, js.obs.dim ** 2 * 16 + 24)
     comparisons = []
     for t, avg in zip(probe_times, observer.surrogate_averages(js.obs, ens, probe_times)):
         exact = observer.exact_reduced_state(js, t)

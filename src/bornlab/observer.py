@@ -8,12 +8,12 @@ perturbative series. When the observable admits a surrogate field, the
 same reduced state is reproduced by averaging the propagation under the
 stochastic Hamiltonian H_o + λ f(τ) G_o over sampled trajectories;
 each piecewise-constant segment contributes one exact matrix exponential.
-The averages at all probe times of a run come from one walk over the outcome
-prefixes, level by level, as the sampler's descent does: each distinct
-prefix of each level is propagated by one product from its parent, for every
-trajectory that shares it; each probe time in a level's slot extends the
-parents' propagators by its partial segment, forms U_o(t) once and each
-state's deviation from the mean once per distinct prefix. The outcome
+The averages at all probe times of a run come from one walk down the
+ensemble's prefix tree, which the sampler's descent numbered, level by level:
+each distinct prefix of each level is propagated by one product from its
+parent, for every trajectory that shares it; each probe time in a level's
+slot extends the parents' propagators by its partial segment, forms U_o(t)
+once and each state's deviation from the mean once per distinct prefix. The outcome
 Hamiltonians H_o + λ a G_o are diagonalized once per walk. Every gather of a
 stack is one ``take`` along axis 0, and only the gathers to trajectory order
 are of size N: for P distinct prefixes at the last level
@@ -41,7 +41,7 @@ from .linalg import (
     trace_distance,
 )
 from .process import DEFAULT_JOINT_DIM_CAP, QuantumSystem
-from .sampler import Ensemble, _relabel, _slot
+from .sampler import Ensemble, _slot
 
 
 class ObserverSystem(NamedTuple):
@@ -109,10 +109,10 @@ def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
     W_j(t) is the Schrödinger propagator from 0 to t under H_o + λ f_j(τ) G_o:
     each piecewise-constant segment of trajectory j on [0, t] contributes one
     exact matrix exponential, left-multiplied in time order. It depends only
-    on the outcomes up to the grid slot in force at t, so the outcome prefixes
-    are walked once, level by level, as the descent numbers them: each
-    distinct prefix extends its parent's propagator by one product, and each
-    time in a level's slot takes its partial segment from the parents. The
+    on the outcomes up to the grid slot in force at t, so the ensemble's prefix
+    tree is walked once, level by level: each distinct prefix extends its
+    parent's propagator by one product, and each time in a level's slot takes
+    its partial segment from the parents and its ranks from ``ens.ranks``. The
     outcome Hamiltonians are diagonalized once, each segment's exponentials
     are formed once per outcome value, and U_o(t) once per time. The mean and
     the complex per-entry sample variance are reduced over the trajectory
@@ -129,14 +129,13 @@ def surrogate_averages(obs: ObserverSystem, ens: Ensemble, times):
     eigs = [hermitian_eigh(obs.H_o + obs.coupling * value * obs.G_o)
             for value in ens.eigenvalues.tolist()]
     W = np.broadcast_to(np.eye(obs.dim, dtype=complex), (1, obs.dim, obs.dim))
-    rank = np.zeros(ens.size, dtype=np.intp)
     start, last = 0.0, max(slots)
     for col in range(last + 1):
-        pairs, rank = _relabel(rank * m + ens.indices[:, col], len(W) * m)
-        parent, outcome = np.divmod(pairs, m)
+        parent, outcome = np.divmod(ens.prefixes[col], m)
         W = W.take(parent, axis=0)
         for i in (i for i, k in enumerate(slots) if k == col):
-            out[i] = _average(obs, ens, times[i], _extend(W, eigs, outcome, times[i] - start), rank)
+            out[i] = _average(obs, ens, times[i], _extend(W, eigs, outcome, times[i] - start),
+                              ens.ranks(col))
         if col < last:
             W = _extend(W, eigs, outcome, ens.grid.times[col + 1] - start)
             start = ens.grid.times[col + 1]

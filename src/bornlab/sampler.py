@@ -10,8 +10,8 @@ min(N, m^k)·d²·16 bytes per layer. A collapse gathers the states and the
 projectors by ``take``, once each. No table is built and no table cap
 applies; the prefixes a collapse visits are counted against
 ``TABLE_BATCH_BYTES``.
-Prefixes are ranked with no sort, here and wherever histories are ranked: one
-pass over the N keys and a mask of prefixes·m per layer.
+Only the descent ranks prefixes, with no sort: one pass over the N keys and a
+mask of prefixes·m per layer. The ensemble keeps this prefix tree for its readers.
 
 Reproducibility: trajectory ``j`` of an ensemble on an n-time grid with seed
 ``s`` takes draws j·n … j·n+n−1 of ``Generator(PCG64(s))`` as its n uniforms,
@@ -64,24 +64,36 @@ class Trajectory(NamedTuple):
 
 
 class Ensemble(NamedTuple):
-    """Independently sampled trajectories on a shared grid.
+    """Independently sampled trajectories on a shared grid, and their prefix tree.
 
     ``indices[j, k]`` is trajectory j's outcome index into ``eigenvalues`` at
-    ``grid.times[k]``.
+    ``grid.times[k]``. ``prefixes[k]`` holds the codes parent·m + a of the
+    distinct prefixes up to ``grid.times[k]`` in ascending, so lexicographic,
+    order; a parent is a number at level k − 1 (0 at level 0), an index into
+    ``prefixes[k − 1]``. ``rank[j]`` is trajectory j's number at the last level.
     """
 
     grid: TimeGrid
     indices: np.ndarray
     eigenvalues: np.ndarray
+    prefixes: tuple[np.ndarray, ...]
+    rank: np.ndarray
 
     @property
     def size(self):
         return len(self.indices)
 
+    def ranks(self, level):
+        """Each trajectory's number among the prefixes of ``level``, its parents followed down."""
+        up = np.arange(len(self.prefixes[-1]))
+        for codes in self.prefixes[:level:-1]:
+            up = (codes // len(self.eigenvalues)).take(up)
+        return up.take(self.rank)
+
     @property
     def trajectories(self):
-        # built on demand for perfbench/tracing.py and the tests; the descent,
-        # CSV export and surrogate average read ``indices``
+        # built on demand for perfbench/tracing.py and the tests; the CSV export
+        # and the surrogate walk read the arrays
         values = self.eigenvalues.tolist()
         return tuple(Trajectory(self.grid, tuple(row), tuple(values[k] for k in row))
                      for row in self.indices.tolist())
@@ -211,7 +223,7 @@ def _descend(source, grid: TimeGrid, u):
     P, m = dyn.F.projectors, dyn.F.n_outcomes
     rows = readout(dyn.F).T
     X, node = dyn.rho[None], np.zeros(len(u), dtype=np.intp)
-    indices = np.empty(u.shape, dtype=np.intp)
+    indices, prefixes = np.empty(u.shape, dtype=np.intp), []
     prev = 0.0
     for k, t in enumerate(grid.times):
         X = dyn.step(X, t - prev)
@@ -225,8 +237,9 @@ def _descend(source, grid: TimeGrid, u):
         for column in cdf[:, :-1].T:  # a row never decreases, so the last column is the clip
             a += column[node] <= u[:, k]
         indices[:, k] = a
+        pairs, node = _relabel(node * m + a, len(X) * m)
+        prefixes.append(pairs)
         if k + 1 < grid.n:
-            pairs, node = _relabel(node * m + a, len(X) * m)
             # the collapsed states, held at most 4 times over at the peak: tracemalloc measures
             # 3.0 copies in the collapse (gathered states, projectors, one product) and in the
             # step, on unitary d = 8–32 and GKLS d = 8
@@ -239,13 +252,22 @@ def _descend(source, grid: TimeGrid, u):
             np.matmul(Pa @ X, Pa, out=X)  # P(a) X P(a), into the gathered states
             X /= p[parent, a][:, None, None]
         prev = t
-    return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float))
+    return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float), tuple(prefixes), node)
 
 
-def sample_ensemble(source, grid: TimeGrid, size, seed):
-    """Draw ``size`` independent trajectories, rows 0 … size−1 of the seed's stream."""
+def sample_ensemble(source, grid: TimeGrid, size, seed, held=0):
+    """Draw ``size`` independent trajectories, rows 0 … size−1 of the seed's stream.
+
+    First the per-trajectory arrays are counted against ``TABLE_BATCH_BYTES``:
+    16·n + 32 bytes a trajectory by tracemalloc (uniforms, ``indices``, a level's
+    outcomes and ranks), and ``held`` more that the caller keeps beside them.
+    """
     if size < 1:
         raise ValueError("ensemble size must be ≥ 1")
+    need = size * (16 * grid.n + 32 + held)
+    if need > TABLE_BATCH_BYTES:
+        raise TableTooLarge(f"sampling {size} trajectories would hold about {need} bytes of "
+                            f"per-trajectory arrays, exceeding the budget of {TABLE_BATCH_BYTES}")
     return _descend(source, grid, _uniforms(seed, 0, size, grid.n))
 
 
@@ -256,35 +278,19 @@ def _relabel(key, size):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[key]
 
 
-def rank_histories(indices, m):
-    """Distinct rows of an (N, k) outcome-index array and each row's rank among them.
-
-    Equal to ``np.unique(indices, axis=0, return_inverse=True)``: the distinct
-    rows in lexicographic order and, for each row, the position of its
-    distinct row. Indices must lie in [0, m). Rows are ranked one column at a
-    time, as the descent numbers its prefixes: each column is one pass over
-    the N keys and a mask of (distinct prefixes)·m.
-    """
-    rank, count = np.zeros(len(indices), dtype=np.intp), 1
-    for column in indices.T:
-        prefixes, rank = _relabel(rank * m + column, count * m)
-        count = len(prefixes)
-    first = np.empty(count, dtype=np.intp)
-    first[rank] = np.arange(len(indices))
-    return indices[first], rank
-
-
 def export_csv(ens: Ensemble, stream):
     """Write the documented trajectory CSV: header t_1..t_n, eigenvalue rows.
 
     Values use shortest round-trip decimal (repr); byte-identical for equal
     ensembles. Each distinct history is formatted once and its line repeated
-    in trajectory order.
+    in trajectory order, 2**16 rows a write, so the text is never held whole.
     """
     labels = [repr(float(v)) for v in ens.eigenvalues]
     stream.write(",".join(f"t_{k + 1}" for k in range(ens.grid.n)) + "\n")
-    histories, rank = rank_histories(ens.indices, len(labels))
-    lines = np.array([",".join([labels[k] for k in row]) + "\n" for row in histories.tolist()],
-                     dtype=object)
-    stream.write("".join(lines[rank].tolist()))
+    first = np.empty(len(ens.prefixes[-1]), dtype=np.intp)
+    first[ens.rank] = np.arange(ens.size)
+    lines = np.array([",".join([labels[k] for k in row]) + "\n"
+                      for row in ens.indices.take(first, axis=0).tolist()], dtype=object)
+    for start in range(0, ens.size, 2**16):
+        stream.write("".join(lines.take(ens.rank[start:start + 2**16]).tolist()))
 

@@ -13,7 +13,12 @@ the same descent as ``bornlab.sampler.sample_ensemble``. ``descend`` and
 ``rank_histories`` are the sampler's descent and history ranking as they were
 before prefixes were ranked by a presence mask, kept verbatim: each layer's
 prefixes and each column's ranks come from a sort (``np.unique``), and the
-draw counts a 2-D compare of every cdf column and clips it to m − 1.
+draw counts a 2-D compare of every cdf column and clips it to m − 1. The
+library no longer ranks histories after the descent, since an ensemble
+carries the descent's prefix tree, so this ``rank_histories`` is the only
+one. ``ensemble`` builds an ``Ensemble`` from outcome indices alone, its
+prefix tree numbered level by level by ``np.unique``; ``descend`` returns
+through it, and so does every test that writes an ensemble by hand.
 
 ``MeasurementChain`` and ``_draw`` are the per-trajectory collapse chain the
 sampler used before its batched descent over outcome histories, kept
@@ -26,10 +31,10 @@ before it propagated each distinct history once, and ``segments``,
 propagation it calls, kept verbatim (``segments`` was a ``Trajectory``
 method). ``ranked_surrogate_average`` is the observer's average as it was
 before it walked the prefix tree level by level, kept verbatim (its
-``rank_histories`` is this module's, which the library's equals): it ranks the
-prefixes on [0, t] at once, multiplies each distinct prefix from the identity
-through every column, and gathers the states to trajectory order before it
-forms the deviations. ``walked_surrogate_average`` is the observer's average
+``rank_histories`` is this module's): it ranks the prefixes on [0, t] at
+once, multiplies each distinct prefix from the identity through every
+column, and gathers the states to trajectory order before it forms the
+deviations. ``walked_surrogate_average`` is the observer's average
 as it was before one walk served every probe time, kept verbatim: each call
 walks the prefix levels on [0, t] from the first column, extending each
 distinct prefix's propagator from its parent's, and diagonalizes the outcome
@@ -269,7 +274,21 @@ def descend(source, grid: TimeGrid, u):
             parent, a = np.divmod(pairs, m)
             X = P[a] @ X[parent] @ P[a] / p[parent, a][:, None, None]
         prev = t
-    return Ensemble(grid, indices, np.array(dyn.F.eigenvalues, dtype=float))
+    return ensemble(grid, indices, dyn.F.eigenvalues)
+
+
+def ensemble(grid: TimeGrid, indices, eigenvalues):
+    """The ``Ensemble`` of these (N, n) outcome indices, its prefix tree numbered by sorts.
+
+    Level k's codes are parent·m + a for the distinct (parent, outcome) pairs in
+    ascending order, the parent being the prefix's number at level k − 1.
+    """
+    indices, m = np.asarray(indices), len(eigenvalues)
+    rank, prefixes = np.zeros(len(indices), dtype=np.intp), []
+    for column in indices.T:
+        codes, rank = np.unique(rank * m + column, return_inverse=True)
+        prefixes.append(codes)
+    return Ensemble(grid, indices, np.array(eigenvalues, dtype=float), tuple(prefixes), rank)
 
 
 def rank_histories(indices, m):

@@ -10,7 +10,11 @@ blocks with a ragged end, at totals on either side of a block's edges, and
 from numpy integer seeds. A non-integer seed or index is refused with
 ValueError, and the stream holds one block beside its output. Four pinned
 values tell which of the two moved if they ever part. The descent counts the
-prefixes a collapse visits against the byte budget. The descent must also
+prefixes a collapse visits against the byte budget, and an ensemble its
+per-trajectory arrays before the first draw, within the estimate that
+tracemalloc measures. Each level of the prefix tree that an ensemble carries
+must number its prefixes as a row-wise sort of the outcome indices does, on
+drawn unitary and GKLS sources. The descent must also
 equal, bit for bit, the one that numbered its prefixes by a sort and drew
 through a clipped 2-D compare, on drawn sources whose skewed states let
 prefixes die out, and on uniforms at the edges of a cdf row: one above a last
@@ -51,9 +55,9 @@ from bornlab.config import load_config
 from bornlab.errors import NumericalInvariantViolation, TableTooLarge, TimeOutOfRange
 from bornlab.process import DEFAULT_TABLE_CAP
 from bornlab.qrf import QRFModel
-from bornlab.sampler import _descend, _slot, _uniforms, rank_histories
-from conftest import (I2, SZ, assert_same_bits, perfbench_generator, rabi_system,
-                      random_density, random_grid, random_hermitian, random_system)
+from bornlab.sampler import Ensemble, _descend, _slot, _uniforms
+from conftest import (I2, SZ, assert_same_bits, perfbench_generator, quasistatic_system,
+                      rabi_system, random_density, random_grid, random_hermitian, random_system)
 from test_kernel import (DRAWN_CASES, GRID3, clustered_d4_m2, drawn_case, gkls_3level,
                          random_d6_m6, rtn, single_time)
 import oracles
@@ -113,6 +117,30 @@ def assert_same_ensemble(ens, expected):
     assert ens.indices.dtype == expected.indices.dtype
     assert np.array_equal(ens.indices, expected.indices)
     assert np.array_equal(ens.eigenvalues, expected.eigenvalues)
+    assert len(ens.prefixes) == len(expected.prefixes)
+    for codes, expected_codes in zip(ens.prefixes, expected.prefixes):
+        assert np.array_equal(codes, expected_codes)
+    assert np.array_equal(ens.rank, expected.rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**DRAWN_CASES, "n": st.integers(1, 6)}, size=st.integers(1, 500))
+def test_the_prefix_tree_numbers_each_level_as_a_sort_of_its_prefixes(seed, d, n, degenerate,
+                                                                     semigroup, size):
+    # level k's prefixes are the distinct rows of indices[:, :k + 1] in lexicographic order, and
+    # each one's code is its parent's number at level k − 1 times m plus its last outcome
+    source, grid = drawn_case(seed, d, n, degenerate, semigroup)
+    ens = sample_ensemble(source, grid, size, seed)
+    m, parent = len(ens.eigenvalues), np.zeros(size, dtype=np.intp)
+    for k in range(grid.n):
+        rows, rank = np.unique(ens.indices[:, :k + 1], axis=0, return_inverse=True)
+        rank = rank.reshape(-1)
+        first = np.empty(len(rows), dtype=np.intp)
+        first[rank] = np.arange(size)
+        assert np.array_equal(ens.prefixes[k], parent[first] * m + rows[:, k])
+        assert np.array_equal(ens.ranks(k), rank)
+        parent = rank
+    assert np.array_equal(ens.rank, parent)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,9 +287,9 @@ def test_the_descent_budgets_the_prefixes_it_visits(monkeypatch, factory):
     """4 copies × the largest collapse's distinct prefixes × d²·16 bytes, not min(N, mᵏ)."""
     source, grid = factory(None)
     u = _uniforms(5, 0, 300, grid.n)
-    indices = _descend(source, grid, u).indices
-    m, d = source.dynamics.F.n_outcomes, source.dynamics.F.dim
-    visited = [len(rank_histories(indices[:, :k + 1], m)[0]) for k in range(grid.n - 1)]
+    ens = _descend(source, grid, u)
+    indices, m, d = ens.indices, source.dynamics.F.n_outcomes, source.dynamics.F.dim
+    visited = [len(ens.prefixes[k]) for k in range(grid.n - 1)]
     assert max(visited) < min(len(u), m ** (grid.n - 1))
     budget = 4 * max(visited) * d * d * 16
     monkeypatch.setattr(sampler, "TABLE_BATCH_BYTES", budget)
@@ -270,6 +298,38 @@ def test_the_descent_budgets_the_prefixes_it_visits(monkeypatch, factory):
     t = grid.times[visited.index(max(visited))]
     with pytest.raises(TableTooLarge, match=f"about {budget} bytes of states after t={t},"):
         _descend(source, grid, u)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_an_ensembles_per_trajectory_arrays_stay_within_their_estimate(n):
+    # the uniforms, indices and a level's outcomes and ranks: 16·n + 32 bytes a trajectory; two
+    # prefixes a level keep the states out of the peak
+    grid, size = TimeGrid(tuple(0.37 * (k + 1) for k in range(n))), 100000
+    sample_ensemble(quasistatic_system(), grid, 10, 1)
+    tracemalloc.start()
+    try:
+        sample_ensemble(quasistatic_system(), grid, size, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size * (16 * n + 32) + 2**16, peak / size
+
+
+@pytest.mark.parametrize("held", [0, 88])
+def test_an_ensemble_past_the_byte_budget_is_refused_before_its_uniforms(monkeypatch, held):
+    source, grid = rtn_long(None)
+    budget = 300 * (16 * grid.n + 32 + held)
+    monkeypatch.setattr(sampler, "TABLE_BATCH_BYTES", budget)
+    expected = sample_ensemble(source, grid, 300, 5)
+    assert_same_ensemble(sample_ensemble(source, grid, 300, 5, held), expected)
+
+    def no_draws(*args):
+        raise AssertionError("uniforms were drawn past the byte budget")
+
+    monkeypatch.setattr(sampler, "_uniforms", no_draws)
+    with pytest.raises(TableTooLarge, match=f"sampling 301 trajectories would hold about "
+                                            f"{301 * budget // 300} bytes of per-trajectory"):
+        sample_ensemble(source, grid, 301, 5, held)
 
 
 def test_zero_total_probability_is_rejected():
@@ -364,8 +424,9 @@ def test_a_time_out_of_range_is_refused_before_any_work(monkeypatch, late):
     def no_work(*args):
         raise AssertionError("the walk started before every time was checked")
 
-    for name in ("hermitian_eigh", "evolve", "propagator", "_relabel"):
+    for name in ("hermitian_eigh", "evolve", "propagator"):
         monkeypatch.setattr(observer, name, no_work)
+    monkeypatch.setattr(Ensemble, "ranks", no_work)
     times = ens.grid.times
     with pytest.raises(TimeOutOfRange):
         surrogate_averages(obs, ens, [0.0, times[-1], times[-1] + late if late > 0 else late])
@@ -399,7 +460,7 @@ def test_a_simulate_runs_working_set_stays_within_its_bound_in_n_and_p(tmp_path,
     ens = sample_ensemble(js.sys, cfg.grid(cfg.simulate.grid), size, cfg.sampling.seed)
     last = max(_slot(ens.grid, t) for t in times)
     m = len(ens.eigenvalues)
-    prefixes = len(rank_histories(ens.indices[:, :last + 1], m)[0])
+    prefixes = len(ens.prefixes[last])
     unit = js.obs.dim ** 2 * 16
     bound = size * (unit + 24) + (6 * prefixes + 4 * m + 2 * len(times)) * unit + 2**14
     tracemalloc.start()

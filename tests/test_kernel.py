@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -366,6 +367,29 @@ def test_a_descent_within_the_byte_budget_samples_within_1_5_GB(tmp_path):
     proc = run_in_1_5_gb("sample", path, "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text(encoding="utf-8").splitlines()) == 100001
+
+
+# (command, shipped config, N, bytes a trajectory): 16·n + 32 for the ensemble on n grid times,
+# and d_o²·16 + 24 more for simulate's walk with a d_o = 2 observer
+ENSEMBLES_PAST_THE_BUDGET = [("sample", "rabi", 2 * 10**9, 16 * 2 + 32),
+                             ("simulate", "dephasing", 3 * 10**7, 16 * 5 + 32 + 4 * 16 + 24)]
+
+
+@pytest.mark.parametrize("command, name, size, per_trajectory", ENSEMBLES_PAST_THE_BUDGET)
+def test_an_ensemble_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path, command, name, size,
+                                                                per_trajectory):
+    # refused before the uniforms (exit 1 with _ArrayMemoryError before the budget counted them)
+    text = (ROOT / "configs" / f"{name}.yaml").read_text(encoding="utf-8")
+    path, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.{command}.out"
+    path.write_text(re.sub(r"(?m)^  N: \d+$", f"  N: {size}", text), encoding="utf-8")
+    proc = run_in_1_5_gb(command, path, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"bornlab: dimension/cap error: sampling {size} trajectories would hold about "
+        f"{size * per_trajectory} bytes of per-trajectory arrays, exceeding the budget of "
+        f"{TABLE_BATCH_BYTES}")
+    assert not out.exists()
 
 
 def test_a_table_past_the_byte_budget_exits_3_within_1_5_GB(tmp_path):

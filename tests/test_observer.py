@@ -14,7 +14,6 @@ from bornlab import (
 from bornlab.errors import DimensionCap, DimensionMismatch, NonFinite
 from bornlab.linalg import propagator, trace_distance
 from bornlab.observer import SurrogateAverage
-from bornlab.sampler import Ensemble
 from conftest import (
     I2,
     KET0,
@@ -128,7 +127,7 @@ class TestExactReducedState:
 
 def one_trajectory_state(obs, grid, indices, eigenvalues, t):
     """surrogate_average over the one-row ensemble with these outcome indices."""
-    ens = Ensemble(grid, np.array([indices]), np.array(eigenvalues, dtype=float))
+    ens = oracles.ensemble(grid, [indices], eigenvalues)
     avg = surrogate_average(obs, ens, t)
     assert avg.size == 1
     assert np.all(avg.stderr == 0.0)

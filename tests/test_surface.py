@@ -76,7 +76,7 @@ BENCH_ONLY = [
 # internals, such as the interleaved table layout that only process slices
 PRIVATE_READS = {
     "consistency": {"process": ["_pair_diagonal", "_table"]},
-    "observer": {"sampler": ["_relabel", "_slot"]},
+    "observer": {"sampler": ["_slot"]},
     "qrf": {"consistency": ["_record", "_worst"]},
 }
 
